@@ -173,8 +173,9 @@ def unary_features(src, tgt, grid, label_space, node, label, cfg=None):
 def dominant_class(src_mask, grid, label_space, node, label, n_classes):
     """Most frequent nonzero class in the displaced source-mask patch.
 
-    Ties break to the smaller class id. A patch that is empty or contains
-    only background returns 0 (the background column is used downstream).
+    Labels above n_classes count as n_classes, and ties break to the smaller
+    class id. A patch that is empty or contains only background returns 0
+    (the background column is used downstream).
     """
     radius = patch_radius(grid.spacing_mm, src_mask.spacing)
     p = grid.points[node]
@@ -182,7 +183,8 @@ def dominant_class(src_mask, grid, label_space, node, label, n_classes):
     patch = extract_patch(src_mask, p + d, radius)
     if patch.is_empty:
         return 0
-    counts = np.bincount(patch.data.ravel(), minlength=n_classes + 1)
+    counts = np.bincount(np.minimum(patch.data.ravel(), n_classes, dtype=np.int64),
+                         minlength=n_classes + 1)
     if counts[1:n_classes + 1].sum() == 0:
         return 0
     return int(np.argmax(counts[1:n_classes + 1])) + 1
@@ -279,12 +281,15 @@ def write_weights(path, wmat, meta=None):
 
 
 def read_weights(path):
-    """Read a weight matrix file; returns (WeightMatrix, meta dict)."""
+    """Read a weight matrix file; returns (WeightMatrix, meta dict).
+
+    The metrics= header may list SAD, MI, NCC and DWT in any order; weight
+    rows and scales are permuted into METRIC_NAMES order.
+    """
     from .volume import FormatError
 
     with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f]
-    lines = [ln for ln in lines if ln.strip()]
+        lines = [ln for ln in f.read().splitlines() if ln.strip()]
     if not lines:
         raise FormatError(f"{path}: empty weights file")
     header = {}
@@ -295,29 +300,40 @@ def read_weights(path):
         header[k] = v
     if "metrics" not in header or "classes" not in header:
         raise FormatError(f"{path}: header must declare metrics= and classes=")
-    names = tuple(header["metrics"].split(","))
-    class_ids = tuple(int(c) for c in header["classes"].split(","))
-    scales = None
-    if "scales" in header:
-        scales = tuple(float(s) for s in header["scales"].split(","))
-    n = len(names)
+    names = header["metrics"].split(",")
+    if sorted(names) != sorted(METRIC_NAMES):
+        raise FormatError(f"{path}: metrics= must name each of {','.join(METRIC_NAMES)} "
+                          f"once, got {header['metrics']}")
+    perm = [names.index(m) for m in METRIC_NAMES]
     rows = []
     meta = {}
-    for ln in lines[1:]:
-        if ln.lstrip().startswith("#"):
-            body = ln.lstrip()[1:].strip()
-            if "=" in body:
-                k, v = body.split("=", 1)
-                meta[k.strip()] = v.strip()
-            continue
-        vals = [float(t) for t in ln.split()]
-        if len(vals) != n + 1:
-            raise FormatError(f"{path}: expected {n + 1} values per class line, got {len(vals)}")
-        rows.append(vals)
-    if len(rows) != len(class_ids):
-        raise FormatError(f"{path}: {len(class_ids)} classes declared but {len(rows)} lines found")
-    arr = np.asarray(rows, dtype=np.float64)
-    wmat = WeightMatrix(arr[:, :n].T, arr[:, n], class_ids, names, scales)
+    try:
+        class_ids = tuple(int(c) for c in header["classes"].split(","))
+        scales = None
+        if "scales" in header:
+            scales = [float(s) for s in header["scales"].split(",")]
+            if len(scales) != N_METRICS:
+                raise FormatError(f"{path}: expected {N_METRICS} scales, got {len(scales)}")
+            scales = tuple(scales[i] for i in perm)
+        for ln in lines[1:]:
+            if ln.lstrip().startswith("#"):
+                body = ln.lstrip()[1:].strip()
+                if "=" in body:
+                    k, v = body.split("=", 1)
+                    meta[k.strip()] = v.strip()
+                continue
+            vals = [float(t) for t in ln.split()]
+            if len(vals) != N_METRICS + 1:
+                raise FormatError(f"{path}: expected {N_METRICS + 1} values per class line, "
+                                  f"got {len(vals)}")
+            rows.append(vals)
+        if len(rows) != len(class_ids):
+            raise FormatError(f"{path}: {len(class_ids)} classes declared but "
+                              f"{len(rows)} lines found")
+        arr = np.asarray(rows, dtype=np.float64)
+        wmat = WeightMatrix(arr[:, perm].T, arr[:, N_METRICS], class_ids, METRIC_NAMES, scales)
+    except ValueError as e:
+        raise FormatError(f"{path}: {e}") from e
     return wmat, meta
 
 
@@ -522,46 +538,29 @@ def dominant_class_table(src_mask, grid, label_space, n_classes):
     Background (0) marks empty or all-background patches.
     """
     radius = np.asarray(patch_radius(grid.spacing_mm, src_mask.spacing), dtype=np.int64)
-    dims = np.asarray(src_mask.dims)
-    V = grid.n_nodes
-    L = label_space.n_labels
     c_src, in_src, _, _ = _center_table(src_mask, grid, label_space)
 
-    out = np.zeros((V, L), dtype=np.int64)
+    out = np.zeros((grid.n_nodes, label_space.n_labels), dtype=np.int64)
     vi, li = np.nonzero(in_src)
     if len(vi) == 0:
         return out
-    cs = c_src[vi, li]
-    left = np.minimum(cs, radius)
-    right = np.minimum(dims - 1 - cs, radius)
-
-    key = np.stack([cs[:, 0], cs[:, 1], cs[:, 2]], axis=1)
-    uniq, first_idx, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
-    u_cs = cs[first_idx]
-    u_left = left[first_idx]
-    u_right = right[first_idx]
-    u_cls = np.zeros(len(first_idx), dtype=np.int64)
-
-    sig = np.concatenate([u_left, u_right], axis=1)
-    order = np.lexsort(sig.T[::-1])
-    sig_sorted = sig[order]
-    boundaries = np.nonzero(np.any(np.diff(sig_sorted, axis=0) != 0, axis=1))[0] + 1
-    groups = np.split(order, boundaries)
-
-    labels = src_mask.labels
-    for g in groups:
-        gl = u_left[g[0]]
-        gr = u_right[g[0]]
-        shape = tuple(int(x) for x in (gl + gr + 1))
-        blocks = _gather_blocks(labels, u_cs[g] - gl, shape).reshape(len(g), -1)
-        offsets = (np.arange(len(g), dtype=np.int64) * (n_classes + 1))[:, None]
-        clipped = np.minimum(blocks.astype(np.int64), n_classes)
-        counts = np.bincount(
-            (offsets + clipped).ravel(), minlength=len(g) * (n_classes + 1)
-        ).reshape(len(g), n_classes + 1)
-        fg = counts[:, 1:]
-        best = np.argmax(fg, axis=1) + 1
-        u_cls[g] = np.where(fg.sum(axis=1) > 0, best, 0)
+    # dedupe centers by flat voxel index: a 1-D unique is much cheaper than axis=0
+    flat, inverse = np.unique(np.ravel_multi_index(c_src[vi, li].T, src_mask.dims),
+                              return_inverse=True)
+    centers = np.stack(np.unravel_index(flat, src_mask.dims), axis=1)
+    u_cls = np.zeros(len(centers), dtype=np.int64)
+    # background padding gives every patch the full window: like cropping, it
+    # adds nothing to the foreground counts, and one window shape needs one gather
+    labels = np.pad(src_mask.labels, [(r, r) for r in radius])
+    shape = tuple(int(x) for x in 2 * radius + 1)
+    size = int(np.prod(shape))
+    chunk = max(1, (1 << 22) // size)      # bounds each gather to ~4 MB of labels
+    for s in range(0, len(centers), chunk):
+        blocks = _gather_blocks(labels, centers[s:s + chunk], shape).reshape(-1, size)
+        # labels above n_classes count toward the top class
+        fg = np.stack([np.count_nonzero(blocks == c, axis=1) for c in range(1, n_classes)]
+                      + [np.count_nonzero(blocks >= n_classes, axis=1)], axis=1)
+        u_cls[s:s + chunk] = np.where(fg.sum(axis=1) > 0, np.argmax(fg, axis=1) + 1, 0)
 
     out[vi, li] = u_cls[inverse]
     return out

@@ -295,27 +295,28 @@ def ffd_evaluate(grid, sparse_disp, points_mm):
             f"{grid.n_nodes} nodes"
         )
     pts = np.asarray(points_mm, dtype=np.float64).reshape(-1, 3)
-    gx, gy, gz = grid.grid_dims
-    ctrl = sparse_disp.reshape(gx, gy, gz, 3, order="F")
+    # one contiguous table per component in node order: each of the 64 taps
+    # is then a 1-D gather at the constant node offset of (a, b, c)
+    comp = np.ascontiguousarray(sparse_disp.T)
 
     out = np.zeros((pts.shape[0], 3), dtype=np.float64)
     chunk = 1 << 16
     for s in range(0, pts.shape[0], chunk):
         p = pts[s:s + chunk]
-        cx, wx = _spline_coords(grid, p[:, 0], 0)
-        cy, wy = _spline_coords(grid, p[:, 1], 1)
-        cz, wz = _spline_coords(grid, p[:, 2], 2)
-        acc = np.zeros((p.shape[0], 3), dtype=np.float64)
+        (cx, wx), (cy, wy), (cz, wz) = (_spline_coords(grid, p[:, a], a) for a in range(3))
+        wx, wy, wz = (np.ascontiguousarray(w.T) for w in (wx, wy, wz))
+        base = grid.node_index(cx - 1, cy - 1, cz - 1)
+        acc = np.zeros((3, p.shape[0]), dtype=np.float64)
         for a in range(4):
-            ix = cx - 1 + a
             for b in range(4):
-                iy = cy - 1 + b
-                wab = wx[:, a] * wy[:, b]
+                wab = wx[a] * wy[b]
                 for c in range(4):
-                    iz = cz - 1 + c
-                    w = wab * wz[:, c]
-                    acc += w[:, None] * ctrl[ix, iy, iz]
-        out[s:s + chunk] = acc
+                    w = wab * wz[c]
+                    i = base + grid.node_index(a, b, c)
+                    for d in range(3):
+                        # clip never applies: _spline_coords keeps taps in the grid
+                        acc[d] += w * comp[d].take(i, mode="clip")
+        out[s:s + chunk] = acc.T
     return out
 
 

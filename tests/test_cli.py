@@ -177,6 +177,23 @@ class TestRegisterCommand:
         assert rc == 2
 
 
+    @pytest.mark.parametrize("text", [
+        "metrics=SAD,MI,NCC,DWT classes=0\nabc 10 10 10 0.3\n",
+        "metrics=SAD,MI,NCC,DWT classes=0,x\n0.1 10 10 10 0.3\n0.1 10 10 10 0.3\n",
+    ])
+    def test_malformed_weights_exits_2(self, workspace, text):
+        tmp, cfg, data = workspace
+        wpath = write_text(tmp / "bad.txt", text)
+        rc = cli.main([
+            "register",
+            "--source", os.path.join(data, "pair000_src.vol"),
+            "--target", os.path.join(data, "pair000_tgt.vol"),
+            "--weights", wpath, "--config", cfg,
+            "--out-field", str(tmp / "f.fld"), "--out-warped", str(tmp / "wv.vol"),
+        ])
+        assert rc == 2
+
+
 class TestTrainEvaluateCommands:
     def test_train_then_evaluate(self, workspace):
         tmp, cfg, data = workspace

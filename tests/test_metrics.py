@@ -3,7 +3,9 @@ import pytest
 
 from mmreg import graphreg as gr
 from mmreg import metrics as me
-from mmreg.volume import LabelSpace, Patch, SegmentationMask, Volume, make_control_grid
+from mmreg.volume import (
+    FormatError, LabelSpace, Patch, SegmentationMask, Volume, extract_patch, make_control_grid,
+)
 
 
 @pytest.fixture
@@ -239,12 +241,37 @@ class TestDominantClass:
 
     def test_batch_equals_scalar(self, small_setup, rng):
         src, _, grid, ls = small_setup
-        labels = rng.integers(0, 3, src.dims).astype(np.uint8)
-        mask = self.make_mask(labels)
-        table = me.dominant_class_table(mask, grid, ls, 2)
-        for node in range(0, grid.n_nodes, 5):
-            for lab in range(0, ls.n_labels, 4):
-                assert table[node, lab] == me.dominant_class(mask, grid, ls, node, lab, 2)
+        x, y, z = np.indices(src.dims)
+        cases = [
+            (rng.integers(0, 3, src.dims), 2),
+            # labels 3..5 lie above n_classes and count toward class 2
+            (rng.integers(0, 6, src.dims), 2),
+            # checkerboard of 1 and 3: a patch with an even voxel count ties
+            # exactly, and the lower class must win
+            (np.where((x + y + z) % 2 == 0, 3, 1), 3),
+            (rng.integers(0, 4, src.dims), 1),
+            # classes only where x < 4 and y < 4: most patches are all background
+            (np.where((x < 4) & (y < 4), rng.integers(1, 3, src.dims), 0), 2),
+        ]
+        ties = background = 0
+        for labels, n_classes in cases:
+            mask = self.make_mask(labels)
+            table = me.dominant_class_table(mask, grid, ls, n_classes)
+            for node in range(0, grid.n_nodes, 5):
+                for lab in range(0, ls.n_labels, 4):
+                    assert table[node, lab] == me.dominant_class(
+                        mask, grid, ls, node, lab, n_classes)
+                    patch = extract_patch(mask, grid.points[node] + ls.displacements[lab],
+                                          me.patch_radius(grid.spacing_mm, mask.spacing))
+                    if patch.is_empty:
+                        continue
+                    counts = np.bincount(patch.data.ravel(), minlength=4)
+                    if n_classes == 3 and counts[1] == counts[3] > 0:
+                        ties += 1
+                    if counts[0] == patch.data.size:
+                        background += 1
+        # the tie and all-background cases must actually occur
+        assert ties > 0 and background > 0
 
     def test_voxel_order_invariance(self, rng):
         # dominant class depends on counts only
@@ -307,6 +334,44 @@ class TestWeightMatrix:
         assert back.class_ids == w.class_ids
         assert back.scales == w.scales
         assert meta["C"] == "10.0"
+
+    def test_permuted_header_reordered(self, tmp_path, rng):
+        w = me.WeightMatrix(rng.random((4, 2)), np.array([0.3, 0.7]), (0, 1),
+                            scales=(1.5, 2.5, 3.5, 4.5))
+        canonical = str(tmp_path / "canonical.txt")
+        me.write_weights(canonical, w)
+        order = ("NCC", "MI", "SAD", "DWT")
+        perm = [me.METRIC_NAMES.index(m) for m in order]
+        lines = [f"metrics={','.join(order)} classes=0,1 "
+                 f"scales={','.join(repr(w.scales[i]) for i in perm)}"]
+        for j in range(2):
+            lines.append(" ".join(repr(float(v)) for v in w.weights[perm, j])
+                         + f" {float(w.pairwise[j])!r}")
+        permuted = str(tmp_path / "permuted.txt")
+        with open(permuted, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        a, _ = me.read_weights(canonical)
+        b, _ = me.read_weights(permuted)
+        assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(b.weights, w.weights)
+        assert np.array_equal(a.pairwise, b.pairwise)
+        assert (a.class_ids, a.metric_names, a.scales) == (b.class_ids, b.metric_names, b.scales)
+        assert b.scales == w.scales
+
+    @pytest.mark.parametrize("text", [
+        "metrics=SAD,MI,NCC,XYZ classes=0\n1 1 1 1 0.3\n",          # unknown name
+        "metrics=SAD,MI,NCC classes=0\n1 1 1 0.3\n",                # missing name
+        "metrics=SAD,MI,NCC,NCC classes=0\n1 1 1 1 0.3\n",          # duplicate name
+        "metrics=SAD,MI,NCC,DWT classes=0\nabc 1 1 1 0.3\n",        # bad number
+        "metrics=SAD,MI,NCC,DWT classes=0,x\n1 1 1 1 0.3\n1 1 1 1 0.3\n",
+        "metrics=SAD,MI,NCC,DWT classes=0 scales=1,2,3\n1 1 1 1 0.3\n",
+        "metrics=SAD,MI,NCC,DWT classes=1,0\n1 1 1 1 0.3\n1 1 1 1 0.3\n",
+    ])
+    def test_malformed_file_is_format_error(self, tmp_path, text):
+        path = tmp_path / "w.txt"
+        path.write_text(text)
+        with pytest.raises(FormatError):
+            me.read_weights(str(path))
 
     def test_column_lookup(self):
         w = me.WeightMatrix(np.arange(8).reshape(4, 2), np.array([0.5, 1.5]), (0, 2))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mmreg.volume import (
+    ControlGrid,
     DeformationField,
     FormatError,
     LabelSpace,
@@ -17,6 +18,7 @@ from mmreg.volume import (
     read_field,
     read_mask,
     read_volume,
+    sample_field,
     tile_slices,
     warp,
     warp_mask,
@@ -24,6 +26,7 @@ from mmreg.volume import (
     write_mask,
     write_volume,
 )
+from mmreg.volume import _spline_coords
 
 
 @pytest.fixture
@@ -124,6 +127,96 @@ class TestFfdInterpolation:
         grid = make_control_grid(vol, 8.0)
         with pytest.raises(ValueError):
             interpolate_dense(grid, np.zeros((grid.n_nodes - 1, 3)), vol)
+
+
+def _ffd_gather_oracle(grid, sparse_disp, points_mm):
+    """ffd_evaluate with one (ix, iy, iz) fancy gather per tap: the same
+    arithmetic in the same order, so it must agree bit for bit."""
+    pts = np.asarray(points_mm, dtype=np.float64).reshape(-1, 3)
+    gx, gy, gz = grid.grid_dims
+    ctrl = np.asarray(sparse_disp, dtype=np.float64).reshape(gx, gy, gz, 3, order="F")
+    out = np.zeros((pts.shape[0], 3), dtype=np.float64)
+    chunk = 1 << 16
+    for s in range(0, pts.shape[0], chunk):
+        p = pts[s:s + chunk]
+        cx, wx = _spline_coords(grid, p[:, 0], 0)
+        cy, wy = _spline_coords(grid, p[:, 1], 1)
+        cz, wz = _spline_coords(grid, p[:, 2], 2)
+        acc = np.zeros((p.shape[0], 3), dtype=np.float64)
+        for a in range(4):
+            ix = cx - 1 + a
+            for b in range(4):
+                iy = cy - 1 + b
+                wab = wx[:, a] * wy[:, b]
+                for c in range(4):
+                    iz = cz - 1 + c
+                    w = wab * wz[:, c]
+                    acc += w[:, None] * ctrl[ix, iy, iz]
+        out[s:s + chunk] = acc
+    return out
+
+
+class TestFfdEvaluateBitExact:
+    @pytest.fixture
+    def grid(self, vol):
+        return make_control_grid(vol, 8.0)
+
+    def check(self, grid, pts, rng):
+        sparse = rng.uniform(-3, 3, (grid.n_nodes, 3))
+        out = ffd_evaluate(grid, sparse, pts)
+        assert out.shape == (len(pts), 3)
+        assert np.array_equal(out, _ffd_gather_oracle(grid, sparse, pts))
+
+    def test_random_off_grid_points(self, vol, grid, rng):
+        lo, hi = vol.extent_mm()
+        self.check(grid, rng.uniform(lo, hi, (500, 3)), rng)
+
+    def test_points_outside_support_are_clamped(self, grid, rng):
+        lo = np.asarray(grid.origin_mm)
+        hi = lo + (np.asarray(grid.grid_dims) - 1) * np.asarray(grid.spacing_mm)
+        pts = rng.uniform(lo - 50.0, hi + 50.0, (500, 3))
+        pts[:6] = [lo - 1e6, hi + 1e6, lo, hi, lo - 1.0, hi + 1.0]
+        assert np.any(pts < lo) and np.any(pts > hi)
+        self.check(grid, pts, rng)
+
+    def test_crosses_chunk_boundary(self, vol, grid, rng):
+        lo, hi = vol.extent_mm()
+        self.check(grid, rng.uniform(lo, hi, ((1 << 16) + 1000, 3)), rng)
+
+    def test_non_cubic_grid(self, rng):
+        grid = ControlGrid((5, 7, 9), (3.0, 2.0, 1.5), (-3.0, 1.0, -2.0))
+        lo = np.asarray(grid.origin_mm)
+        hi = lo + (np.asarray(grid.grid_dims) - 1) * np.asarray(grid.spacing_mm)
+        self.check(grid, rng.uniform(lo - 2.0, hi + 2.0, (2000, 3)), rng)
+
+
+class TestSampleField:
+    # a field linear in x, y and z, which trilinear sampling reproduces exactly
+    A = np.array([[0.5, -1.25, 2.0], [1.5, 0.75, -0.5], [-2.0, 0.25, 1.0]])
+    C = np.array([3.0, -1.0, 0.5])
+
+    @pytest.fixture
+    def fld(self):
+        spacing, origin = (1.5, 2.0, 2.5), (-3.0, 1.0, 2.0)
+        axes = [origin[a] + np.arange(n) * spacing[a] for a, n in enumerate((6, 5, 4))]
+        pos = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        return DeformationField(dense=pos @ self.A.T + self.C, spacing=spacing, origin=origin)
+
+    def extent(self, fld):
+        lo = np.asarray(fld.origin)
+        return lo, lo + (np.asarray(fld.dims) - 1) * np.asarray(fld.spacing)
+
+    def test_linear_field_exact_inside(self, fld, rng):
+        lo, hi = self.extent(fld)
+        pts = rng.uniform(lo, hi, (200, 3))
+        assert np.abs(sample_field(fld, pts) - (pts @ self.A.T + self.C)).max() < 1e-12
+
+    def test_outside_takes_boundary_value(self, fld, rng):
+        lo, hi = self.extent(fld)
+        pts = rng.uniform(lo - 10.0, hi + 10.0, (200, 3))
+        assert np.any(pts < lo) and np.any(pts > hi)
+        clamped = np.clip(pts, lo, hi)
+        assert np.abs(sample_field(fld, pts) - (clamped @ self.A.T + self.C)).max() < 1e-12
 
 
 def _bspline_tensor_oracle(grid, sparse, point_mm):
