@@ -199,6 +199,11 @@ def cmd_register(args):
         )
     src = read_volume(args.source)
     tgt = read_volume(args.target)
+    if src.geometry() != tgt.geometry():
+        raise FormatError(
+            f"source and target differ in geometry (dims, spacing, origin): "
+            f"{src.geometry()} vs {tgt.geometry()}"
+        )
     smask = read_mask(args.source_mask) if args.source_mask else None
 
     fld, diag = register(src, tgt, smask, wmat, pyramid_config(cfg))

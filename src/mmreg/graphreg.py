@@ -5,13 +5,21 @@ aggregations) with an L1 smoothness term between neighbouring control-point
 displacements. Minimization uses move-making expansion steps, each solved
 exactly as a min-cut; the L1 pairwise term is a metric, so every expansion
 move is submodular.
+
+Most expansion moves change nothing, so a move is skipped without a cut
+when its outcome is already known: when the labeling has not changed since
+the label's last move (the same inputs give the same rejected cut), or when
+a dual lower bound certifies that no move to the label can lower the energy
+(each edge's energy change is split between its endpoints, and every node's
+share plus its unary change is non-negative). The cuts that remain run on
+one flow network per instance whose capacities are rewritten per move.
 """
 
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix, coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow, breadth_first_order
 
 from . import metrics as me
@@ -198,99 +206,181 @@ def build_instance(src, tgt, src_mask, wmat, grid, label_space, cfg=None):
 # for int64 graphs, so float costs are quantized to stay below 2^31
 _FLOW_CAP_MAX = (1 << 31) - 64
 
+# transfer rounds of the skip certificate; past four, further rounds
+# certified almost no more moves on the registration and training MRFs
+_TRANSFER_ROUNDS = 4
 
-def _expansion_cut(instance, labeling, alpha, edge_w):
-    """Optimal alpha-expansion move via min-cut; returns the move mask."""
-    V = instance.n_nodes
-    table = instance.pairwise_table
-    theta = instance.unaries[:, alpha] - instance.unaries[np.arange(V), labeling]
+# share of a node's surplus it may hand on in a transfer round; the rest
+# absorbs rounding, so a donor never ends below zero
+_TRANSFER_KEEP = 1.0 - 1e-6
 
-    cap_rows = []
-    cap_cols = []
-    cap_vals = []
-    if len(instance.edges):
-        i = instance.edges[:, 0]
-        j = instance.edges[:, 1]
-        li = labeling[i]
-        lj = labeling[j]
-        A = edge_w * table[li, lj]
-        B = edge_w * table[li, alpha]
-        C = edge_w * table[alpha, lj]
+
+class _ExpansionNetwork:
+    """The flow network of one MRF instance, built once per solve.
+
+    Arcs are the edges i->j, the terminal arcs s->i and i->t of every node,
+    and an explicit reverse arc of each, in one fixed CSR structure; each
+    expansion move only writes capacities into it. The network also checks
+    the dual bound that lets a move be skipped without a cut.
+    """
+
+    def __init__(self, instance, edge_w):
+        V = instance.n_nodes
+        self.unaries = instance.unaries
+        self.table = instance.pairwise_table
+        self.i = instance.edges[:, 0]
+        self.j = instance.edges[:, 1]
+        self.w = edge_w
+
+        s, t = V, V + 1
+        n = V + 2
+        nodes = np.arange(V)
+        tails = np.concatenate([self.i, np.full(V, s), nodes, self.j, nodes, np.full(V, t)])
+        heads = np.concatenate([self.j, nodes, np.full(V, t), self.i, np.full(V, s), nodes])
+        keys, slot = np.unique(tails * n + heads, return_inverse=True)
+        self.slot = slot[: len(self.i) + 2 * V]   # the arcs that carry capacity
+        self.tail = keys // n
+        self.graph = csr_matrix(
+            (np.zeros(len(keys), dtype=np.int64), keys % n,
+             np.searchsorted(self.tail, np.arange(n + 1))),
+            shape=(n, n),
+        )
+
+    def relabel(self, labeling):
+        """Set the labeling that the following moves start from."""
+        self.li = labeling[self.i]
+        self.lj = labeling[self.j]
+        self.t0 = self.table[self.li, self.lj]
+        self.u0 = self.unaries[np.arange(len(labeling)), labeling]
+
+    def cut(self, alpha):
+        """Optimal alpha-expansion move via min-cut; returns the move mask."""
+        V = len(self.u0)
+        theta = self.unaries[:, alpha] - self.u0
+        A = self.w * self.t0
+        B = self.w * self.table[self.li, alpha]
+        C = self.w * self.table[alpha, self.lj]
         # submodular pairwise split: delta_i = C - A, delta_j = -C, arc = B + C - A
-        np.add.at(theta, i, C - A)
-        np.add.at(theta, j, -C)
+        np.add.at(theta, self.i, C - A)
+        np.add.at(theta, self.j, -C)
         beta = B + C - A
-        keep = beta > 0
-        cap_rows.append(i[keep])
-        cap_cols.append(j[keep])
-        cap_vals.append(beta[keep])
+        vals = np.concatenate([
+            np.where(beta > 0, beta, 0.0),
+            np.where(theta > 0, theta, 0.0),
+            np.where(theta < 0, -theta, 0.0),
+        ])
+        top = vals.max()
+        if not top > 0:
+            return np.zeros(V, dtype=bool)
+        ivals = np.floor(vals * (float(_FLOW_CAP_MAX) / max(top, 1e-300)))
+        if not ivals.any():
+            return np.zeros(V, dtype=bool)
 
-    s = V
-    t = V + 1
-    pos = theta > 0
-    neg = theta < 0
-    cap_rows.append(np.full(pos.sum(), s, dtype=np.int64))
-    cap_cols.append(np.nonzero(pos)[0])
-    cap_vals.append(theta[pos])
-    cap_rows.append(np.nonzero(neg)[0])
-    cap_cols.append(np.full(neg.sum(), t, dtype=np.int64))
-    cap_vals.append(-theta[neg])
+        graph = self.graph
+        graph.data = np.bincount(self.slot, ivals, len(graph.data)).astype(np.int64)
+        res = maximum_flow(graph, V, V + 1)
+        # with every reverse arc present, the flow comes back on the graph's
+        # own structure. The moved nodes are those not reachable from s
+        # through arcs with residual capacity: the source side of the
+        # minimal min-cut, which is the same for every maximum flow
+        open_arc = graph.data - res.flow.data > 0
+        heads = graph.indices[open_arc]
+        indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(self.tail[open_arc], minlength=V + 2))])
+        residual = csr_matrix((np.ones(len(heads), dtype=np.int8), heads, indptr),
+                              shape=graph.shape)
+        reach = breadth_first_order(residual, V, directed=True, return_predecessors=False)
+        moved = np.ones(V + 2, dtype=bool)
+        moved[reach] = False
+        return moved[:V]
 
-    rows = np.concatenate(cap_rows)
-    cols = np.concatenate(cap_cols)
-    vals = np.concatenate(cap_vals)
-    if len(vals) == 0:
-        return np.zeros(V, dtype=bool)
+    def certify(self, alpha):
+        """True when no alpha-expansion move can lower the energy, shown by
+        a dual lower bound without a cut.
 
-    scale = float(_FLOW_CAP_MAX) / max(vals.max(), 1e-300)
-    ivals = np.floor(vals * scale).astype(np.int64)
-    keep = ivals > 0
-    rows, cols, ivals = rows[keep], cols[keep], ivals[keep]
-    if len(ivals) == 0:
-        return np.zeros(V, dtype=bool)
+        Each edge's energy change is split between its endpoints so that,
+        for every move set S, the change is at least the sum over S of the
+        node margins m_i; when all m_i >= 0 no move improves. Transfer
+        rounds let a node with m_i < 0 draw on its neighbours' surplus,
+        along each edge as far as that edge's split allows.
+        """
+        V = len(self.u0)
+        i, j, w, t, t0 = self.i, self.j, self.w, self.table, self.t0
+        d10 = w * (t[alpha][self.lj] - t0)        # only i moves
+        d01 = w * (t[:, alpha][self.li] - t0)     # only j moves
+        d11 = w * (t[alpha, alpha] - t0)          # both move
+        half = 0.5 * d11
+        ai = np.minimum(d10, np.maximum(half, d11 - d01))
+        aj = np.minimum(d01, np.maximum(half, d11 - d10))
+        d = self.unaries[:, alpha] - self.u0
+        for _ in range(_TRANSFER_ROUNDS):
+            m = d + np.bincount(i, ai, V) + np.bincount(j, aj, V)
+            if m.min() >= 0:
+                return True
+            surplus = np.maximum(m, 0.0)
+            need = m < 0
+            to_i = np.minimum(d10 - ai, surplus[j]) * need[i]
+            to_j = np.minimum(d01 - aj, surplus[i]) * need[j]
+            asked = np.bincount(j, to_i, V) + np.bincount(i, to_j, V)
+            share = np.minimum(1.0, _TRANSFER_KEEP * surplus / np.where(asked > 0, asked, 1.0))
+            to_i *= share[j]
+            to_j *= share[i]
+            ai = ai + to_i - to_j
+            aj = aj + to_j - to_i
+        m = d + np.bincount(i, ai, V) + np.bincount(j, aj, V)
+        return m.min() >= 0
 
-    n = V + 2
-    graph = csr_matrix(
-        coo_matrix((ivals, (rows, cols)), shape=(n, n), dtype=np.int64)
-    )
-    res = maximum_flow(graph, s, t)
-    residual = graph - res.flow
-    residual = residual.tocoo()
-    mask = residual.data > 0
-    adj = csr_matrix(
-        (np.ones(mask.sum(), dtype=np.int8), (residual.row[mask], residual.col[mask])),
-        shape=(n, n),
-    )
-    reach = breadth_first_order(adj, s, directed=True, return_predecessors=False)
-    reachable = np.zeros(n, dtype=bool)
-    reachable[reach] = True
-    return ~reachable[:V]
+
+def _neighbor_table(instance):
+    """Each node's neighbours and edge weights in edge order, as padded
+    (n_nodes, max degree) tables, and the mask of their real entries."""
+    V = instance.n_nodes
+    ends = instance.edges.ravel()             # edge k: i at 2k, j at 2k + 1
+    order = np.argsort(ends, kind="stable")
+    deg = np.bincount(ends, minlength=V)
+    rank = np.arange(len(ends)) - np.repeat(np.cumsum(deg) - deg, deg)
+    pos = np.full((V, max(int(deg.max()), 1)), len(ends))
+    pos[ends[order], rank] = order
+    nbrs = np.append(instance.edges[:, ::-1].ravel(), 0)[pos]
+    weights = np.append(np.repeat(instance.edge_weight_array(), 2), 0.0)[pos]
+    return nbrs, weights, pos < len(ends)
 
 
-def _icm_pass(instance, labeling, neighbor_lists):
-    """One exact single-node sweep; returns number of changed nodes."""
+def _icm_costs(instance, nodes, labeling, neighbors):
+    """(len(nodes), |L|) cost of every label at `nodes`, the others fixed;
+    neighbour terms are added in edge order."""
+    nbrs, weights, real = neighbors
+    costs = instance.unaries[nodes]
+    for k in range(nbrs.shape[1]):
+        sel = real[nodes, k]
+        at = nodes[sel]
+        costs[sel] += weights[at, k, None] * instance.pairwise_table[:, labeling[nbrs[at, k]]].T
+    return costs
+
+
+def _icm_pass(instance, labeling, neighbors):
+    """One exact single-node sweep in node order; returns the number of
+    changed nodes.
+
+    Each node's best label is evaluated for all nodes at once; after a node
+    changes, only its later neighbours are evaluated again, which is what a
+    node-by-node sweep would see when it reaches them.
+    """
+    nbrs, _, real = neighbors
+    best = np.argmin(_icm_costs(instance, np.arange(instance.n_nodes), labeling, neighbors),
+                     axis=1)
     changed = 0
-    for i in range(instance.n_nodes):
-        nbrs, ws = neighbor_lists[i]
-        costs = instance.unaries[i].copy()
-        for j, w in zip(nbrs, ws):
-            costs += w * instance.pairwise_table[:, labeling[j]]
-        best = int(np.argmin(costs))
-        if best != labeling[i]:
-            labeling[i] = best
-            changed += 1
-    return changed
-
-
-def _neighbor_lists(instance):
-    out = [([], []) for _ in range(instance.n_nodes)]
-    ew = instance.edge_weight_array()
-    for k, (i, j) in enumerate(instance.edges):
-        out[i][0].append(j)
-        out[i][1].append(ew[k])
-        out[j][0].append(i)
-        out[j][1].append(ew[k])
-    return out
+    node = 0
+    while True:
+        diff = np.flatnonzero(best[node:] != labeling[node:])
+        if not len(diff):
+            return changed
+        node += int(diff[0])
+        labeling[node] = best[node]
+        changed += 1
+        later = nbrs[node][real[node] & (nbrs[node] > node)]
+        best[later] = np.argmin(_icm_costs(instance, later, labeling, neighbors), axis=1)
+        node += 1
 
 
 def solve(instance, max_sweeps=20):
@@ -301,6 +391,13 @@ def solve(instance, max_sweeps=20):
     single-node descent. The result never exceeds the zero-labeling energy
     and is locally optimal under single-node changes; with zero pairwise
     weight it equals the per-node argmin exactly.
+
+    A move is skipped without a cut when its outcome is already known: when
+    the labeling has not changed since the label's last move (the same cut
+    would be rejected again), or when a dual bound certifies that no move to
+    the label can lower the energy (see `_ExpansionNetwork.certify`). Both
+    skip only moves that would be rejected, so the result is the labeling
+    a cut for every label would give.
     """
     V = instance.n_nodes
     L = instance.n_labels
@@ -311,11 +408,20 @@ def solve(instance, max_sweeps=20):
     if len(instance.edges) == 0 or np.all(edge_w == 0.0):
         return np.argmin(instance.unaries, axis=1).astype(np.int64)
 
+    net = _ExpansionNetwork(instance, edge_w)
+    net.relabel(labeling)
     energy = instance.energy(labeling)
+    version = 0                           # bumped on every accepted move
+    tried = np.full(L, -1)                # labeling version at alpha's last move
     for _ in range(max_sweeps):
         improved = False
         for alpha in range(L):
-            move = _expansion_cut(instance, labeling, alpha, edge_w)
+            if tried[alpha] == version:
+                continue
+            tried[alpha] = version
+            if net.certify(alpha):
+                continue
+            move = net.cut(alpha)
             if not move.any():
                 continue
             candidate = np.where(move, alpha, labeling)
@@ -324,12 +430,14 @@ def solve(instance, max_sweeps=20):
                 labeling = candidate
                 energy = cand_energy
                 improved = True
+                version += 1
+                net.relabel(labeling)
         if not improved:
             break
 
-    nbrs = _neighbor_lists(instance)
+    neighbors = _neighbor_table(instance)
     for _ in range(50):
-        if _icm_pass(instance, labeling, nbrs) == 0:
+        if _icm_pass(instance, labeling, neighbors) == 0:
             break
     return labeling
 

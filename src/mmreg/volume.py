@@ -646,7 +646,13 @@ def _parse_header(path, header):
 
 
 def _read_payload(path, header, expected):
-    raw_path = os.path.join(os.path.dirname(path), header["data"])
+    name = header["data"]
+    # write_raw names the payload by a plain file name next to the header;
+    # anything else could point outside the header's directory
+    if os.path.basename(name) != name or name in ("", ".", ".."):
+        raise FormatError(f"{path}: data must be a file name in the header's directory, "
+                          f"got {name!r}")
+    raw_path = os.path.join(os.path.dirname(path), name)
     try:
         payload = np.fromfile(raw_path, dtype=expected["dtype"])
     except OSError as e:

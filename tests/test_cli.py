@@ -6,7 +6,7 @@ import pytest
 from mmreg import cli
 from mmreg import learn
 from mmreg import metrics as me
-from mmreg.volume import read_field, read_volume, write_mask, write_volume
+from mmreg.volume import Volume, read_field, read_volume, write_mask, write_volume
 from mmreg.synth import SynthSpec, synth_dataset
 
 
@@ -192,6 +192,29 @@ class TestRegisterCommand:
             "--out-field", str(tmp / "f.fld"), "--out-warped", str(tmp / "wv.vol"),
         ])
         assert rc == 2
+
+
+    @pytest.mark.parametrize("dims, spacing, origin", [
+        ((20, 22, 20), (2.0, 2.0, 2.0), (0.0, 0.0, 0.0)),
+        ((20, 20, 20), (2.5, 2.0, 2.0), (0.0, 0.0, 0.0)),
+        ((20, 20, 20), (2.0, 2.0, 2.0), (0.0, 0.0, 4.0)),
+    ])
+    def test_geometry_mismatch_exits_2(self, tmp_path, dims, spacing, origin):
+        src = str(tmp_path / "src.vol")
+        tgt = str(tmp_path / "tgt.vol")
+        write_volume(src, Volume(np.zeros((20, 20, 20)), (2.0, 2.0, 2.0)))
+        write_volume(tgt, Volume(np.zeros(dims), spacing, origin))
+        wpath = str(tmp_path / "w.txt")
+        me.write_weights(wpath, me.WeightMatrix(
+            np.array([[0.1], [10.0], [10.0], [10.0]]), np.array([0.3]), (0,)
+        ))
+        out_field = str(tmp_path / "out" / "f.fld")
+        rc = cli.main([
+            "register", "--source", src, "--target", tgt, "--weights", wpath,
+            "--out-field", out_field, "--out-warped", str(tmp_path / "out" / "w.vol"),
+        ])
+        assert rc == 2
+        assert not os.path.exists(out_field)
 
 
 class TestTrainEvaluateCommands:

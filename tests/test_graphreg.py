@@ -6,6 +6,8 @@ from mmreg import metrics as me
 from mmreg.volume import LabelSpace, SegmentationMask, Volume, make_control_grid, warp_mask
 from mmreg.synth import SynthSpec, synth_dataset
 
+import solve_oracle
+
 
 def grid_edges_2d(nx, ny):
     e = []
@@ -38,6 +40,26 @@ def registration_like_instance(seed, n_nodes=6, n_labels=4, edges=None,
     if edges is None:
         edges = grid_edges_2d(2, 3)
     return gr.MrfInstance(unaries, wp, table, edges)
+
+
+def lattice_edges_3d(nx, ny, nz):
+    idx = np.arange(nx * ny * nz).reshape(nz, ny, nx)
+    pairs = [(idx[:, :, :-1], idx[:, :, 1:]), (idx[:, :-1, :], idx[:, 1:, :]),
+             (idx[:-1, :, :], idx[1:, :, :])]
+    return np.concatenate([np.stack([a.ravel(), b.ravel()], axis=1) for a, b in pairs])
+
+
+def move_energy_changes(inst, labeling, alpha):
+    """Energy change of every alpha-expansion move set, by enumeration."""
+    V = inst.n_nodes
+    sets = (np.arange(1 << V)[:, None] >> np.arange(V)) & 1 == 1
+    cands = np.where(sets, alpha, labeling)
+    rows = np.arange(V)
+    e = inst.unaries[rows, cands].sum(axis=1)
+    if len(inst.edges):
+        i, j = inst.edges[:, 0], inst.edges[:, 1]
+        e += (inst.edge_weight_array() * inst.pairwise_table[cands[:, i], cands[:, j]]).sum(axis=1)
+    return e - inst.energy(labeling)
 
 
 class TestLabelSpaces:
@@ -287,3 +309,137 @@ class TestRegister:
         text = diag.to_text()
         assert text.startswith("level step")
         assert len(text.strip().splitlines()) == 3
+
+
+class TestSkipCertificate:
+    """Whenever the dual bound skips a move, no move set may lower the energy."""
+
+    def _check(self, inst, rng):
+        """Certify every label from the solved labeling, from it with two
+        nodes changed, from all-zero and from a random labeling."""
+        net = gr._ExpansionNetwork(inst, inst.edge_weight_array())
+        solved = gr.solve(inst)
+        perturbed = solved.copy()
+        perturbed[rng.integers(0, inst.n_nodes, 2)] = rng.integers(0, inst.n_labels, 2)
+        skipped = 0
+        for x in (solved, perturbed, np.zeros_like(solved),
+                  rng.integers(0, inst.n_labels, inst.n_nodes)):
+            net.relabel(x)
+            for alpha in range(inst.n_labels):
+                if net.certify(alpha):
+                    skipped += 1
+                    assert move_energy_changes(inst, x, alpha).min() >= -1e-9
+        return skipped
+
+    def test_uniform_weights(self):
+        skipped = 0
+        for seed in range(30):
+            inst = registration_like_instance(seed, n_nodes=10, n_labels=5,
+                                              edges=grid_edges_2d(2, 5), wp_range=(0.0, 3.0))
+            skipped += self._check(inst, np.random.default_rng(seed))
+        assert skipped > 100
+
+    def test_per_edge_and_zero_weights(self):
+        skipped = 0
+        for seed in range(30):
+            rng = np.random.default_rng(100 + seed)
+            base = registration_like_instance(seed, n_nodes=9, n_labels=4,
+                                              edges=grid_edges_2d(3, 3))
+            w = rng.uniform(0.0, 3.0, len(base.edges))
+            w[rng.random(len(w)) < 0.3] = 0.0
+            if seed % 5 == 0:
+                w[:] = 0.0
+            inst = gr.MrfInstance(base.unaries, 1.0, base.pairwise_table, base.edges, w)
+            skipped += self._check(inst, rng)
+        assert skipped > 100
+
+    def test_non_l1_table(self):
+        # asymmetric, non-metric, nonzero diagonal: t[a, a] != 0 must be used
+        hand = gr.MrfInstance(np.array([[0.0, -0.8], [0.0, -0.8]]), 1.0,
+                              np.array([[0.0, 5.0], [5.0, 1.0]]), np.array([[0, 1]]))
+        net = gr._ExpansionNetwork(hand, hand.edge_weight_array())
+        net.relabel(np.zeros(2, dtype=np.int64))
+        # moving both nodes costs 1 - 1.6 < 0 though each alone costs 4.2
+        assert not net.certify(1)
+        skipped = 0
+        for seed in range(30):
+            rng = np.random.default_rng(200 + seed)
+            L = 4
+            table = rng.uniform(0.0, 4.0, (L, L))
+            edges = np.array([[0, 1], [1, 2], [2, 3], [3, 4], [4, 0], [1, 5], [5, 6], [6, 2]])
+            unaries = rng.uniform(0.0, 6.0, (7, L))
+            inst = gr.MrfInstance(unaries, rng.uniform(0.2, 2.0), table, edges)
+            skipped += self._check(inst, rng)
+        assert skipped > 50
+
+
+class TestSolverOracle:
+    """The solver returns the labeling a cut for every label of every sweep
+    gives, bit for bit; every cut it makes equals the reference cut."""
+
+    def test_registration_like_instances(self):
+        moved = 0
+        for seed in range(60):
+            inst = registration_like_instance(seed, wp_range=(0.0, 2.0))
+            lab = gr.solve(inst)
+            assert np.array_equal(lab, solve_oracle.solve_oracle(inst)), f"seed {seed}"
+            moved += bool(lab.any())
+        assert moved > 30
+
+    def test_lattice_27_labels(self):
+        edges = lattice_edges_3d(4, 4, 3)
+        moved = 0
+        for seed in range(12):
+            inst = registration_like_instance(seed, n_nodes=48, n_labels=27, edges=edges,
+                                              wp_range=(0.02, 0.3))
+            lab = gr.solve(inst)
+            assert np.array_equal(lab, solve_oracle.solve_oracle(inst)), f"seed {seed}"
+            moved += len(np.unique(lab)) > 2
+        assert moved >= 6
+
+    def test_per_edge_weights(self):
+        edges = lattice_edges_3d(3, 3, 2)
+        for seed in range(20):
+            rng = np.random.default_rng(300 + seed)
+            base = registration_like_instance(seed, n_nodes=18, n_labels=8, edges=edges)
+            w = rng.uniform(0.0, 0.8, len(edges))
+            w[rng.random(len(w)) < 0.2] = 0.0
+            inst = gr.MrfInstance(base.unaries, 0.5, base.pairwise_table, edges, w)
+            assert np.array_equal(gr.solve(inst), solve_oracle.solve_oracle(inst)), f"seed {seed}"
+
+    def test_cut_masks_match(self):
+        edges = lattice_edges_3d(4, 3, 2)
+        partial = 0
+        for seed in range(10):
+            rng = np.random.default_rng(400 + seed)
+            inst = registration_like_instance(seed, n_nodes=24, n_labels=9, edges=edges,
+                                              wp_range=(0.01, 0.3))
+            if seed % 2:
+                inst = gr.MrfInstance(inst.unaries, 0.0, inst.pairwise_table, edges,
+                                      rng.uniform(0.0, 0.3, len(edges)))
+            edge_w = inst.edge_weight_array()
+            net = gr._ExpansionNetwork(inst, edge_w)
+            labelings = [rng.integers(0, inst.n_labels, inst.n_nodes) for _ in range(4)]
+            for x in labelings + [gr.solve(inst)]:
+                net.relabel(x)
+                for alpha in range(inst.n_labels):
+                    mask = net.cut(alpha)
+                    ref = solve_oracle._expansion_cut(inst, x, alpha, edge_w)
+                    assert np.array_equal(mask, ref), f"seed {seed} alpha {alpha}"
+                    partial += bool(mask.any()) and not mask.all()
+        assert partial > 100
+
+    def test_icm_pass_matches_node_by_node(self):
+        edges = lattice_edges_3d(4, 3, 2)
+        changes = 0
+        for seed in range(20):
+            rng = np.random.default_rng(500 + seed)
+            inst = registration_like_instance(seed, n_nodes=24, n_labels=9, edges=edges,
+                                              wp_range=(0.05, 1.0))
+            x = rng.integers(0, inst.n_labels, inst.n_nodes)
+            ref = x.copy()
+            n = gr._icm_pass(inst, x, gr._neighbor_table(inst))
+            n_ref = solve_oracle._icm_pass(inst, ref, solve_oracle._neighbor_lists(inst))
+            assert n == n_ref and np.array_equal(x, ref), f"seed {seed}"
+            changes += n
+        assert changes > 20

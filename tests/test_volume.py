@@ -427,3 +427,18 @@ class TestRawFileFormat:
         np.zeros(5, dtype="<f4").tofile(os.path.join(tmp_path, "bad.raw"))
         with pytest.raises(FormatError):
             read_volume(path)
+
+    @pytest.mark.parametrize("data", ["{abs}", "../vol.raw", "inner/vol.raw", "..", ""])
+    def test_payload_outside_header_directory_rejected(self, tmp_path, data):
+        # every name resolves to a readable payload of the right size, so
+        # only the name itself can be refused
+        hdr_dir = tmp_path / "hdr"
+        (hdr_dir / "inner").mkdir(parents=True)
+        for raw in (tmp_path / "vol.raw", hdr_dir / "inner" / "vol.raw"):
+            np.zeros(8, dtype="<f4").tofile(str(raw))
+        data = data.format(abs=tmp_path / "vol.raw")
+        path = os.path.join(hdr_dir, "bad.vol")
+        with open(path, "w") as f:
+            f.write(f"dims: 2 2 2\nspacing: 1 1 1\norigin: 0 0 0\ndtype: f32\ndata: {data}\n")
+        with pytest.raises(FormatError):
+            read_volume(path)
