@@ -171,6 +171,20 @@ def read_manifest(path):
     return rows
 
 
+def _check_geometry(what, src, tgt, smask=None, tmask=None):
+    """FormatError unless source and target share dims, spacing and origin
+    and each given mask is aligned with its volume."""
+    if src.geometry() != tgt.geometry():
+        raise FormatError(
+            f"{what}: source and target differ in geometry (dims, spacing, origin): "
+            f"{src.geometry()} vs {tgt.geometry()}"
+        )
+    for side, mask, vol in (("source", smask, src), ("target", tmask, tgt)):
+        if mask is not None and not mask.aligned_with(vol):
+            raise FormatError(f"{what}: {side} mask geometry {mask.geometry()} differs "
+                              f"from its volume's {vol.geometry()}")
+
+
 def _load_pairs(manifest_rows, with_masks=True):
     pairs = []
     for i, (src_p, tgt_p, smask_p, tmask_p) in enumerate(manifest_rows):
@@ -178,6 +192,7 @@ def _load_pairs(manifest_rows, with_masks=True):
         tgt = read_volume(tgt_p)
         smask = read_mask(smask_p) if with_masks else None
         tmask = read_mask(tmask_p) if with_masks else None
+        _check_geometry(f"pair{i:03d}", src, tgt, smask, tmask)
         pairs.append((f"pair{i:03d}", src, tgt, smask, tmask))
     return pairs
 
@@ -199,12 +214,8 @@ def cmd_register(args):
         )
     src = read_volume(args.source)
     tgt = read_volume(args.target)
-    if src.geometry() != tgt.geometry():
-        raise FormatError(
-            f"source and target differ in geometry (dims, spacing, origin): "
-            f"{src.geometry()} vs {tgt.geometry()}"
-        )
     smask = read_mask(args.source_mask) if args.source_mask else None
+    _check_geometry("register", src, tgt, smask)
 
     fld, diag = register(src, tgt, smask, wmat, pyramid_config(cfg))
     warped = warp(src, fld)

@@ -9,6 +9,7 @@ feature and weight vector in the package.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .volume import Volume, SegmentationMask, extract_patch
 
@@ -358,32 +359,31 @@ def _center_table(vol_like, grid, label_space):
     return c_src, in_src, c_tgt, in_tgt
 
 
-def _metric_rows(A, b_flat, bins):
+def _metric_rows(a, b, ha, hb, bins):
     """All four metrics of many source patches against one target patch.
 
-    A: (rows, px, py, pz) float64 source blocks; b_flat: (n_vox,) float64.
+    a: (rows, n_vox) float64 source patches; b: (n_vox,) float64 target patch.
+    ha: (rows, n_h) Haar approximation bands of the source patches and hb:
+    (n_h,) the target's, both read from box-summed volumes (see feature_table);
+    None when a patch side is < 2, and DWT then equals SAD.
     Uses algebraically fused forms of the scalar kernels (identical math,
     reduction order may differ at the last few ulps).
     """
-    rows = A.shape[0]
-    shape = A.shape[1:]
-    n_vox = int(np.prod(shape))
-    a = A.reshape(rows, n_vox)
+    rows, n_vox = a.shape
     out = np.empty((rows, N_METRICS), dtype=np.float64)
 
     # SAD
-    d = a - b_flat
+    d = a - b
     np.abs(d, out=d)
     out[:, 0] = d.mean(axis=1)
     del d
 
     # MI from per-row joint histograms against the shared target binning
-    ai = _bin_rows(a, bins)
-    bi = _bin_rows(b_flat[None, :], bins)[0]
+    ai, a_const = _bin_rows(a, bins)
+    bi, _ = _bin_rows(b[None, :], bins)
     ai *= bins
     ai += bi
-    offsets = (np.arange(rows, dtype=np.int32) * (bins * bins))[:, None]
-    ai += offsets
+    ai += (np.arange(rows, dtype=np.int32) * (bins * bins))[:, None]
     joint = np.bincount(ai.ravel(), minlength=rows * bins * bins)
     joint = joint.reshape(rows, bins, bins).astype(np.float64)
     del ai
@@ -395,13 +395,12 @@ def _metric_rows(A, b_flat, bins):
     )
 
     # NCC: cov(a, b) = E[a * (b - b_mean)] since the b-side is zero-mean
-    b_mean = b_flat.mean()
-    bm = b_flat - b_mean
+    b_mean = b.mean()
+    bm = b - b_mean
     vb = float(np.mean(bm * bm))
     a_mean = a.mean(axis=1)
     va = np.einsum("ij,ij->i", a, a) / n_vox - a_mean * a_mean
     cov = np.einsum("ij,j->i", a, bm) / n_vox
-    a_const = a.max(axis=1) == a.min(axis=1)
     # the shifted-moment form cancels badly for near-constant rows; redo those
     shaky = ~a_const & (va < 1e-12 * (a_mean * a_mean + 1.0))
     if np.any(shaky):
@@ -414,42 +413,42 @@ def _metric_rows(A, b_flat, bins):
     out[:, 2] = 1.0 - r
 
     # DWT
-    if min(shape) < 2:
-        out[:, 3] = out[:, 0]
-    else:
-        ha = _haar_rows(A)
-        hb = _haar_rows(b_flat.reshape(shape)[None])[0]
-        out[:, 3] = np.mean(np.abs(ha - hb), axis=1)
+    out[:, 3] = out[:, 0] if ha is None else np.mean(np.abs(ha - hb), axis=1)
     return out
 
 
 def _bin_rows(x, bins):
+    """Histogram bin of every value against its row's [min, max], and the
+    rows whose range is 0 (all their values land in bin 0)."""
     lo = x.min(axis=1, keepdims=True)
-    hi = x.max(axis=1, keepdims=True)
-    rng = hi - lo
-    safe = np.where(rng == 0.0, 1.0, rng)
-    idx = ((x - lo) / safe * bins).astype(np.int32)
-    idx[rng[:, 0] == 0.0, :] = 0
-    return np.minimum(idx, bins - 1, out=idx)
+    rng = x.max(axis=1, keepdims=True) - lo
+    const = rng[:, 0] == 0.0
+    t = x - lo
+    t /= np.where(const[:, None], 1.0, rng)
+    t *= bins
+    idx = t.astype(np.int32)
+    return np.minimum(idx, bins - 1, out=idx), const
 
 
 def _entropy_rows(p):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term = np.where(p > 0, p * np.log(p), 0.0)
+    term = np.zeros_like(p)
+    np.log(p, out=term, where=p > 0)
+    term *= p
     return -term.sum(axis=1)
 
 
-def _haar_rows(A):
-    rows = A.shape[0]
-    sx, sy, sz = (2 * (s // 2) for s in A.shape[1:])
-    c = A[:, :sx, :sy, :sz].reshape(rows, sx // 2, 2, sy // 2, 2, sz // 2, 2)
-    return (c.sum(axis=(2, 4, 6)) * _INV_SQRT8).reshape(rows, -1)
+def _box_sums(v):
+    """Sums of every 2x2x2 voxel block, indexed by the block's low corner.
+
+    The Haar approximation band of a patch with low corner c is this
+    volume's stride-2 slice at c, times 1/sqrt(8).
+    """
+    p = v[:, :, :-1] + v[:, :, 1:]
+    return ((p[:-1, :-1] + p[:-1, 1:]) + p[1:, :-1]) + p[1:, 1:]
 
 
 def _gather_blocks(arr, corners, shape):
     """Copy same-shaped blocks out of a 3D array given their low corners."""
-    from numpy.lib.stride_tricks import sliding_window_view
-
     view = sliding_window_view(arr, shape)
     return view[corners[:, 0], corners[:, 1], corners[:, 2]]
 
@@ -460,6 +459,13 @@ def feature_table(src, tgt, grid, label_space, cfg=None):
     Vectorized equivalent of calling unary_features for every (node, label);
     pairs whose source or target patch is empty get cfg.empty_cost in every
     metric slot (before normalization the cost is used as-is).
+
+    Rows are evaluated per node and crop shape, each run of source patches
+    gathered against the node's one target patch. DWT reads every patch's
+    Haar band from one 2x2x2 box-summed volume per side. Volume data is
+    float32, so each 8-term block sum is exact in float64 (unless a block's
+    nonzero magnitudes span more than about 2^26), and the band equals the
+    per-patch block sum bit for bit.
     """
     cfg = cfg or MetricConfig()
     if not (np.all(np.isfinite(src.data)) and np.all(np.isfinite(tgt.data))):
@@ -488,16 +494,14 @@ def feature_table(src, tgt, grid, label_space, cfg=None):
     uniq, first_idx, inverse = np.unique(
         key, axis=0, return_index=True, return_inverse=True
     )
-    u_cs = cs[first_idx]
-    u_ct = ct[first_idx]
-    u_left = left[first_idx]
-    u_right = right[first_idx]
+    u_src = cs[first_idx] - left[first_idx]      # crop low corners
+    u_tgt = ct[first_idx] - left[first_idx]
     u_vals = np.empty((len(first_idx), N_METRICS), dtype=np.float64)
 
     # group rows by patch shape, then by node so each target patch is
     # processed once per run of rows that share it
     u_node = vi[first_idx]
-    sig = np.concatenate([u_left, u_right], axis=1)
+    sig = np.concatenate([left[first_idx], right[first_idx]], axis=1)
     order = np.lexsort([u_node] + list(sig.T[::-1]))
     sig_sorted = sig[order]
     boundaries = np.nonzero(np.any(np.diff(sig_sorted, axis=0) != 0, axis=1))[0] + 1
@@ -505,23 +509,28 @@ def feature_table(src, tgt, grid, label_space, cfg=None):
 
     src_data = src.data.astype(np.float64)
     tgt_data = tgt.data.astype(np.float64)
+    src_box = _box_sums(src_data)
+    tgt_box = _box_sums(tgt_data)
     for g in groups:
-        gl = u_left[g[0]]
-        gr = u_right[g[0]]
-        shape = tuple(int(x) for x in (gl + gr + 1))
-        A = _gather_blocks(src_data, u_cs[g] - gl, shape)
-        nodes_g = u_node[g]
-        runs = np.nonzero(np.diff(nodes_g) != 0)[0] + 1
-        starts = np.concatenate([[0], runs, [len(g)]])
-        for k in range(len(starts) - 1):
-            lo, hi = starts[k], starts[k + 1]
-            corner = u_ct[g[lo]] - gl
-            b = tgt_data[
-                corner[0]:corner[0] + shape[0],
-                corner[1]:corner[1] + shape[1],
-                corner[2]:corner[2] + shape[2],
-            ]
-            u_vals[g[lo:hi]] = _metric_rows(A[lo:hi], b.reshape(-1), cfg.mi_bins)
+        shape = tuple(int(x) for x in sig[g[0], :3] + sig[g[0], 3:] + 1)
+        src_view = sliding_window_view(src_data, shape)
+        tgt_view = sliding_window_view(tgt_data, shape)
+        haar = min(shape) >= 2
+        if haar:
+            band = tuple(2 * (s // 2) - 1 for s in shape)
+            src_band = sliding_window_view(src_box, band)[..., ::2, ::2, ::2]
+            tgt_band = sliding_window_view(tgt_box, band)[..., ::2, ::2, ::2]
+        runs = np.nonzero(np.diff(u_node[g]) != 0)[0] + 1
+        for run in np.split(g, runs):
+            c = tuple(u_src[run].T)
+            t = tuple(u_tgt[run[0]])
+            a = src_view[c].reshape(len(run), -1)
+            b = tgt_view[t].reshape(-1)
+            ha = hb = None
+            if haar:
+                ha = src_band[c].reshape(len(run), -1) * _INV_SQRT8
+                hb = tgt_band[t].reshape(-1) * _INV_SQRT8
+            u_vals[run] = _metric_rows(a, b, ha, hb, cfg.mi_bins)
 
     out[vi, li] = u_vals[inverse] / cfg.scale_array()
     return out

@@ -600,8 +600,8 @@ _DTYPES = {"f32": np.dtype("<f4"), "u8": np.dtype("u1")}
 
 
 def _write_raw(path, header, payload):
-    base = os.path.basename(path)
-    raw_name = os.path.splitext(base)[0] + ".raw"
+    # the payload keeps the header's full name, so s.vol and s.msk never share one
+    raw_name = os.path.basename(path) + ".raw"
     raw_path = os.path.join(os.path.dirname(path), raw_name)
     lines = [f"{k}: {v}" for k, v in header.items()]
     lines.append(f"data: {raw_name}")

@@ -6,7 +6,9 @@ import pytest
 from mmreg import cli
 from mmreg import learn
 from mmreg import metrics as me
-from mmreg.volume import Volume, read_field, read_volume, write_mask, write_volume
+from mmreg.volume import (
+    SegmentationMask, Volume, read_field, read_volume, write_mask, write_volume,
+)
 from mmreg.synth import SynthSpec, synth_dataset
 
 
@@ -217,7 +219,60 @@ class TestRegisterCommand:
         assert not os.path.exists(out_field)
 
 
+    def test_misaligned_mask_exits_2(self, tmp_path):
+        src = str(tmp_path / "src.vol")
+        tgt = str(tmp_path / "tgt.vol")
+        smask = str(tmp_path / "srcmask.msk")
+        write_volume(src, Volume(np.zeros((20, 20, 20)), (2.0, 2.0, 2.0)))
+        write_volume(tgt, Volume(np.zeros((20, 20, 20)), (2.0, 2.0, 2.0)))
+        write_mask(smask, SegmentationMask(np.ones((20, 20, 20), np.uint8), (2.0, 2.0, 2.5)))
+        wpath = str(tmp_path / "w.txt")
+        me.write_weights(wpath, me.WeightMatrix(np.ones((4, 2)), np.array([0.3, 0.3]), (0, 1)))
+        out_field = str(tmp_path / "out" / "f.fld")
+        rc = cli.main([
+            "register", "--source", src, "--target", tgt, "--source-mask", smask,
+            "--weights", wpath, "--out-field", out_field,
+            "--out-warped", str(tmp_path / "out" / "w.vol"),
+        ])
+        assert rc == 2
+        assert not os.path.exists(out_field)
+
+
+def _mismatched_dataset(tmp_path, case):
+    """One-pair manifest whose target volume or source mask is off-geometry."""
+    rng = np.random.default_rng(4)
+    shape = {"src": (16, 16, 16), "tgt": (16, 16, 16), "smask": (16, 16, 16), "tmask": (16, 16, 16)}
+    if case == "target":
+        shape["tgt"] = shape["tmask"] = (16, 18, 16)
+    else:
+        shape["smask"] = (16, 16, 18)
+    d = tmp_path / "data"
+    d.mkdir()
+    write_volume(str(d / "s.vol"), Volume(rng.random(shape["src"]), (2.0, 2.0, 2.0)))
+    write_volume(str(d / "t.vol"), Volume(rng.random(shape["tgt"]), (2.0, 2.0, 2.0)))
+    for name in ("smask", "tmask"):
+        labels = np.zeros(shape[name], np.uint8)
+        labels[4:12, 4:12, 4:12] = 1
+        write_mask(str(d / f"{name}.msk"), SegmentationMask(labels, (2.0, 2.0, 2.0)))
+    manifest = write_text(d / "manifest.csv", "source,target,source_mask,target_mask\n"
+                                              "s.vol,t.vol,smask.msk,tmask.msk\n")
+    wpath = str(tmp_path / "model.txt")
+    me.write_weights(wpath, me.WeightMatrix(np.ones((4, 2)), np.array([0.3, 0.3]), (0, 1)))
+    return manifest, wpath
+
+
 class TestTrainEvaluateCommands:
+    @pytest.mark.parametrize("case", ["target", "source_mask"])
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_geometry_mismatch_exits_2(self, tmp_path, command, case):
+        manifest, model = _mismatched_dataset(tmp_path, case)
+        out = str(tmp_path / "out" / "result")
+        argv = {"train": ["train", "--dataset", manifest, "--out-model", out],
+                "evaluate": ["evaluate", "--dataset", manifest, "--model", model,
+                             "--out-report", out]}[command]
+        assert cli.main(argv) == 2
+        assert not os.path.exists(tmp_path / "out")
+
     def test_train_then_evaluate(self, workspace):
         tmp, cfg, data = workspace
         model = str(tmp / "model.txt")

@@ -3,9 +3,12 @@ import pytest
 
 from mmreg import graphreg as gr
 from mmreg import metrics as me
+from mmreg.synth import SynthSpec, synth_dataset
 from mmreg.volume import (
     FormatError, LabelSpace, Patch, SegmentationMask, Volume, extract_patch, make_control_grid,
 )
+
+import feature_oracle
 
 
 @pytest.fixture
@@ -198,6 +201,112 @@ class TestUnaryFeatures:
         u0 = me.unary_features(src, tgt, grid, ls, node, 0, base)
         u1 = me.unary_features(src, tgt, grid, ls, node, 0, cfg)
         assert np.allclose(u1, u0 / np.array([2.0, 4.0, 0.5, 1.0]), atol=1e-12)
+
+
+def _shift_labels(xs, ys, zs):
+    """Integer voxel shifts (spacing 1 mm) with the zero shift first."""
+    d = np.array([[x, y, z] for x in xs for y in ys for z in zs], dtype=np.float64)
+    d = d[np.argsort(np.abs(d).sum(axis=1), kind="stable")]
+    return LabelSpace(d, float(np.abs(d).max()))
+
+
+def _random_pair(rng, dims, spacing=(1.0, 1.0, 1.0)):
+    return (Volume(rng.random(dims).astype(np.float32), spacing),
+            Volume(rng.random(dims).astype(np.float32), spacing))
+
+
+def _registration_like(rng):
+    spec = SynthSpec(dims=(32, 30, 28), spacing_mm=(2.0, 2.0, 2.0), organ_radii_mm=(8.0, 7.0))
+    p = synth_dataset(spec, 5)[0]
+    grid = make_control_grid(p.source, 25.0)          # 13^3 patches, cropped at the border
+    cfgp = gr.PyramidConfig(levels=1, steps_per_level=1)
+    return p.source, p.target, grid, gr.initialize_label_space(cfgp, grid.spacing_mm)
+
+
+def _half_size_one(rng):
+    src, tgt = _random_pair(rng, (9, 8, 7))
+    # radius 1: full crops of side 3, border crops of side 2 (Haar half-size 1)
+    return src, tgt, make_control_grid(src, 2.0), _shift_labels((-3, 0, 2), (-1, 0, 1), (0, 3))
+
+
+def _side_below_two(rng):
+    src, tgt = _random_pair(rng, (12, 3, 10))
+    # the one interior y node sits at y=0; a +2 shift leaves a crop of side 1
+    return src, tgt, make_control_grid(src, 4.0), _shift_labels((-2, 0, 1), (0, 1, 2), (0, 2))
+
+
+def _single_row_runs(rng):
+    src, tgt = _random_pair(rng, (14, 12, 10))
+    # one label, and a sub-voxel one that rounds onto the same center
+    ls = LabelSpace(np.array([[0.0, 0, 0], [0.2, 0, 0]]), 0.2)
+    return src, tgt, make_control_grid(src, 4.0), ls
+
+
+def _constant_and_shaky(rng):
+    src = np.zeros((14, 12, 10), dtype=np.float32)
+    src[7:] = 5.0
+    # near-constant rows: values a few float32 ulps apart around 1000
+    src[:, 6:] = np.float32(1000.0) + np.float32(6.103515625e-05) * rng.integers(0, 4, (14, 6, 10))
+    tgt = np.where(rng.random((14, 12, 10)) < 0.5, 1000.0, src).astype(np.float32)
+    tgt[:4] = 3.0
+    src_v = Volume(src, (1.0, 1.0, 1.0))
+    return (src_v, Volume(tgt, (1.0, 1.0, 1.0)), make_control_grid(src_v, 4.0),
+            _shift_labels((-1, 0, 1), (-2, 0, 2), (0, 1)))
+
+
+def _one_dim_of_one(rng):
+    src, tgt = _random_pair(rng, (10, 9, 1))
+    return src, tgt, make_control_grid(src, 4.0), _shift_labels((-1, 0, 2), (-1, 0), (0, 1))
+
+
+class TestFeatureTableOracle:
+    """The library's feature table equals the replaced whole-group,
+    per-row-Haar implementation bit for bit."""
+
+    @pytest.mark.parametrize("build", [
+        _registration_like, _half_size_one, _side_below_two, _single_row_runs,
+        _constant_and_shaky, _one_dim_of_one,
+    ])
+    @pytest.mark.parametrize("cfg", [
+        me.MetricConfig(), me.MetricConfig(mi_bins=7, scales=(2.0, 0.5, 3.0, 0.25)),
+    ])
+    def test_bit_exact(self, build, cfg):
+        src, tgt, grid, ls = build(np.random.default_rng(17))
+        got = me.feature_table(src, tgt, grid, ls, cfg)
+        want = feature_oracle.feature_table_oracle(src, tgt, grid, ls, cfg)
+        assert not np.all(me.empty_feature_rows(got, cfg))
+        assert np.array_equal(got, want)
+
+    def test_calibration_zero_label_table(self):
+        pairs = [_registration_like(None)[:2], _random_pair(np.random.default_rng(3), (20, 18, 16))]
+        base = me.MetricConfig()
+        zero_ls = LabelSpace(np.zeros((1, 3)), 0.0)
+        pooled = []
+        for src, tgt in pairs:
+            grid = make_control_grid(src, 10.0)
+            got = me.feature_table(src, tgt, grid, zero_ls, base)
+            want = feature_oracle.feature_table_oracle(src, tgt, grid, zero_ls, base)
+            assert np.array_equal(got, want)
+            feats = want[:, 0, :]
+            pooled.append(feats[~np.all(feats == base.empty_cost, axis=1)])
+        scales = np.percentile(np.concatenate(pooled), 95.0, axis=0)
+        assert me.calibrate_scales(pairs, 10.0) == tuple(float(s) for s in scales)
+
+    def test_peak_memory_stays_per_node(self):
+        # 48^3 pair, 13^3 patches, 125 labels: the replaced whole-group gather
+        # peaked at 56.8 MiB under tracemalloc and the per-node gather at 13.5 MiB
+        import tracemalloc
+
+        src, tgt = _random_pair(np.random.default_rng(0), (48, 48, 48), (2.0, 2.0, 2.0))
+        grid = make_control_grid(src, 25.0)
+        ls = gr.initialize_label_space(gr.PyramidConfig(), grid.spacing_mm)
+        tracemalloc.start()
+        try:
+            me.feature_table(src, tgt, grid, ls)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 28 * 2 ** 20
 
 
 class TestDominantClass:

@@ -393,7 +393,9 @@ class TestRawFileFormat:
     def test_payload_is_x_fastest(self, tmp_path, vol):
         path = os.path.join(tmp_path, "vol.vol")
         write_volume(path, vol)
-        raw = np.fromfile(os.path.join(tmp_path, "vol.raw"), dtype="<f4")
+        with open(path) as f:
+            name = [ln.split(":", 1)[1].strip() for ln in f if ln.startswith("data:")][0]
+        raw = np.fromfile(os.path.join(tmp_path, name), dtype="<f4")
         # first nx entries run along x at y=z=0
         assert np.array_equal(raw[: vol.dims[0]], vol.data[:, 0, 0])
 
@@ -412,6 +414,21 @@ class TestRawFileFormat:
         write_field(path, fld)
         back = read_field(path)
         assert np.array_equal(back.dense, dense)
+
+    def test_field_and_volume_with_one_stem(self, tmp_path, vol, rng):
+        dense = rng.uniform(-5, 5, vol.dims + (3,)).astype(np.float32).astype(np.float64)
+        fld = DeformationField(dense=dense, spacing=vol.spacing, origin=vol.origin)
+        write_field(os.path.join(tmp_path, "r.fld"), fld)
+        write_volume(os.path.join(tmp_path, "r.vol"), vol)
+        assert np.array_equal(read_field(os.path.join(tmp_path, "r.fld")).dense, dense)
+        assert np.array_equal(read_volume(os.path.join(tmp_path, "r.vol")).data, vol.data)
+
+    def test_volume_and_mask_with_one_stem(self, tmp_path, vol, rng):
+        mask = SegmentationMask(rng.integers(0, 5, vol.dims).astype(np.uint8), vol.spacing)
+        write_volume(os.path.join(tmp_path, "s.vol"), vol)
+        write_mask(os.path.join(tmp_path, "s.msk"), mask)
+        assert np.array_equal(read_volume(os.path.join(tmp_path, "s.vol")).data, vol.data)
+        assert np.array_equal(read_mask(os.path.join(tmp_path, "s.msk")).labels, mask.labels)
 
     def test_missing_header_key(self, tmp_path):
         path = os.path.join(tmp_path, "bad.vol")
