@@ -8,8 +8,7 @@ import argparse
 import csv
 import os
 import sys
-
-import numpy as np
+from dataclasses import dataclass, fields, replace
 
 from . import evaluation as ev
 from . import learn
@@ -18,7 +17,10 @@ from .graphreg import PyramidConfig, register
 from .synth import read_synth_spec, synth_dataset
 from .volume import (
     FormatError,
+    check_fields,
+    parse_value,
     read_mask,
+    read_settings,
     read_volume,
     warp,
     warp_mask,
@@ -32,115 +34,92 @@ class ConfigError(Exception):
     """Raised for schema violations and invalid option combinations."""
 
 
-def _parse_bool(v):
-    if v.lower() in ("1", "true", "yes", "on"):
-        return True
-    if v.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {v!r}")
+@dataclass(frozen=True)
+class RunConfig:
+    """Settings read by the commands themselves rather than the library."""
+    normalize_metrics: bool = True      # train: calibrate metric scales first
+    baseline_wp_scale: float = ev.BASELINE_WP_SCALE
+    seed: int = 0                       # train: echoed into the model file
+    threads: int = 1                    # evaluate: worker threads
+    timings: bool = False               # evaluate: report runtimes
+
+    def __post_init__(self):
+        check_fields(self, {
+            "baseline_wp_scale >= 0": self.baseline_wp_scale >= 0,
+            "threads >= 1": self.threads >= 1,
+        })
 
 
-def _parse_floats(v):
-    return tuple(float(x) for x in v.split(","))
+@dataclass(frozen=True)
+class Config:
+    """Resolved configuration, one dataclass per consumer; `cfg[key]` reads
+    a config key."""
+    pyramid: PyramidConfig = PyramidConfig()
+    train: learn.TrainConfig = learn.TrainConfig()
+    run: RunConfig = RunConfig()
+
+    def __getitem__(self, key):
+        part, f = CONFIG_KEYS[key][0]
+        return getattr(getattr(self, part), f.name)
 
 
-# key: (parser, default, validator)
-CONFIG_SCHEMA = {
-    "levels": (int, 2, lambda x: x >= 1),
-    "steps_per_level": (int, 5, lambda x: x >= 1),
-    "labels_per_level": (int, 125, lambda x: x >= 1),
-    "finest_spacing_mm": (float, 25.0, lambda x: x > 0),
-    "bound_factor": (float, 0.4, lambda x: 0 < x <= 0.4),
-    "refine_factor": (float, 0.7, lambda x: 0 < x < 1),
-    "mi_bins": (int, 16, lambda x: x >= 2),
-    "normalize_metrics": (_parse_bool, True, None),
-    "train_C": (float, 10.0, lambda x: x > 0),
-    "train_alpha": (float, 0.1, lambda x: x >= 0),
-    "eta": (float, 50.0, lambda x: x > 0),
-    "epsilon": (float, 1e-3, lambda x: x > 0),
-    "slack_tol": (float, 1e-4, lambda x: x > 0),
-    "max_cccp": (int, 20, lambda x: x >= 1),
-    "w0": (_parse_floats, (0.1, 10.0, 10.0, 10.0), lambda x: len(x) == me.N_METRICS),
-    "wp0": (float, 1.0, lambda x: x >= 0),
-    "train_spacing_mm": (float, 25.0, lambda x: x > 0),
-    "train_labels": (int, 125, lambda x: x >= 1),
-    "baseline_wp_scale": (float, 0.02, lambda x: x >= 0),
-    "seed": (int, 0, None),
-    "threads": (int, 1, lambda x: x >= 1),
-    "timings": (_parse_bool, False, None),
-}
+# TrainConfig fields whose config key differs from the field name; scales
+# are calibrated from the training pairs, so no key sets them
+_TRAIN_KEYS = {"C": "train_C", "alpha": "train_alpha", "spacing_mm": "train_spacing_mm",
+               "labels": "train_labels", "scales": None}
+
+
+def _config_keys():
+    """Config key -> [(Config field name, dataclass field)]; bound_factor
+    sets both the pyramid and the training schedule."""
+    keys = {}
+    for part in fields(Config):
+        for f in fields(part.type):
+            key = _TRAIN_KEYS.get(f.name, f.name) if part.name == "train" else f.name
+            if key is not None:
+                keys.setdefault(key, []).append((part.name, f))
+    return keys
+
+
+CONFIG_KEYS = _config_keys()
 
 
 def load_config(path=None, overrides=()):
-    """Resolve configuration: defaults, then file, then --set overrides.
+    """Resolve configuration: dataclass defaults, then the file's key=value
+    lines, then --set overrides.
 
-    Every key is validated against the schema; unknown keys are rejected.
+    Each value is parsed by its field's type and checked by its dataclass;
+    unknown keys and bad or out-of-range values raise ConfigError.
     """
-    cfg = {k: spec[1] for k, spec in CONFIG_SCHEMA.items()}
-
-    def apply(key, raw, where):
-        if key not in CONFIG_SCHEMA:
-            raise ConfigError(f"{where}: unknown config key {key!r}")
-        parser, _, validator = CONFIG_SCHEMA[key]
-        try:
-            val = parser(raw)
-        except ValueError as e:
-            raise ConfigError(f"{where}: bad value for {key}: {e}") from e
-        if validator is not None and not validator(val):
-            raise ConfigError(f"{where}: value {raw!r} out of range for {key}")
-        cfg[key] = val
-
-    if path is not None:
-        try:
-            with open(path) as f:
-                lines = f.readlines()
-        except OSError as e:
-            raise FormatError(f"cannot read config {path}: {e}") from e
-        for ln, line in enumerate(lines, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{ln}: expected key=value, got {line!r}")
-            k, v = (t.strip() for t in line.split("=", 1))
-            apply(k, v, f"{path}:{ln}")
+    items = read_settings(path, "=", ConfigError) if path is not None else []
     for item in overrides:
-        if "=" not in item:
+        key, found, value = item.partition("=")
+        if not found:
             raise ConfigError(f"--set {item!r}: expected key=value")
-        k, v = (t.strip() for t in item.split("=", 1))
-        apply(k, v, "--set")
+        items.append(("--set", key.strip(), value.strip()))
+    cfg = Config()
+    for where, key, raw in items:
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{where}: unknown config key {key!r}")
+        for part, f in CONFIG_KEYS[key]:
+            try:
+                value = replace(getattr(cfg, part), **{f.name: parse_value(raw, f.type)})
+            except ValueError as e:
+                raise ConfigError(f"{where}: bad value {raw!r} for {key}: {e}") from e
+            cfg = replace(cfg, **{part: value})
     return cfg
 
 
 def dump_config(cfg, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     lines = []
-    for k in sorted(cfg):
+    for k in sorted(CONFIG_KEYS):
         v = cfg[k]
         if isinstance(v, tuple):
             v = ",".join(repr(x) for x in v)
         lines.append(f"{k}={v}")
     with open(os.path.join(out_dir, "config.resolved.txt"), "w") as f:
         f.write("\n".join(lines) + "\n")
-
-
-def pyramid_config(cfg):
-    return PyramidConfig(
-        levels=cfg["levels"], steps_per_level=cfg["steps_per_level"],
-        labels_per_level=cfg["labels_per_level"],
-        finest_spacing_mm=cfg["finest_spacing_mm"],
-        bound_factor=cfg["bound_factor"], refine_factor=cfg["refine_factor"],
-    )
-
-
-def train_config(cfg, scales=None):
-    return learn.TrainConfig(
-        C=cfg["train_C"], alpha=cfg["train_alpha"], eta=cfg["eta"],
-        w0=cfg["w0"], wp0=cfg["wp0"], epsilon=cfg["epsilon"],
-        slack_tol=cfg["slack_tol"], max_cccp=cfg["max_cccp"],
-        spacing_mm=cfg["train_spacing_mm"], labels=cfg["train_labels"],
-        bound_factor=cfg["bound_factor"], mi_bins=cfg["mi_bins"], scales=scales,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +164,13 @@ def _check_geometry(what, src, tgt, smask=None, tmask=None):
                               f"from its volume's {vol.geometry()}")
 
 
-def _load_pairs(manifest_rows, with_masks=True):
+def _load_pairs(manifest_rows):
     pairs = []
     for i, (src_p, tgt_p, smask_p, tmask_p) in enumerate(manifest_rows):
         src = read_volume(src_p)
         tgt = read_volume(tgt_p)
-        smask = read_mask(smask_p) if with_masks else None
-        tmask = read_mask(tmask_p) if with_masks else None
+        smask = read_mask(smask_p)
+        tmask = read_mask(tmask_p)
         _check_geometry(f"pair{i:03d}", src, tgt, smask, tmask)
         pairs.append((f"pair{i:03d}", src, tgt, smask, tmask))
     return pairs
@@ -217,7 +196,7 @@ def cmd_register(args):
     smask = read_mask(args.source_mask) if args.source_mask else None
     _check_geometry("register", src, tgt, smask)
 
-    fld, diag = register(src, tgt, smask, wmat, pyramid_config(cfg))
+    fld, diag = register(src, tgt, smask, wmat, cfg.pyramid)
     warped = warp(src, fld)
 
     out_dir = os.path.dirname(os.path.abspath(args.out_field)) or "."
@@ -243,14 +222,11 @@ def cmd_train(args):
     rows = read_manifest(args.dataset)
     pairs = _load_pairs(rows)
 
-    scales = None
-    if cfg["normalize_metrics"]:
-        scales = me.calibrate_scales(
-            [(src, tgt) for (_, src, tgt, _, _) in pairs],
-            cfg["train_spacing_mm"],
-            me.MetricConfig(mi_bins=cfg["mi_bins"]),
-        )
-    tcfg = train_config(cfg, scales)
+    tcfg = cfg.train
+    if cfg.run.normalize_metrics:
+        vols = [(src, tgt) for (_, src, tgt, _, _) in pairs]
+        tcfg = replace(tcfg, scales=me.calibrate_scales(vols, tcfg.spacing_mm,
+                                                        tcfg.metric_config()))
 
     class_ids = sorted({c for (_, _, _, sm, tm) in pairs
                         for c in set(sm.class_ids()) & set(tm.class_ids())})
@@ -275,7 +251,7 @@ def cmd_train(args):
     wmat = learn.assemble_model(results, tcfg)
     out_dir = os.path.dirname(os.path.abspath(args.out_model)) or "."
     os.makedirs(out_dir, exist_ok=True)
-    learn.write_model(args.out_model, wmat, tcfg, {"seed": str(cfg["seed"])})
+    learn.write_model(args.out_model, wmat, tcfg, {"seed": str(cfg.run.seed)})
     learn.write_training_manifest(args.out_model + ".log", results)
     if args.dump_config:
         dump_config(cfg, out_dir)
@@ -288,12 +264,12 @@ def cmd_evaluate(args):
     rows = read_manifest(args.dataset)
     pairs = _load_pairs(rows)
     report = ev.run_benchmark(
-        pairs, wmat, pyramid_config(cfg),
-        wp_scale=cfg["baseline_wp_scale"], threads=cfg["threads"],
+        pairs, wmat, cfg.pyramid,
+        wp_scale=cfg.run.baseline_wp_scale, threads=cfg.run.threads,
     )
     out_dir = os.path.dirname(os.path.abspath(args.out_report)) or "."
     os.makedirs(out_dir, exist_ok=True)
-    ev.write_report_csv(args.out_report, report, timings=cfg["timings"])
+    ev.write_report_csv(args.out_report, report, timings=cfg.run.timings)
     ev.write_summary_csv(args.out_report + ".summary.csv", report)
     if args.dump_config:
         dump_config(cfg, out_dir)
@@ -301,13 +277,7 @@ def cmd_evaluate(args):
 
 
 def cmd_synth(args):
-    try:
-        spec = read_synth_spec(args.spec)
-    except OSError as e:
-        raise FormatError(f"cannot read generator spec {args.spec}: {e}") from e
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-    pairs = synth_dataset(spec, args.seed)
+    pairs = synth_dataset(read_synth_spec(args.spec), args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     manifest = [MANIFEST_HEADER]
     for p in pairs:

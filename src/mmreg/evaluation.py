@@ -19,8 +19,10 @@ SINGLE_METHODS = ("SAD", "MI", "NCC", "DWT")
 MW_METHOD = "MW"
 ALL_METHODS = SINGLE_METHODS + (MW_METHOD,)
 
-# hand-tuned one-hot magnitudes for the single-metric baselines
+# hand-tuned one-hot magnitudes for the single-metric baselines, and their
+# pairwise weight per unit of magnitude
 BASELINE_MAGNITUDES = {"SAD": 0.1, "MI": 10.0, "NCC": 10.0, "DWT": 10.0}
+BASELINE_WP_SCALE = 0.02
 
 
 def exact_dice(mask_a, mask_b):
@@ -70,17 +72,16 @@ class EvalReport:
         return out
 
 
-def baseline_weights(method, scales=None, wp_scale=0.02):
+def baseline_weights(method, scales, wp_scale):
     """Single-metric weight matrix; the pairwise weight scales with the
     one-hot magnitude so every baseline gets the same relative stiffness."""
     mag = BASELINE_MAGNITUDES[method]
     return me.single_metric_weights(method, mag, wp_scale * mag, scales)
 
 
-def run_benchmark(dataset, model, config=None, methods=ALL_METHODS,
-                  wp_scale=0.02, threads=1):
+def run_benchmark(dataset, model, config=None, wp_scale=BASELINE_WP_SCALE, threads=1):
     """Register every (source, target, source mask, target mask) pair with
-    each method and evaluate per-organ Dice.
+    each method of ALL_METHODS and evaluate per-organ Dice.
 
     Args:
         dataset: list of (pair_id, src_vol, tgt_vol, src_mask, tgt_mask).
@@ -103,7 +104,7 @@ def run_benchmark(dataset, model, config=None, methods=ALL_METHODS,
         if smask is None or tmask is None:
             report.skipped.append((pair_id, "missing mask"))
             continue
-        for method in methods:
+        for method in ALL_METHODS:
             jobs.append((pair_id, src, tgt, smask, tmask, method))
 
     def run_one(job):

@@ -26,10 +26,9 @@ from . import metrics as me
 from .volume import (
     DeformationField,
     LabelSpace,
-    Volume,
     build_pyramid,
+    check_fields,
     ffd_evaluate,
-    interpolate_dense,
     make_control_grid,
     sample_field,
     warp,
@@ -53,12 +52,14 @@ class PyramidConfig:
     refine_factor: float = 0.7
 
     def __post_init__(self):
-        if self.levels < 1 or self.steps_per_level < 1:
-            raise ValueError("levels and steps_per_level must be >= 1")
-        if not (0.0 < self.bound_factor <= 0.4):
-            raise ValueError(f"bound_factor must be in (0, 0.4], got {self.bound_factor}")
-        if not (0.0 < self.refine_factor < 1.0):
-            raise ValueError(f"refine_factor must be in (0, 1), got {self.refine_factor}")
+        check_fields(self, {
+            "levels >= 1": self.levels >= 1,
+            "steps_per_level >= 1": self.steps_per_level >= 1,
+            "labels_per_level >= 1": self.labels_per_level >= 1,
+            "finest_spacing_mm > 0": self.finest_spacing_mm > 0,
+            "0 < bound_factor <= 0.4": 0.0 < self.bound_factor <= 0.4,
+            "0 < refine_factor < 1": 0.0 < self.refine_factor < 1.0,
+        })
 
 
 @dataclass(frozen=True)
@@ -146,7 +147,7 @@ def initialize_label_space(config, spacing_at_level_mm):
     return LabelSpace(disp, float(config.bound_factor * spacing.max()))
 
 
-def refine_label_space(label_space, factor=0.7):
+def refine_label_space(label_space, factor):
     """Shrink every displacement (and the norm bound) by `factor`."""
     return LabelSpace(label_space.displacements * factor, label_space.max_norm_mm * factor)
 
@@ -383,14 +384,14 @@ def _icm_pass(instance, labeling, neighbors):
         node += 1
 
 
-def solve(instance, max_sweeps=20):
+def solve(instance):
     """Approximately minimize the MRF energy by expansion moves.
 
     Starts from the all-zero labeling, sweeps the label catalog until no
-    expansion move improves the energy, then polishes with exact
-    single-node descent. The result never exceeds the zero-labeling energy
-    and is locally optimal under single-node changes; with zero pairwise
-    weight it equals the per-node argmin exactly.
+    expansion move improves the energy (at most 20 sweeps), then polishes
+    with exact single-node descent. The result never exceeds the
+    zero-labeling energy and is locally optimal under single-node changes;
+    with zero pairwise weight it equals the per-node argmin exactly.
 
     A move is skipped without a cut when its outcome is already known: when
     the labeling has not changed since the label's last move (the same cut
@@ -413,7 +414,7 @@ def solve(instance, max_sweeps=20):
     energy = instance.energy(labeling)
     version = 0                           # bumped on every accepted move
     tried = np.full(L, -1)                # labeling version at alpha's last move
-    for _ in range(max_sweeps):
+    for _ in range(20):
         improved = False
         for alpha in range(L):
             if tried[alpha] == version:
@@ -502,7 +503,7 @@ class Diagnostics:
         return "\n".join(lines) + "\n"
 
 
-def register(src, tgt, src_mask, wmat, config=None, cfg=None):
+def register(src, tgt, src_mask, wmat, config=None):
     """Pyramidal multi-metric registration (coarse to fine).
 
     Per level: build the label catalog, then repeatedly (a) warp the source
@@ -513,7 +514,6 @@ def register(src, tgt, src_mask, wmat, config=None, cfg=None):
         (DeformationField with the dense composed field, Diagnostics).
     """
     config = config or PyramidConfig()
-    cfg = cfg or wmat.metric_config()
     vol_pyr = {"src": build_pyramid(src, config.levels), "tgt": build_pyramid(tgt, config.levels)}
     mask_pyr = build_pyramid(src_mask, config.levels) if src_mask is not None else None
 
@@ -548,7 +548,7 @@ def register(src, tgt, src_mask, wmat, config=None, cfg=None):
             warped = warp(s_lvl, lvl_field)
             warped_mask = warp_mask(m_lvl, lvl_field) if m_lvl is not None else None
 
-            inst = build_instance(warped, t_lvl, warped_mask, wmat, grid, ls, cfg)
+            inst = build_instance(warped, t_lvl, warped_mask, wmat, grid, ls)
             labeling = solve(inst)
             e_zero = inst.energy(np.zeros(inst.n_nodes, dtype=np.int64))
             e_acc = inst.energy(labeling)

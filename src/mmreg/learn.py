@@ -27,6 +27,7 @@ from .graphreg import (
 )
 from .volume import (
     SegmentationMask,
+    check_fields,
     interpolate_dense,
     make_control_grid,
     tile_edges,
@@ -40,14 +41,11 @@ class TrainConfig:
     C: float = 10.0
     alpha: float = 0.1
     eta: float = 50.0
-    w0: tuple = (0.1, 10.0, 10.0, 10.0)
+    w0: tuple[float, ...] = (0.1, 10.0, 10.0, 10.0)
     wp0: float = 1.0
-    wp_min: float = 0.0          # lower bound on the learned pairwise weight
-    nonneg: bool = False         # constrain metric weights >= 0 in the QP
     epsilon: float = 1e-3        # relative outer-objective tolerance
     slack_tol: float = 1e-4      # margin for "sufficiently violated"
     max_cccp: int = 20
-    max_cutting: int = 50
     spacing_mm: float = 25.0     # single-level training grid spacing
     labels: int = 125
     bound_factor: float = 0.4
@@ -55,10 +53,18 @@ class TrainConfig:
     scales: tuple = None
 
     def __post_init__(self):
-        if self.C <= 0 or self.eta <= 0 or self.epsilon <= 0:
-            raise ValueError("C, eta and epsilon must be positive")
-        if self.alpha < 0 or self.wp0 < 0 or self.wp_min < 0:
-            raise ValueError("alpha, wp0 and wp_min must be non-negative")
+        check_fields(self, {
+            "C > 0": self.C > 0,
+            "alpha >= 0": self.alpha >= 0,
+            "eta > 0": self.eta > 0,
+            f"{me.N_METRICS} w0 entries": len(self.w0) == me.N_METRICS,
+            "wp0 >= 0": self.wp0 >= 0,
+            "epsilon > 0": self.epsilon > 0,
+            "slack_tol > 0": self.slack_tol > 0,
+            "max_cccp >= 1": self.max_cccp >= 1,
+            "mi_bins >= 2": self.mi_bins >= 2,
+        })
+        self.label_schedule()     # checks spacing_mm, labels and bound_factor
 
     def w0_full(self):
         return np.concatenate([np.asarray(self.w0, dtype=np.float64), [self.wp0]])
@@ -281,20 +287,12 @@ def most_violated(sample, w, config):
 # quadratic program
 # ---------------------------------------------------------------------------
 
-def solve_qp(working_sets, imputed_psis, w0_full, C, alpha, x0=None, wp_min=0.0,
-             nonneg=False):
+def solve_qp(working_sets, imputed_psis, w0_full, C, alpha):
     """Solve the margin-rescaled SSVM QP over the stored constraints.
 
     minimize 0.5||w||^2 + alpha||w - w0||^2 + (C/N) sum_i xi_i
     s.t.     w'psi_hat_i <= w'psi_bar - loss + xi_i   for stored (psi_bar, loss)
-             xi_i >= 0, w_p >= wp_min (>= 0); with nonneg also w >= 0
-             (a dissimilarity aggregation with negative weights rewards
-             mismatches, which destabilizes the pyramidal predictor)
-
-    The pairwise feature is a mm-scale sum over all edges, orders of
-    magnitude larger than the metric sums, which makes w_p the cheapest
-    slack lever; wp_min lets callers keep it in the band where the
-    pyramidal predictor stays stable.
+             xi_i >= 0, w_p >= 0
 
     Returns:
         (w, xi, converged): slacks are recomputed from the constraints at
@@ -303,7 +301,6 @@ def solve_qp(working_sets, imputed_psis, w0_full, C, alpha, x0=None, wp_min=0.0,
     w0_full = np.asarray(w0_full, dtype=np.float64)
     nw = len(w0_full)
     N = len(working_sets)
-    wp_min = max(0.0, float(wp_min))
     rows = []       # (sample index, a = psi_bar - psi_hat, b = loss)
     for i, ws in enumerate(working_sets):
         for (_, psi_bar, loss) in ws:
@@ -311,9 +308,7 @@ def solve_qp(working_sets, imputed_psis, w0_full, C, alpha, x0=None, wp_min=0.0,
 
     if not rows:
         w = (2.0 * alpha / (1.0 + 2.0 * alpha)) * w0_full if alpha > 0 else np.zeros(nw)
-        if nonneg:
-            w = np.maximum(w, 0.0)
-        w[-1] = max(w[-1], wp_min)
+        w[-1] = max(w[-1], 0.0)
         return w, np.zeros(N), True
 
     A = np.stack([r[1] for r in rows])
@@ -341,15 +336,13 @@ def solve_qp(working_sets, imputed_psis, w0_full, C, alpha, x0=None, wp_min=0.0,
         "fun": lambda z: A_full @ z - b,
         "jac": lambda z: A_full,
     }
-    lo = 0.0 if nonneg else None
-    bounds = [(lo, None)] * (nw - 1) + [(wp_min, None)] + [(0.0, None)] * N
-    if x0 is None:
-        x0 = np.concatenate([w0_full, np.zeros(N)])
-        viol = b - A @ w0_full
-        for i in range(N):
-            m = sidx == i
-            if m.any():
-                x0[nw + i] = max(0.0, float(viol[m].max()))
+    bounds = [(None, None)] * (nw - 1) + [(0.0, None)] * (N + 1)
+    x0 = np.concatenate([w0_full, np.zeros(N)])
+    viol = b - A @ w0_full
+    for i in range(N):
+        m = sidx == i
+        if m.any():
+            x0[nw + i] = max(0.0, float(viol[m].max()))
 
     def slacks_for(w):
         out = np.zeros(N)
@@ -362,9 +355,7 @@ def solve_qp(working_sets, imputed_psis, w0_full, C, alpha, x0=None, wp_min=0.0,
 
     def feasible_objective(z):
         w = z[:nw].copy()
-        if nonneg:
-            w = np.maximum(w, 0.0)
-        w[-1] = max(w[-1], wp_min)
+        w[-1] = max(w[-1], 0.0)
         return objective(np.concatenate([w, slacks_for(w)])), w
 
     res = minimize(
@@ -416,7 +407,7 @@ def train_class(samples, config=None):
     Outer loop: impute latent labelings at the current w and reset the
     working sets. Inner loop: add each sample's most violated constraint
     while the violation exceeds the current slack by slack_tol, re-solving
-    the QP after each round. Stops when the outer objective decreases by
+    the QP after each round (at most 50 rounds). Stops when the outer objective decreases by
     less than epsilon (relative); an iteration cap returns best-so-far with
     a warning.
     """
@@ -447,7 +438,7 @@ def train_class(samples, config=None):
 
         wsets = [[] for _ in range(N)]
         xi = np.zeros(N)
-        for _ in range(config.max_cutting):
+        for _ in range(50):
             grew = False
             for i, s in enumerate(samples):
                 lab, psi_bar, loss = most_violated(s, w, config)
@@ -458,8 +449,7 @@ def train_class(samples, config=None):
                     grew = True
             if not grew:
                 break
-            w, xi, qp_ok = solve_qp(wsets, psis_hat, w0_full, config.C, config.alpha,
-                                        wp_min=config.wp_min, nonneg=config.nonneg)
+            w, xi, qp_ok = solve_qp(wsets, psis_hat, w0_full, config.C, config.alpha)
             if not qp_ok:
                 warning = "QP did not converge"
         else:
@@ -516,7 +506,7 @@ def assemble_model(results, config=None):
     cheaper-column class by displacing its patch. Columns (with their
     pairwise weights) are therefore rescaled to a common aggregate
     magnitude, which preserves each class's learned metric proportions and
-    its unary/pairwise balance. The wp_min floor is re-applied afterwards.
+    its unary/pairwise balance.
     """
     config = config or TrainConfig()
     by_class = {r.class_id: r for r in results}
@@ -528,7 +518,7 @@ def assemble_model(results, config=None):
     if len(ids) == 1:
         res = by_class[ids[0]]
         return me.WeightMatrix(
-            res.w_c.reshape(-1, 1), np.asarray([max(res.w_p, config.wp_min)]),
+            res.w_c.reshape(-1, 1), np.asarray([res.w_p]),
             tuple(ids), me.METRIC_NAMES, config.scales,
         )
     target = float(np.abs(np.asarray(config.w0)).sum())
@@ -539,7 +529,7 @@ def assemble_model(results, config=None):
         mag = float(np.abs(res.w_c).sum())
         gamma = target / mag if mag > 0 else 1.0
         cols.append(gamma * res.w_c)
-        pws.append(max(gamma * res.w_p, config.wp_min))
+        pws.append(gamma * res.w_p)
     # untrained background: hand-tuned proportions at the common magnitude,
     # stiffness typical of the trained classes
     ids = [0] + ids

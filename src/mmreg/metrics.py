@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .volume import Volume, SegmentationMask, extract_patch
+from .volume import extract_patch
 
 METRIC_NAMES = ("SAD", "MI", "NCC", "DWT")
 N_METRICS = len(METRIC_NAMES)
@@ -223,8 +223,9 @@ class WeightMatrix:
             raise ValueError("class count mismatch between weights, pairwise and class_ids")
         if list(ids) != sorted(ids):
             raise ValueError(f"class_ids must be ascending, got {ids}")
-        if np.any(p < 0):
-            raise ValueError(f"pairwise weights must be >= 0, got {p}")
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(p))) or np.any(p < 0):
+            raise ValueError(f"weights must be finite and pairwise weights >= 0, "
+                             f"got {w.tolist()} and {p.tolist()}")
         w.setflags(write=False)
         p.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -232,7 +233,10 @@ class WeightMatrix:
         object.__setattr__(self, "class_ids", ids)
         object.__setattr__(self, "metric_names", tuple(self.metric_names))
         if self.scales is not None:
-            object.__setattr__(self, "scales", tuple(float(s) for s in self.scales))
+            scales = tuple(float(s) for s in self.scales)
+            if not np.all(np.isfinite(scales)):
+                raise ValueError(f"scales must be finite, got {scales}")
+            object.__setattr__(self, "scales", scales)
 
     @property
     def n_classes(self):
@@ -575,12 +579,12 @@ def dominant_class_table(src_mask, grid, label_space, n_classes):
     return out
 
 
-def calibrate_scales(pairs, grid_spacing_mm, cfg=None, percentile=95.0):
+def calibrate_scales(pairs, grid_spacing_mm, cfg=None):
     """Per-metric normalization divisors from zero-displacement features.
 
     For each (source, target) volume pair, features are computed for the
     zero label at every node of a grid at `grid_spacing_mm`; the divisor is
-    the requested percentile per metric over all pooled nodes. Metrics whose
+    the 95th percentile per metric over all pooled nodes. Metrics whose
     percentile is zero keep scale 1.
     """
     from .volume import make_control_grid, LabelSpace as _LS
@@ -595,6 +599,6 @@ def calibrate_scales(pairs, grid_spacing_mm, cfg=None, percentile=95.0):
         keep = ~np.all(feats == base.empty_cost, axis=1)
         pooled.append(feats[keep])
     allf = np.concatenate(pooled, axis=0)
-    scales = np.percentile(allf, percentile, axis=0)
+    scales = np.percentile(allf, 95.0, axis=0)
     scales = np.where(scales > 0, scales, 1.0)
     return tuple(float(s) for s in scales)

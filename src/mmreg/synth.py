@@ -7,7 +7,7 @@ metrics stay informative where intensities match and break down in the
 remapped half, which correlation/information metrics handle.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -18,6 +18,8 @@ from .volume import (
     Volume,
     interpolate_dense,
     make_control_grid,
+    parse_value,
+    read_settings,
     warp,
     warp_mask,
 )
@@ -28,28 +30,28 @@ GT_MODES = ("identity", "translate", "random_ffd")
 @dataclass(frozen=True)
 class SynthSpec:
     """Generator configuration; all lengths in mm unless noted."""
-    dims: tuple = (48, 48, 40)
-    spacing_mm: tuple = (2.5, 2.5, 2.5)
+    dims: tuple[int, ...] = (48, 48, 40)
+    spacing_mm: tuple[float, ...] = (2.5, 2.5, 2.5)
     n_pairs: int = 1
-    organ_radii_mm: tuple = (11.0, 11.0)
-    organ_centers_frac: tuple = ((0.30, 0.5, 0.5), (0.72, 0.5, 0.5))
+    organ_radii_mm: tuple[float, ...] = (11.0, 11.0)
+    organ_centers_frac: tuple[tuple[float, ...], ...] = ((0.30, 0.5, 0.5), (0.72, 0.5, 0.5))
     center_jitter_mm: float = 3.0
     radius_jitter_mm: float = 1.5
-    base_levels: tuple = (0.25, 0.65, 0.80)      # background, organ 1, organ 2
-    texture_amp: tuple = (0.06, 0.02, 0.12)
+    base_levels: tuple[float, ...] = (0.25, 0.65, 0.80)      # background, organ 1, organ 2
+    texture_amp: tuple[float, ...] = (0.06, 0.02, 0.12)
     texture_sigma_vox: float = 1.5
     noise_sigma: float = 0.02
     # decoy blobs: intensity structures absent from the masks; a decoy with
     # a level between background and an organ confuses scale-free metrics
-    decoy_centers_frac: tuple = ()
-    decoy_radii_mm: tuple = ()
-    decoy_levels: tuple = ()
+    decoy_centers_frac: tuple[tuple[float, ...], ...] = ()
+    decoy_radii_mm: tuple[float, ...] = ()
+    decoy_levels: tuple[float, ...] = ()
     remap_region_x_frac: float = 0.5             # x beyond this fraction is remapped
     remap_gamma: float = 0.45
     remap_offset: float = 0.18
     remap_scale: float = 0.80
     gt_mode: str = "random_ffd"
-    gt_translate_mm: tuple = (6.0, 0.0, 0.0)
+    gt_translate_mm: tuple[float, ...] = (6.0, 0.0, 0.0)
     gt_grid_spacing_mm: float = 45.0
     max_gt_disp_mm: float = 8.0
 
@@ -159,48 +161,13 @@ def synth_dataset(spec, seed):
 # generator config files (key=value)
 # ---------------------------------------------------------------------------
 
-def _parse_centers(v):
-    return tuple(tuple(float(x) for x in c.split(",")) for c in v.split(";"))
-
-
-_SPEC_PARSERS = {
-    "dims": lambda v: tuple(int(x) for x in v.split(",")),
-    "spacing_mm": lambda v: tuple(float(x) for x in v.split(",")),
-    "n_pairs": int,
-    "organ_radii_mm": lambda v: tuple(float(x) for x in v.split(",")),
-    "organ_centers_frac": _parse_centers,
-    "base_levels": lambda v: tuple(float(x) for x in v.split(",")),
-    "texture_amp": lambda v: tuple(float(x) for x in v.split(",")),
-    "center_jitter_mm": float,
-    "radius_jitter_mm": float,
-    "noise_sigma": float,
-    "texture_sigma_vox": float,
-    "remap_region_x_frac": float,
-    "remap_gamma": float,
-    "remap_offset": float,
-    "remap_scale": float,
-    "gt_mode": str,
-    "gt_translate_mm": lambda v: tuple(float(x) for x in v.split(",")),
-    "gt_grid_spacing_mm": float,
-    "max_gt_disp_mm": float,
-    "decoy_centers_frac": _parse_centers,
-    "decoy_radii_mm": lambda v: tuple(float(x) for x in v.split(",")),
-    "decoy_levels": lambda v: tuple(float(x) for x in v.split(",")),
-}
-
-
 def read_synth_spec(path):
-    """Parse a generator config file of key=value lines."""
+    """Parse a generator config file of key=value lines; each value is read
+    as its SynthSpec field's annotation says."""
+    kinds = {f.name: f.type for f in fields(SynthSpec)}
     kwargs = {}
-    with open(path) as f:
-        for ln, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{ln}: expected key=value, got {line!r}")
-            k, v = (t.strip() for t in line.split("=", 1))
-            if k not in _SPEC_PARSERS:
-                raise ValueError(f"{path}:{ln}: unknown generator key {k!r}")
-            kwargs[k] = _SPEC_PARSERS[k](v)
+    for where, key, value in read_settings(path, "=", ValueError):
+        if key not in kinds:
+            raise ValueError(f"{where}: unknown generator key {key!r}")
+        kwargs[key] = parse_value(value, kinds[key])
     return SynthSpec(**kwargs)

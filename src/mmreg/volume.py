@@ -9,10 +9,15 @@ Conventions used throughout the package:
   (x varies fastest, then y, then z), described by a plain-text header.
 * Deformation fields map a point x to x + d(x); warping samples the input
   at the displaced location ("backward" warping).
+* Settings (config files, generator specs, file headers) are text lines of
+  ``key=value`` or ``key: value``; the package's config dataclasses hold
+  every default and range check.
 """
 
+import math
 import os
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -22,12 +27,67 @@ class FormatError(Exception):
     """Raised when a volume/mask/field file cannot be parsed."""
 
 
+def read_settings(path, sep, error):
+    """(location, key, value) for every `key<sep>value` line of a text file.
+
+    Blank lines and lines starting with '#' are skipped; location is
+    "path:line". An unreadable file raises FormatError, a line without
+    `sep` raises `error`.
+    """
+    try:
+        with open(path) as f:
+            lines = f.read().splitlines()
+    except OSError as e:
+        raise FormatError(f"cannot read {path}: {e}") from e
+    out = []
+    for ln, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, found, value = line.partition(sep)
+        if not found:
+            raise error(f"{path}:{ln}: expected 'key{sep}value', got {line!r}")
+        out.append((f"{path}:{ln}", key.strip(), value.strip()))
+    return out
+
+
+def parse_value(text, kind):
+    """Parse a setting for a dataclass field annotated `kind`: int, float, str,
+    bool (1/0, true/false, yes/no, on/off) or tuple[T, ...], whose items are
+    comma-separated, or ';'-separated when T is itself a tuple."""
+    if kind is bool:
+        flag = {"1": True, "true": True, "yes": True, "on": True,
+                "0": False, "false": False, "no": False, "off": False}.get(text.lower())
+        if flag is None:
+            raise ValueError(f"expected a boolean, got {text!r}")
+        return flag
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        sep = ";" if typing.get_origin(item) is tuple else ","
+        return tuple(parse_value(t, item) for t in text.split(sep))
+    return kind(text)
+
+
+def check_fields(obj, rules):
+    """ValueError unless every float of the dataclass `obj` (a field or an
+    item of a tuple field) is finite and every rule holds; `rules` maps the
+    text of each rule to whether it holds."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        items = value if isinstance(value, tuple) else (value,)
+        if not all(math.isfinite(x) for x in items if isinstance(x, float)):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+    for rule, holds in rules.items():
+        if not holds:
+            raise ValueError(f"{type(obj).__name__} needs {rule}")
+
+
 # ---------------------------------------------------------------------------
 # containers
 # ---------------------------------------------------------------------------
 
-def _as_triple(v, cast=float):
-    t = tuple(cast(x) for x in v)
+def _as_triple(v):
+    t = tuple(float(x) for x in v)
     if len(t) != 3:
         raise ValueError(f"expected 3 components, got {v!r}")
     return t
@@ -363,23 +423,18 @@ def interpolate_dense(grid, sparse_field, like):
     return DeformationField(sparse=sparse, dense=dense, spacing=spacing, origin=origin)
 
 
-def sample_field(fld, points_mm):
-    """Trilinearly sample a dense deformation field at physical points.
-
-    Out-of-grid queries are clamped to the field boundary.
-    """
-    if fld.dense is None:
-        raise ValueError("field has no dense representation")
-    pts = np.asarray(points_mm, dtype=np.float64).reshape(-1, 3)
-    dims = fld.dims
-    out = np.zeros((pts.shape[0], 3), dtype=np.float64)
-    cs = []
-    for a in range(3):
-        c = (pts[:, a] - fld.origin[a]) / fld.spacing[a]
-        cs.append(np.clip(c, 0.0, dims[a] - 1))
-    lo = [np.minimum(np.floor(c).astype(np.int64), dims[a] - 2) if dims[a] > 1
-          else np.zeros(len(c), dtype=np.int64) for a, c in enumerate(cs)]
-    fr = [cs[a] - lo[a] for a in range(3)]
+def _trilinear(values, coords):
+    """Trilinear interpolation of values[x, y, z, ...] at continuous voxel
+    coordinates (cx, cy, cz); coordinates are clamped to the grid first."""
+    dims = values.shape[:3]
+    lo, fr = [], []
+    for c, d in zip(coords, dims):
+        c = np.clip(c, 0.0, d - 1)
+        i = (np.minimum(np.floor(c).astype(np.int64), d - 2) if d > 1
+             else np.zeros(c.shape, dtype=np.int64))
+        lo.append(i)
+        fr.append(c - i)
+    out = np.zeros(lo[0].shape + values.shape[3:], dtype=np.float64)
     for dx in (0, 1):
         wx = (1.0 - fr[0]) if dx == 0 else fr[0]
         ix = np.minimum(lo[0] + dx, dims[0] - 1)
@@ -390,8 +445,20 @@ def sample_field(fld, points_mm):
                 wz = (1.0 - fr[2]) if dz == 0 else fr[2]
                 iz = np.minimum(lo[2] + dz, dims[2] - 1)
                 w = wx * wy * wz
-                out += w[:, None] * fld.dense[ix, iy, iz]
+                out += w.reshape(w.shape + (1,) * (values.ndim - 3)) * values[ix, iy, iz]
     return out
+
+
+def sample_field(fld, points_mm):
+    """Trilinearly sample a dense deformation field at physical points.
+
+    Out-of-grid queries are clamped to the field boundary.
+    """
+    if fld.dense is None:
+        raise ValueError("field has no dense representation")
+    pts = np.asarray(points_mm, dtype=np.float64).reshape(-1, 3)
+    coords = [(pts[:, a] - fld.origin[a]) / fld.spacing[a] for a in range(3)]
+    return _trilinear(fld.dense, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -429,33 +496,16 @@ def warp(vol, fld, fill_value=0.0):
         & (cy >= 0) & (cy <= dims[1] - 1)
         & (cz >= 0) & (cz <= dims[2] - 1)
     )
-    x0 = np.clip(np.floor(cx).astype(np.int64), 0, dims[0] - 2) if dims[0] > 1 else np.zeros_like(cx, dtype=np.int64)
-    y0 = np.clip(np.floor(cy).astype(np.int64), 0, dims[1] - 2) if dims[1] > 1 else np.zeros_like(cy, dtype=np.int64)
-    z0 = np.clip(np.floor(cz).astype(np.int64), 0, dims[2] - 2) if dims[2] > 1 else np.zeros_like(cz, dtype=np.int64)
-    fx = np.clip(cx - x0, 0.0, 1.0)
-    fy = np.clip(cy - y0, 0.0, 1.0)
-    fz = np.clip(cz - z0, 0.0, 1.0)
-    data = vol.data.astype(np.float64)
-    out = np.zeros(dims, dtype=np.float64)
-    for dx in (0, 1):
-        wx = (1.0 - fx) if dx == 0 else fx
-        ix = np.minimum(x0 + dx, dims[0] - 1)
-        for dy in (0, 1):
-            wy = (1.0 - fy) if dy == 0 else fy
-            iy = np.minimum(y0 + dy, dims[1] - 1)
-            for dz in (0, 1):
-                wz = (1.0 - fz) if dz == 0 else fz
-                iz = np.minimum(z0 + dz, dims[2] - 1)
-                out += wx * wy * wz * data[ix, iy, iz]
+    out = _trilinear(vol.data.astype(np.float64), (cx, cy, cz))
     out = np.where(inside, out, float(fill_value))
     return Volume(out.astype(np.float32), vol.spacing, vol.origin)
 
 
-def warp_mask(mask, fld, fill_value=0):
+def warp_mask(mask, fld):
     """Warp a segmentation mask with nearest-neighbour sampling.
 
     Labels stay in the input label set; out-of-bounds samples take
-    `fill_value` (background by default).
+    background (0).
     """
     cx, cy, cz = _sample_coords(mask, fld)
     dims = mask.dims
@@ -471,7 +521,7 @@ def warp_mask(mask, fld, fill_value=0):
     iy = np.clip(iy, 0, dims[1] - 1)
     iz = np.clip(iz, 0, dims[2] - 1)
     out = mask.labels[ix, iy, iz]
-    out = np.where(inside, out, np.uint8(fill_value))
+    out = np.where(inside, out, np.uint8(0))
     return SegmentationMask(out, mask.spacing, mask.origin)
 
 
@@ -599,135 +649,98 @@ def build_pyramid(vol_or_mask, levels):
 _DTYPES = {"f32": np.dtype("<f4"), "u8": np.dtype("u1")}
 
 
-def _write_raw(path, header, payload):
+def _write_raw(path, like, dtype, payload, components=1):
+    """Write a header of `like`'s geometry and the raw payload beside it."""
     # the payload keeps the header's full name, so s.vol and s.msk never share one
     raw_name = os.path.basename(path) + ".raw"
-    raw_path = os.path.join(os.path.dirname(path), raw_name)
-    lines = [f"{k}: {v}" for k, v in header.items()]
+    lines = [
+        "dims: " + " ".join(str(d) for d in like.dims),
+        "spacing: " + " ".join(repr(s) for s in like.spacing),
+        "origin: " + " ".join(repr(o) for o in like.origin),
+        f"dtype: {dtype}",
+    ]
+    if components != 1:
+        lines.append(f"components: {components}")
     lines.append(f"data: {raw_name}")
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
-    payload.tofile(raw_path)
+    payload.tofile(os.path.join(os.path.dirname(path), raw_name))
 
 
-def _read_header(path):
-    header = {}
-    try:
-        with open(path) as f:
-            for ln, line in enumerate(f, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if ":" not in line:
-                    raise FormatError(f"{path}:{ln}: expected 'key: value', got {line!r}")
-                k, v = line.split(":", 1)
-                header[k.strip()] = v.strip()
-    except OSError as e:
-        raise FormatError(f"cannot read {path}: {e}") from e
+def _read_raw(path, kind, dtypes, components):
+    """Check a header file and load its payload.
+
+    Returns the payload as a (components, nx, ny, nz) array with the header's
+    spacing and origin. Any malformed or out-of-range header raises FormatError.
+    """
+    header = {key: value for _, key, value in read_settings(path, ":", FormatError)}
     for key in ("dims", "spacing", "origin", "dtype", "data"):
         if key not in header:
             raise FormatError(f"{path}: missing header key '{key}'")
-    return header
-
-
-def _parse_header(path, header):
     try:
         dims = tuple(int(x) for x in header["dims"].split())
         spacing = tuple(float(x) for x in header["spacing"].split())
         origin = tuple(float(x) for x in header["origin"].split())
-        components = int(header.get("components", "1"))
+        n_comp = int(header.get("components", "1"))
     except ValueError as e:
         raise FormatError(f"{path}: bad header value: {e}") from e
     if len(dims) != 3 or len(spacing) != 3 or len(origin) != 3:
         raise FormatError(f"{path}: dims/spacing/origin must each have 3 entries")
-    if header["dtype"] not in _DTYPES:
-        raise FormatError(f"{path}: dtype must be one of {sorted(_DTYPES)}")
-    return dims, spacing, origin, _DTYPES[header["dtype"]], components
-
-
-def _read_payload(path, header, expected):
+    if (min(dims) < 1 or not all(math.isfinite(s) and s > 0 for s in spacing)
+            or not all(math.isfinite(o) for o in origin)):
+        raise FormatError(f"{path}: dims must be >= 1, spacing finite and > 0 and origin "
+                          f"finite, got {dims}, {spacing}, {origin}")
+    if header["dtype"] not in dtypes or n_comp != components:
+        raise FormatError(f"{path}: {kind} files must have dtype {' or '.join(dtypes)} and "
+                          f"components={components}, got {header['dtype']} and {n_comp}")
     name = header["data"]
-    # write_raw names the payload by a plain file name next to the header;
+    # _write_raw names the payload by a plain file name next to the header;
     # anything else could point outside the header's directory
     if os.path.basename(name) != name or name in ("", ".", ".."):
         raise FormatError(f"{path}: data must be a file name in the header's directory, "
                           f"got {name!r}")
     raw_path = os.path.join(os.path.dirname(path), name)
     try:
-        payload = np.fromfile(raw_path, dtype=expected["dtype"])
+        payload = np.fromfile(raw_path, dtype=_DTYPES[header["dtype"]])
     except OSError as e:
         raise FormatError(f"cannot read payload {raw_path}: {e}") from e
-    n = int(np.prod(expected["shape"]))
-    if payload.size != n:
+    shape = (components,) + dims
+    if payload.size != math.prod(shape):
         raise FormatError(
-            f"{raw_path}: payload has {payload.size} elements, expected {n}"
+            f"{raw_path}: payload has {payload.size} elements, expected {math.prod(shape)}"
         )
-    return payload
+    return payload.reshape(shape, order="F"), spacing, origin
 
 
 def write_volume(path, vol):
     """Write a Volume as header + little-endian f32 raw, x-fastest order."""
-    header = {
-        "dims": " ".join(str(d) for d in vol.dims),
-        "spacing": " ".join(repr(s) for s in vol.spacing),
-        "origin": " ".join(repr(o) for o in vol.origin),
-        "dtype": "f32",
-    }
-    _write_raw(path, header, vol.data.astype("<f4").ravel(order="F"))
+    _write_raw(path, vol, "f32", vol.data.astype("<f4").ravel(order="F"))
 
 
 def write_mask(path, mask):
-    header = {
-        "dims": " ".join(str(d) for d in mask.dims),
-        "spacing": " ".join(repr(s) for s in mask.spacing),
-        "origin": " ".join(repr(o) for o in mask.origin),
-        "dtype": "u8",
-    }
-    _write_raw(path, header, mask.labels.astype("u1").ravel(order="F"))
+    _write_raw(path, mask, "u8", mask.labels.astype("u1").ravel(order="F"))
 
 
 def write_field(path, fld):
     """Write a dense deformation field: f32 raw with 3 components per voxel."""
     if fld.dense is None:
         raise ValueError("field has no dense representation to write")
-    header = {
-        "dims": " ".join(str(d) for d in fld.dims),
-        "spacing": " ".join(repr(s) for s in fld.spacing),
-        "origin": " ".join(repr(o) for o in fld.origin),
-        "dtype": "f32",
-        "components": "3",
-    }
     # component-fastest within each voxel, then x-fastest over voxels
     payload = np.moveaxis(fld.dense.astype("<f4"), 3, 0).ravel(order="F")
-    _write_raw(path, header, payload)
+    _write_raw(path, fld, "f32", payload, components=3)
 
 
 def read_volume(path):
-    header = _read_header(path)
-    dims, spacing, origin, dtype, components = _parse_header(path, header)
-    if components != 1:
-        raise FormatError(f"{path}: expected scalar volume, got components={components}")
-    payload = _read_payload(path, header, {"dtype": dtype, "shape": dims})
-    data = payload.reshape(dims, order="F")
-    if header["dtype"] == "u8":
-        data = data.astype(np.float32)
-    return Volume(data, spacing, origin)
+    data, spacing, origin = _read_raw(path, "volume", ("f32", "u8"), 1)
+    return Volume(data[0], spacing, origin)
 
 
 def read_mask(path):
-    header = _read_header(path)
-    dims, spacing, origin, dtype, components = _parse_header(path, header)
-    if header["dtype"] != "u8" or components != 1:
-        raise FormatError(f"{path}: mask files must be scalar u8")
-    payload = _read_payload(path, header, {"dtype": dtype, "shape": dims})
-    return SegmentationMask(payload.reshape(dims, order="F"), spacing, origin)
+    data, spacing, origin = _read_raw(path, "mask", ("u8",), 1)
+    return SegmentationMask(data[0], spacing, origin)
 
 
 def read_field(path):
-    header = _read_header(path)
-    dims, spacing, origin, dtype, components = _parse_header(path, header)
-    if components != 3 or header["dtype"] != "f32":
-        raise FormatError(f"{path}: field files must be f32 with components=3")
-    payload = _read_payload(path, header, {"dtype": dtype, "shape": (3,) + dims})
-    dense = np.moveaxis(payload.reshape((3,) + dims, order="F"), 0, 3)
-    return DeformationField(dense=dense.astype(np.float64), spacing=spacing, origin=origin)
+    data, spacing, origin = _read_raw(path, "field", ("f32",), 3)
+    return DeformationField(dense=np.moveaxis(data, 0, 3).astype(np.float64),
+                            spacing=spacing, origin=origin)

@@ -1,15 +1,17 @@
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from mmreg import cli
+from mmreg.graphreg import PyramidConfig
 from mmreg import learn
 from mmreg import metrics as me
 from mmreg.volume import (
     SegmentationMask, Volume, read_field, read_volume, write_mask, write_volume,
 )
-from mmreg.synth import SynthSpec, synth_dataset
+from mmreg.synth import SynthSpec, read_synth_spec, synth_dataset
 
 
 SYNTH_SPEC = """
@@ -38,6 +40,47 @@ train_spacing_mm=12.0
 train_labels=27
 max_cccp=2
 """
+
+
+RESOLVED_DEFAULTS = """\
+baseline_wp_scale=0.02
+bound_factor=0.4
+epsilon=0.001
+eta=50.0
+finest_spacing_mm=25.0
+labels_per_level=125
+levels=2
+max_cccp=20
+mi_bins=16
+normalize_metrics=True
+refine_factor=0.7
+seed=0
+slack_tol=0.0001
+steps_per_level=5
+threads=1
+timings=False
+train_C=10.0
+train_alpha=0.1
+train_labels=125
+train_spacing_mm=25.0
+w0=0.1,10.0,10.0,10.0
+wp0=1.0
+"""
+
+FLOAT_KEYS = ["finest_spacing_mm", "bound_factor", "refine_factor", "train_C", "train_alpha",
+              "eta", "epsilon", "slack_tol", "w0", "wp0", "train_spacing_mm",
+              "baseline_wp_scale"]
+
+# one out-of-range (or, where every parsed value is in range, unparsable)
+# value per config key
+OUT_OF_RANGE = {
+    "levels": "0", "steps_per_level": "0", "labels_per_level": "0",
+    "finest_spacing_mm": "0", "bound_factor": "0.5", "refine_factor": "1.0",
+    "mi_bins": "1", "normalize_metrics": "maybe", "train_C": "0", "train_alpha": "-0.1",
+    "eta": "0", "epsilon": "0", "slack_tol": "-1e-4", "max_cccp": "0", "w0": "1,2,3",
+    "wp0": "-1", "train_spacing_mm": "-25", "train_labels": "0",
+    "baseline_wp_scale": "-0.02", "seed": "1.5", "threads": "0", "timings": "2",
+}
 
 
 def write_text(path, text):
@@ -80,6 +123,46 @@ class TestConfig:
         cfg = cli.load_config(None, ["w0=1,2,3,4"])
         assert cfg["w0"] == (1.0, 2.0, 3.0, 4.0)
 
+    def test_defaults_are_the_dataclass_defaults(self):
+        cfg = cli.load_config(None, [])
+        for got, want in ((cfg.pyramid, PyramidConfig()), (cfg.train, learn.TrainConfig()),
+                          (cfg.run, cli.RunConfig())):
+            for f in fields(want):
+                assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+    def test_keys_and_defaults_unchanged(self, tmp_path):
+        cli.dump_config(cli.load_config(None, []), str(tmp_path))
+        assert (tmp_path / "config.resolved.txt").read_text() == RESOLVED_DEFAULTS
+        assert sorted(OUT_OF_RANGE) == sorted(cli.CONFIG_KEYS)
+
+    def test_file_and_override_reach_every_consumer(self, tmp_path):
+        path = write_text(tmp_path / "c.txt", "# comment\n\ntrain_C = 2.5\nbound_factor=0.3\n")
+        cfg = cli.load_config(path, ["threads=2", "normalize_metrics=off"])
+        assert cfg.train.C == 2.5 and cfg["train_C"] == 2.5
+        assert cfg.pyramid.bound_factor == cfg.train.bound_factor == 0.3
+        assert cfg.run.threads == 2 and cfg.run.normalize_metrics is False
+
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    @pytest.mark.parametrize("bad", ["inf", "nan", "-inf"])
+    def test_non_finite_float_rejected(self, key, bad):
+        value = "1,2,3," + bad if key == "w0" else bad
+        with pytest.raises(cli.ConfigError):
+            cli.load_config(None, [f"{key}={value}"])
+
+    @pytest.mark.parametrize("key, value", sorted(OUT_OF_RANGE.items()))
+    def test_every_key_rejects_a_bad_value(self, tmp_path, key, value):
+        with pytest.raises(cli.ConfigError):
+            cli.load_config(None, [f"{key}={value}"])
+        path = write_text(tmp_path / "c.txt", f"{key}={value}\n")
+        with pytest.raises(cli.ConfigError):
+            cli.load_config(path)
+
+    def test_malformed_lines_rejected(self, tmp_path):
+        with pytest.raises(cli.ConfigError):
+            cli.load_config(write_text(tmp_path / "c.txt", "levels 3\n"))
+        with pytest.raises(cli.ConfigError):
+            cli.load_config(None, ["levels"])
+
 
 class TestHelp:
     @pytest.mark.parametrize("argv", [
@@ -114,6 +197,29 @@ class TestSynthCommand:
             b1 = open(tmp_path / "a" / name, "rb").read()
             b2 = open(tmp_path / "b" / name, "rb").read()
             assert b1 == b2, name
+
+    def test_spec_reads_every_field(self, tmp_path):
+        """Each key parses by its SynthSpec annotation, nested tuples included."""
+        want = SynthSpec(dims=(12, 10, 8), spacing_mm=(2.0, 2.5, 3.0), n_pairs=2,
+                         organ_radii_mm=(5.0, 4.0),
+                         organ_centers_frac=((0.3, 0.5, 0.5), (0.7, 0.4, 0.6)),
+                         center_jitter_mm=0.5, radius_jitter_mm=0.25,
+                         base_levels=(0.2, 0.6, 0.9), texture_amp=(0.01, 0.02, 0.03),
+                         texture_sigma_vox=1.25, noise_sigma=0.0,
+                         decoy_centers_frac=((0.5, 0.2, 0.5),), decoy_radii_mm=(2.0,),
+                         decoy_levels=(0.4,), remap_region_x_frac=0.75, remap_gamma=0.5,
+                         remap_offset=0.1, remap_scale=0.7, gt_mode="translate",
+                         gt_translate_mm=(1.0, 2.0, 3.0), gt_grid_spacing_mm=30.0,
+                         max_gt_disp_mm=4.0)
+        lines = []
+        for f in fields(SynthSpec):
+            v = getattr(want, f.name)
+            if isinstance(v, tuple) and isinstance(v[0], tuple):
+                v = ";".join(",".join(map(str, c)) for c in v)
+            elif isinstance(v, tuple):
+                v = ",".join(map(str, v))
+            lines.append(f"{f.name} = {v}")
+        assert read_synth_spec(write_text(tmp_path / "s.txt", "\n".join(lines))) == want
 
     def test_bad_spec_key(self, tmp_path):
         spec = write_text(tmp_path / "s.txt", "volume=huge\n")
@@ -182,6 +288,10 @@ class TestRegisterCommand:
     @pytest.mark.parametrize("text", [
         "metrics=SAD,MI,NCC,DWT classes=0\nabc 10 10 10 0.3\n",
         "metrics=SAD,MI,NCC,DWT classes=0,x\n0.1 10 10 10 0.3\n0.1 10 10 10 0.3\n",
+        "metrics=SAD,MI,NCC,DWT classes=0\n0.1 10 10 10 nan\n",
+        "metrics=SAD,MI,NCC,DWT classes=0\nnan 10 10 10 0.3\n",
+        "metrics=SAD,MI,NCC,DWT classes=0\n0.1 inf 10 10 0.3\n",
+        "metrics=SAD,MI,NCC,DWT classes=0 scales=nan,1,1,1\n0.1 10 10 10 0.3\n",
     ])
     def test_malformed_weights_exits_2(self, workspace, text):
         tmp, cfg, data = workspace
@@ -195,6 +305,42 @@ class TestRegisterCommand:
         ])
         assert rc == 2
 
+
+    @pytest.mark.parametrize("setting", ["finest_spacing_mm=inf", "eta=nan", "w0=1,2,3,inf"])
+    def test_non_finite_setting_exits_3(self, workspace, setting):
+        tmp, cfg, data = workspace
+        wpath = str(tmp / "w.txt")
+        me.write_weights(wpath, me.WeightMatrix(
+            np.array([[0.1], [10.0], [10.0], [10.0]]), np.array([0.3]), (0,)
+        ))
+        out_field = str(tmp / "out" / "f.fld")
+        rc = cli.main([
+            "register",
+            "--source", os.path.join(data, "pair000_src.vol"),
+            "--target", os.path.join(data, "pair000_tgt.vol"),
+            "--weights", wpath, "--config", cfg, "--set", setting,
+            "--out-field", out_field, "--out-warped", str(tmp / "out" / "wv.vol"),
+        ])
+        assert rc == 3
+        assert not os.path.exists(out_field)
+
+    def test_bad_header_value_exits_2(self, workspace):
+        tmp, cfg, data = workspace
+        src = os.path.join(data, "pair000_src.vol")
+        with open(src) as f:
+            text = f.read()
+        with open(src, "w") as f:
+            f.write(text.replace("spacing: 2.0", "spacing: 0.0"))
+        wpath = str(tmp / "w.txt")
+        me.write_weights(wpath, me.WeightMatrix(
+            np.array([[0.1], [10.0], [10.0], [10.0]]), np.array([0.3]), (0,)
+        ))
+        rc = cli.main([
+            "register", "--source", src, "--target", os.path.join(data, "pair000_tgt.vol"),
+            "--weights", wpath, "--config", cfg,
+            "--out-field", str(tmp / "f.fld"), "--out-warped", str(tmp / "wv.vol"),
+        ])
+        assert rc == 2
 
     @pytest.mark.parametrize("dims, spacing, origin", [
         ((20, 22, 20), (2.0, 2.0, 2.0), (0.0, 0.0, 0.0)),

@@ -475,6 +475,10 @@ class TestWeightMatrix:
         "metrics=SAD,MI,NCC,DWT classes=0,x\n1 1 1 1 0.3\n1 1 1 1 0.3\n",
         "metrics=SAD,MI,NCC,DWT classes=0 scales=1,2,3\n1 1 1 1 0.3\n",
         "metrics=SAD,MI,NCC,DWT classes=1,0\n1 1 1 1 0.3\n1 1 1 1 0.3\n",
+        "metrics=SAD,MI,NCC,DWT classes=0\n1 1 1 1 nan\n",          # non-finite pairwise
+        "metrics=SAD,MI,NCC,DWT classes=0\nnan 1 1 1 0.3\n",        # non-finite weights
+        "metrics=SAD,MI,NCC,DWT classes=0\n1 1 -inf 1 0.3\n",
+        "metrics=SAD,MI,NCC,DWT classes=0 scales=1,nan,1,1\n1 1 1 1 0.3\n",
     ])
     def test_malformed_file_is_format_error(self, tmp_path, text):
         path = tmp_path / "w.txt"

@@ -28,6 +28,8 @@ from mmreg.volume import (
 )
 from mmreg.volume import _spline_coords
 
+import sampler_oracle
+
 
 @pytest.fixture
 def rng():
@@ -307,6 +309,37 @@ class TestWarp:
             warp(vol, zero_field(small))
 
 
+
+class TestTrilinearBitExact:
+    """warp and sample_field share one kernel; both must equal their former
+    separate bodies (tests/sampler_oracle.py) bit for bit."""
+
+    @staticmethod
+    def geometry(rng, i):
+        dims = tuple(int(d) for d in rng.integers(1, 7, 3))
+        if i % 3 == 0:
+            dims = dims[:i % 2] + (1,) + dims[i % 2 + 1:]      # an axis of length 1
+        spacing = tuple(rng.uniform(0.5, 3.0, 3))
+        origin = tuple(rng.uniform(-5.0, 5.0, 3))
+        return dims, spacing, origin
+
+    @pytest.mark.parametrize("i", range(30))
+    def test_matches_former_bodies(self, i):
+        rng = np.random.default_rng(100 + i)
+        dims, spacing, origin = self.geometry(rng, i)
+        extent = (np.asarray(dims) - 1) * np.asarray(spacing)
+        vol = Volume(rng.random(dims).astype(np.float32), spacing, origin)
+        scale = 0.5 * max(float(extent.max()), 1.0)
+        dense = rng.uniform(-scale, scale, dims + (3,))
+        if i % 5 == 0:
+            dense[..., 0] = 0.0             # samples on the voxel grid along x
+        fld = DeformationField(dense=dense, spacing=spacing, origin=origin)
+        fill = float(rng.uniform(-2.0, 2.0))
+        assert np.array_equal(warp(vol, fld, fill).data,
+                              sampler_oracle.warp_oracle(vol, fld, fill).data)
+        pts = rng.uniform(np.asarray(origin) - 3.0, np.asarray(origin) + extent + 3.0, (300, 3))
+        assert np.array_equal(sample_field(fld, pts), sampler_oracle.sample_field_oracle(fld, pts))
+
 class TestWarpMask:
     def test_zero_field_identity(self, rng):
         mask = SegmentationMask((rng.random((6, 7, 8)) > 0.5).astype(np.uint8) * 3, (1, 1, 1))
@@ -444,6 +477,32 @@ class TestRawFileFormat:
         np.zeros(5, dtype="<f4").tofile(os.path.join(tmp_path, "bad.raw"))
         with pytest.raises(FormatError):
             read_volume(path)
+
+    @pytest.mark.parametrize("kind", ["volume", "mask", "field"])
+    @pytest.mark.parametrize("key, value", [
+        ("dims", "0 4 4"), ("spacing", "0.0 4.0 4.0"), ("spacing", "-1.0 4.0 4.0"),
+        ("spacing", "nan 4.0 4.0"), ("spacing", "4.0 inf 4.0"), ("origin", "inf 0.0 0.0"),
+        ("origin", "0.0 nan 0.0"),
+    ])
+    def test_bad_header_value_is_format_error(self, tmp_path, rng, kind, key, value):
+        labels = rng.integers(0, 3, (4, 4, 4)).astype(np.uint8)
+        write, read, obj = {
+            "volume": (write_volume, read_volume, Volume(labels, (4.0, 4.0, 4.0))),
+            "mask": (write_mask, read_mask, SegmentationMask(labels, (4.0, 4.0, 4.0))),
+            "field": (write_field, read_field, DeformationField(
+                dense=rng.random((4, 4, 4, 3)), spacing=(4.0, 4.0, 4.0), origin=(0.0, 0.0, 0.0))),
+        }[kind]
+        path = os.path.join(tmp_path, "x.hdr")
+        write(path, obj)
+        with open(path) as f:
+            lines = [f"{key}: {value}" if ln.startswith(key + ":") else ln
+                     for ln in f.read().splitlines()]
+        with open(path, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        if key == "dims":
+            open(path + ".raw", "w").close()    # a payload that matches the dims
+        with pytest.raises(FormatError):
+            read(path)
 
     @pytest.mark.parametrize("data", ["{abs}", "../vol.raw", "inner/vol.raw", "..", ""])
     def test_payload_outside_header_directory_rejected(self, tmp_path, data):
