@@ -6,21 +6,12 @@ from .volume import (
     LabelSpace,
     SegmentationMask,
     Volume,
-    extract_patch,
     interpolate_dense,
     make_control_grid,
     warp,
     warp_mask,
 )
-from .metrics import (
-    METRIC_NAMES,
-    MetricConfig,
-    WeightMatrix,
-    aggregated_unary,
-    compute_metric,
-    dominant_class,
-    unary_features,
-)
+from .metrics import METRIC_NAMES, WeightMatrix
 from .graphreg import (
     MrfInstance,
     PyramidConfig,
@@ -29,13 +20,11 @@ from .graphreg import (
     refine_label_space,
     register,
     solve,
-    solve_bruteforce,
 )
 from .learn import (
     TrainConfig,
     TrainingSample,
     assemble_model,
-    dice_loss,
     impute_latent,
     most_violated,
     solve_qp,

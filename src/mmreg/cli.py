@@ -225,8 +225,7 @@ def cmd_train(args):
     tcfg = cfg.train
     if cfg.run.normalize_metrics:
         vols = [(src, tgt) for (_, src, tgt, _, _) in pairs]
-        tcfg = replace(tcfg, scales=me.calibrate_scales(vols, tcfg.spacing_mm,
-                                                        tcfg.metric_config()))
+        tcfg = replace(tcfg, scales=me.calibrate_scales(vols, tcfg.spacing_mm))
 
     class_ids = sorted({c for (_, _, _, sm, tm) in pairs
                         for c in set(sm.class_ids()) & set(tm.class_ids())})
@@ -260,7 +259,7 @@ def cmd_train(args):
 
 def cmd_evaluate(args):
     cfg = load_config(args.config, args.set or ())
-    wmat, _ = learn.read_model(args.model)
+    wmat, _ = me.read_weights(args.model)
     rows = read_manifest(args.dataset)
     pairs = _load_pairs(rows)
     report = ev.run_benchmark(

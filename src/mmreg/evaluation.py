@@ -52,10 +52,6 @@ class EvalReport:
     rows: list = field(default_factory=list)
     skipped: list = field(default_factory=list)
 
-    def mean_dice(self, organ, method):
-        vals = [r.dice_after for r in self.rows if r.organ == organ and r.method == method]
-        return float(np.mean(vals)) if vals else float("nan")
-
     def summary(self):
         """Aggregate rows: {(organ, method): dict of statistics}."""
         out = {}

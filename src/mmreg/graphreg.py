@@ -42,7 +42,8 @@ class PyramidConfig:
 
     Displacement labels are bounded by bound_factor x control spacing, which
     keeps the composed field diffeomorphic; after every step the label
-    catalog shrinks by refine_factor.
+    catalog shrinks by refine_factor. labels_per_level is k^3 for an odd k,
+    so the k x k x k catalog holds the zero vector.
     """
     levels: int = 2
     steps_per_level: int = 5
@@ -52,10 +53,11 @@ class PyramidConfig:
     refine_factor: float = 0.7
 
     def __post_init__(self):
+        k = round(max(self.labels_per_level, 0) ** (1.0 / 3.0))
         check_fields(self, {
             "levels >= 1": self.levels >= 1,
             "steps_per_level >= 1": self.steps_per_level >= 1,
-            "labels_per_level >= 1": self.labels_per_level >= 1,
+            "labels_per_level = k^3 for an odd k": k ** 3 == self.labels_per_level and k % 2 == 1,
             "finest_spacing_mm > 0": self.finest_spacing_mm > 0,
             "0 < bound_factor <= 0.4": 0.0 < self.bound_factor <= 0.4,
             "0 < refine_factor < 1": 0.0 < self.refine_factor < 1.0,
@@ -127,14 +129,10 @@ def initialize_label_space(config, spacing_at_level_mm):
     """Dense cubic displacement catalog for one pyramid level.
 
     k^3 = labels_per_level displacements with per-axis values uniformly
-    spaced in [-bound*spacing, +bound*spacing]; k must be odd so the zero
+    spaced in [-bound*spacing, +bound*spacing]; k is odd, so the zero
     vector is included (and listed first).
     """
     k = round(config.labels_per_level ** (1.0 / 3.0))
-    if k ** 3 != config.labels_per_level or k % 2 == 0:
-        raise ValueError(
-            f"labels_per_level must be the cube of an odd base, got {config.labels_per_level}"
-        )
     spacing = np.asarray(spacing_at_level_mm, dtype=np.float64)
     if spacing.size == 1:
         spacing = np.full(3, float(spacing))
@@ -156,7 +154,7 @@ def refine_label_space(label_space, factor):
 # instance construction
 # ---------------------------------------------------------------------------
 
-def build_instance(src, tgt, src_mask, wmat, grid, label_space, cfg=None):
+def build_instance(src, tgt, src_mask, wmat, grid, label_space):
     """Assemble the registration MRF.
 
     Unary (i, l): the metric feature vector for the displaced source patch
@@ -165,11 +163,11 @@ def build_instance(src, tgt, src_mask, wmat, grid, label_space, cfg=None):
     comes from the zero-label dominant class; each edge uses the mean of its
     endpoint weights so the pairwise term stays label-pair-separable.
 
-    With a single-column weight matrix the mask is optional and the lone
-    column applies everywhere.
+    Features are divided by the weight matrix's normalization scales. With
+    a single-column weight matrix the mask is optional and the lone column
+    applies everywhere.
     """
-    cfg = cfg or wmat.metric_config()
-    feats = me.feature_table(src, tgt, grid, label_space, cfg)
+    feats = me.feature_table(src, tgt, grid, label_space, wmat.scales)
     V, L, n = feats.shape
     edges = grid.edges
     table = pairwise_l1_table(label_space)
@@ -187,7 +185,7 @@ def build_instance(src, tgt, src_mask, wmat, grid, label_space, cfg=None):
     # a label whose patches are empty gets the sentinel feature vector; pin
     # such labels to the node's zero-label class so the constant sentinel
     # cannot be discounted by switching to a lighter weight column
-    empty = me.empty_feature_rows(feats, cfg)
+    empty = me.empty_feature_rows(feats)
     cls = np.where(empty, cls[:, :1], cls)
     col_of = np.zeros(max_class + 1, dtype=np.int64)
     for c in range(max_class + 1):
@@ -441,36 +439,6 @@ def solve(instance):
         if _icm_pass(instance, labeling, neighbors) == 0:
             break
     return labeling
-
-
-def solve_bruteforce(instance, limit=10_000_000):
-    """Exact minimum by enumeration; ties break to the lexicographically
-    smallest labeling (node 0 most significant)."""
-    V = instance.n_nodes
-    L = instance.n_labels
-    total = L ** V
-    if total > limit:
-        raise ValueError(f"{L}^{V} labelings exceed the enumeration limit {limit}")
-    ew = instance.edge_weight_array()
-    edges = instance.edges
-    best_energy = np.inf
-    best_index = -1
-    chunk = 1 << 18
-    powers = L ** (V - 1 - np.arange(V, dtype=np.int64))
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = (idx[:, None] // powers[None, :]) % L       # (chunk, V)
-        e = instance.unaries[np.arange(V)[None, :], digits].sum(axis=1)
-        if len(edges):
-            li = digits[:, edges[:, 0]]
-            lj = digits[:, edges[:, 1]]
-            e += (ew[None, :] * instance.pairwise_table[li, lj]).sum(axis=1)
-        k = int(np.argmin(e))
-        if e[k] < best_energy:
-            best_energy = float(e[k])
-            best_index = int(idx[k])
-    digits = (best_index // powers) % L
-    return digits.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

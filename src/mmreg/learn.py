@@ -18,6 +18,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import metrics as me
+from .evaluation import exact_dice
 from .graphreg import (
     MrfInstance,
     PyramidConfig,
@@ -49,8 +50,7 @@ class TrainConfig:
     spacing_mm: float = 25.0     # single-level training grid spacing
     labels: int = 125
     bound_factor: float = 0.4
-    mi_bins: int = 16
-    scales: tuple = None
+    scales: tuple = None         # normalization divisors, one per metric
 
     def __post_init__(self):
         check_fields(self, {
@@ -62,15 +62,13 @@ class TrainConfig:
             "epsilon > 0": self.epsilon > 0,
             "slack_tol > 0": self.slack_tol > 0,
             "max_cccp >= 1": self.max_cccp >= 1,
-            "mi_bins >= 2": self.mi_bins >= 2,
+            f"no scales, or {me.N_METRICS} scales > 0": self.scales is None or (
+                len(self.scales) == me.N_METRICS and min(self.scales) > 0),
         })
         self.label_schedule()     # checks spacing_mm, labels and bound_factor
 
     def w0_full(self):
         return np.concatenate([np.asarray(self.w0, dtype=np.float64), [self.wp0]])
-
-    def metric_config(self):
-        return me.MetricConfig(mi_bins=self.mi_bins, scales=self.scales)
 
     def label_schedule(self):
         return PyramidConfig(
@@ -103,14 +101,8 @@ class TrainingSample:
 
 
 # ---------------------------------------------------------------------------
-# decomposable Dice loss
+# node-decomposable Dice loss surrogate
 # ---------------------------------------------------------------------------
-
-def _foreground(mask_or_array):
-    if isinstance(mask_or_array, SegmentationMask):
-        return mask_or_array.labels > 0
-    return np.asarray(mask_or_array) > 0
-
 
 def _tile_sums(values, bounds):
     """Per-tile sums of a 3D array for the tile partition given by per-axis
@@ -120,25 +112,6 @@ def _tile_sums(values, bounds):
     corner = s[np.ix_(bounds[0], bounds[1], bounds[2])]
     tiles = np.diff(np.diff(np.diff(corner, axis=0), axis=1), axis=2)
     return tiles.reshape(-1, order="F")
-
-
-def dice_loss(mask_a, mask_b, grid):
-    """1 - Dice via the node-decomposable tiling: overlap and size counts
-    accumulate per control-point tile and form one global ratio.
-
-    Tiles partition the volume, so this equals the exact voxel-wise value.
-    Both masks empty yields loss 0 by convention.
-    """
-    a = _foreground(mask_a)
-    b = _foreground(mask_b)
-    if a.shape != b.shape:
-        raise ValueError(f"mask shapes differ: {a.shape} vs {b.shape}")
-    bounds = tile_edges(grid, mask_a)
-    num = int(_tile_sums(a & b, bounds).sum())
-    den = int(_tile_sums(a, bounds).sum()) + int(_tile_sums(b, bounds).sum())
-    if den == 0:
-        return 0.0
-    return 1.0 - 2.0 * num / den
 
 
 def _shift_sample(arr, shift):
@@ -172,8 +145,8 @@ def loss_node_terms(src_mask, tgt_mask, grid, label_space):
         (terms, d0): terms has shape (|V|, |L|) and sums over a labeling to
         the surrogate loss in [0, 1]; d0 is the frozen denominator.
     """
-    a = _foreground(src_mask)
-    b = _foreground(tgt_mask)
+    a = src_mask.labels > 0
+    b = tgt_mask.labels > 0
     bounds = tile_edges(grid, src_mask)
     V = grid.n_nodes
     L = label_space.n_labels
@@ -194,12 +167,6 @@ def loss_node_terms(src_mask, tgt_mask, grid, label_space):
     return terms, d0
 
 
-def loss_to_unary_increments(src_mask, tgt_mask, grid, label_space, sign, scale):
-    """Additive unary costs encoding sign * scale * (decomposable loss)."""
-    terms, _ = loss_node_terms(src_mask, tgt_mask, grid, label_space)
-    return float(sign) * float(scale) * terms
-
-
 # ---------------------------------------------------------------------------
 # sample preparation and joint features
 # ---------------------------------------------------------------------------
@@ -209,10 +176,9 @@ def prepare_sample(sample, config):
     pairwise distance table and the per-(node, label) loss contributions."""
     grid = make_control_grid(sample.source, config.spacing_mm)
     ls = initialize_label_space(config.label_schedule(), (config.spacing_mm,) * 3)
-    mcfg = config.metric_config()
     sample.grid = grid
     sample.label_space = ls
-    sample.features = me.feature_table(sample.source, sample.target, grid, ls, mcfg)
+    sample.features = me.feature_table(sample.source, sample.target, grid, ls, config.scales)
     sample.pairwise_table = pairwise_l1_table(ls)
     sample.edges = grid.edges
     sample.src_fg = SegmentationMask(
@@ -256,9 +222,8 @@ def loss_augmented_instance(sample, w, sign, scale):
 def warped_loss(sample, labeling):
     """Exact Dice loss of the class mask deformed by the labeling's FFD field."""
     sparse = sample.label_space.displacements[np.asarray(labeling)]
-    fld = interpolate_dense(sample.grid, sparse, sample.src_fg)
-    warped = warp_mask(sample.src_fg, fld)
-    return dice_loss(warped, sample.tgt_fg, sample.grid)
+    warped = warp_mask(sample.src_fg, interpolate_dense(sample.grid, sparse, sample.src_fg))
+    return 1.0 - exact_dice(warped.labels, sample.tgt_fg.labels)
 
 
 def impute_latent(sample, w, config):
@@ -546,14 +511,10 @@ def write_model(path, wmat, config, extra_meta=None):
     meta = {
         "C": repr(config.C), "alpha": repr(config.alpha), "eta": repr(config.eta),
         "epsilon": repr(config.epsilon), "spacing_mm": repr(config.spacing_mm),
-        "labels": str(config.labels), "mi_bins": str(config.mi_bins),
+        "labels": str(config.labels), "mi_bins": str(me.MI_BINS),
     }
     meta.update(extra_meta or {})
     me.write_weights(path, wmat, meta)
-
-
-def read_model(path):
-    return me.read_weights(path)
 
 
 def write_training_manifest(path, results):

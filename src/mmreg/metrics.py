@@ -1,4 +1,4 @@
-"""Similarity metrics, unary feature vectors and class-conditioned aggregation.
+"""Similarity-metric feature tables, dominant classes and per-class weights.
 
 All metrics follow a dissimilarity convention: lower is a better match.
 Similarities (correlation, mutual information) are converted accordingly.
@@ -11,35 +11,18 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .volume import extract_patch
+from .volume import FormatError, LabelSpace, make_control_grid
 
 METRIC_NAMES = ("SAD", "MI", "NCC", "DWT")
 N_METRICS = len(METRIC_NAMES)
 
 _INV_SQRT8 = 1.0 / (2.0 * np.sqrt(2.0))
 
-
-@dataclass(frozen=True)
-class MetricConfig:
-    """Settings shared by all metric evaluations.
-
-    Attributes:
-        mi_bins: joint-histogram bins per axis for mutual information.
-        empty_cost: dissimilarity assigned when either patch is empty.
-        scales: optional per-metric normalization divisors (length n);
-            None means no normalization.
-    """
-    mi_bins: int = 16
-    empty_cost: float = 1e3
-    scales: tuple = None
-
-    def scale_array(self):
-        if self.scales is None:
-            return np.ones(N_METRICS, dtype=np.float64)
-        s = np.asarray(self.scales, dtype=np.float64)
-        if s.shape != (N_METRICS,) or np.any(s <= 0):
-            raise ValueError(f"scales must be {N_METRICS} positive values, got {self.scales}")
-        return s
+# joint-histogram bins per axis for mutual information
+MI_BINS = 16
+# dissimilarity of every metric when either patch is empty; a sentinel that
+# normalization scales leave as it is
+EMPTY_COST = 1e3
 
 
 def patch_radius(grid_spacing_mm, voxel_spacing_mm):
@@ -48,152 +31,6 @@ def patch_radius(grid_spacing_mm, voxel_spacing_mm):
     g = np.asarray(grid_spacing_mm, dtype=np.float64)
     v = np.asarray(voxel_spacing_mm, dtype=np.float64)
     return tuple(int(r) for r in np.rint(0.5 * g / v))
-
-
-# ---------------------------------------------------------------------------
-# scalar metric kernels
-# ---------------------------------------------------------------------------
-
-def _sad(a, b):
-    return float(np.mean(np.abs(a - b)))
-
-
-def _ncc(a, b):
-    am = a - a.mean()
-    bm = b - b.mean()
-    va = float(np.mean(am * am))
-    vb = float(np.mean(bm * bm))
-    if va == 0.0 or vb == 0.0:
-        return 1.0
-    r = float(np.mean(am * bm)) / np.sqrt(va * vb)
-    return 1.0 - r
-
-
-def _entropy(p):
-    nz = p[p > 0]
-    return float(-np.sum(nz * np.log(nz)))
-
-
-def _mi(a, b, bins):
-    ai = _bin_indices(a, bins)
-    bi = _bin_indices(b, bins)
-    joint = np.bincount(ai * bins + bi, minlength=bins * bins).astype(np.float64)
-    joint /= joint.sum()
-    pa = joint.reshape(bins, bins).sum(axis=1)
-    pb = joint.reshape(bins, bins).sum(axis=0)
-    mi = _entropy(pa) + _entropy(pb) - _entropy(joint)
-    return float(np.log(bins) - mi)
-
-
-def _bin_indices(x, bins):
-    lo = x.min()
-    hi = x.max()
-    if hi == lo:
-        return np.zeros(x.size, dtype=np.int64)
-    idx = ((x.ravel() - lo) / (hi - lo) * bins).astype(np.int64)
-    return np.minimum(idx, bins - 1)
-
-
-def _haar_approx(a):
-    """Single-level 3D Haar approximation band (even-cropped block sums)."""
-    sx, sy, sz = (2 * (s // 2) for s in a.shape)
-    c = a[:sx, :sy, :sz].reshape(sx // 2, 2, sy // 2, 2, sz // 2, 2)
-    return c.sum(axis=(1, 3, 5)) * _INV_SQRT8
-
-
-def _dwt(a, b):
-    if min(a.shape) < 2:
-        # too small for one wavelet level: compare raw intensities
-        return float(np.mean(np.abs(a - b)))
-    return float(np.mean(np.abs(_haar_approx(a) - _haar_approx(b))))
-
-
-def compute_metric(name, patch_src, patch_tgt, cfg=None):
-    """Evaluate one dissimilarity metric on a patch pair.
-
-    Patches are intersected to their common cropped shape around their
-    centers. An empty patch on either side yields cfg.empty_cost.
-
-    Raises:
-        ValueError: unknown metric name, or non-finite patch data.
-    """
-    cfg = cfg or MetricConfig()
-    if name not in METRIC_NAMES:
-        raise ValueError(f"unknown metric {name!r}; expected one of {METRIC_NAMES}")
-    if patch_src.is_empty or patch_tgt.is_empty:
-        return float(cfg.empty_cost)
-    a, b = _common_crop(patch_src, patch_tgt)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("patch data contains NaN or inf")
-    if name == "SAD":
-        return _sad(a, b)
-    if name == "MI":
-        return _mi(a, b, cfg.mi_bins)
-    if name == "NCC":
-        return _ncc(a, b)
-    return _dwt(a, b)
-
-
-def _common_crop(pa, pb):
-    left = [min(pa.left[i], pb.left[i]) for i in range(3)]
-    right = [min(pa.right[i], pb.right[i]) for i in range(3)]
-
-    def crop(p):
-        sl = tuple(
-            slice(p.left[i] - left[i], p.left[i] + right[i] + 1) for i in range(3)
-        )
-        return np.asarray(p.data[sl], dtype=np.float64)
-
-    return crop(pa), crop(pb)
-
-
-# ---------------------------------------------------------------------------
-# per-node operations
-# ---------------------------------------------------------------------------
-
-def unary_features(src, tgt, grid, label_space, node, label, cfg=None):
-    """Feature vector of all metrics for one (node, label) pair.
-
-    The source patch is taken at the displaced control point p_i + d_l,
-    the target patch at the undisplaced p_i. Values are divided by the
-    configured normalization scales; the empty-patch cost is a sentinel
-    and stays unscaled.
-    """
-    cfg = cfg or MetricConfig()
-    radius = patch_radius(grid.spacing_mm, src.spacing)
-    p = grid.points[node]
-    d = label_space.displacements[label]
-    pa = extract_patch(src, p + d, radius)
-    pb = extract_patch(tgt, p, radius)
-    if pa.is_empty or pb.is_empty:
-        return np.full(N_METRICS, float(cfg.empty_cost))
-    vals = np.array([compute_metric(m, pa, pb, cfg) for m in METRIC_NAMES])
-    return vals / cfg.scale_array()
-
-
-def dominant_class(src_mask, grid, label_space, node, label, n_classes):
-    """Most frequent nonzero class in the displaced source-mask patch.
-
-    Labels above n_classes count as n_classes, and ties break to the smaller
-    class id. A patch that is empty or contains only background returns 0
-    (the background column is used downstream).
-    """
-    radius = patch_radius(grid.spacing_mm, src_mask.spacing)
-    p = grid.points[node]
-    d = label_space.displacements[label]
-    patch = extract_patch(src_mask, p + d, radius)
-    if patch.is_empty:
-        return 0
-    counts = np.bincount(np.minimum(patch.data.ravel(), n_classes, dtype=np.int64),
-                         minlength=n_classes + 1)
-    if counts[1:n_classes + 1].sum() == 0:
-        return 0
-    return int(np.argmax(counts[1:n_classes + 1])) + 1
-
-
-def aggregated_unary(features, wmat, class_id):
-    """Class-conditioned linear aggregation: w(class)^T features."""
-    return float(np.dot(wmat.column(class_id), np.asarray(features, dtype=np.float64)))
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +71,8 @@ class WeightMatrix:
         object.__setattr__(self, "metric_names", tuple(self.metric_names))
         if self.scales is not None:
             scales = tuple(float(s) for s in self.scales)
-            if not np.all(np.isfinite(scales)):
-                raise ValueError(f"scales must be finite, got {scales}")
+            if len(scales) != w.shape[0] or not all(np.isfinite(s) and s > 0 for s in scales):
+                raise ValueError(f"scales must be {w.shape[0]} finite values > 0, got {scales}")
             object.__setattr__(self, "scales", scales)
 
     @property
@@ -253,9 +90,6 @@ class WeightMatrix:
 
     def pairwise_for(self, class_id):
         return float(self.pairwise[self.column_index(class_id)])
-
-    def metric_config(self, **kw):
-        return MetricConfig(scales=self.scales, **kw)
 
 
 def single_metric_weights(name, magnitude, pairwise, scales=None):
@@ -291,8 +125,6 @@ def read_weights(path):
     The metrics= header may list SAD, MI, NCC and DWT in any order; weight
     rows and scales are permuted into METRIC_NAMES order.
     """
-    from .volume import FormatError
-
     with open(path) as f:
         lines = [ln for ln in f.read().splitlines() if ln.strip()]
     if not lines:
@@ -370,8 +202,9 @@ def _metric_rows(a, b, ha, hb, bins):
     ha: (rows, n_h) Haar approximation bands of the source patches and hb:
     (n_h,) the target's, both read from box-summed volumes (see feature_table);
     None when a patch side is < 2, and DWT then equals SAD.
-    Uses algebraically fused forms of the scalar kernels (identical math,
-    reduction order may differ at the last few ulps).
+    Uses algebraically fused forms of the scalar kernels in
+    tests/metric_oracle.py (identical math, reduction order may differ at
+    the last few ulps).
     """
     rows, n_vox = a.shape
     out = np.empty((rows, N_METRICS), dtype=np.float64)
@@ -457,12 +290,15 @@ def _gather_blocks(arr, corners, shape):
     return view[corners[:, 0], corners[:, 1], corners[:, 2]]
 
 
-def feature_table(src, tgt, grid, label_space, cfg=None):
+def feature_table(src, tgt, grid, label_space, scales=None):
     """All unary feature vectors: (|V|, |L|, n_metrics).
 
-    Vectorized equivalent of calling unary_features for every (node, label);
-    pairs whose source or target patch is empty get cfg.empty_cost in every
-    metric slot (before normalization the cost is used as-is).
+    Entry (i, l) compares the source patch at the displaced control point
+    p_i + d_l with the target patch at p_i, both cropped to their common
+    shape, and divides each metric by its normalization scale (none when
+    `scales` is None). The straight per-patch kernels in
+    tests/metric_oracle.py define every value. Pairs whose source or target
+    patch is empty get EMPTY_COST in every metric slot, unscaled.
 
     Rows are evaluated per node and crop shape, each run of source patches
     gathered against the node's one target patch. DWT reads every patch's
@@ -471,7 +307,6 @@ def feature_table(src, tgt, grid, label_space, cfg=None):
     nonzero magnitudes span more than about 2^26), and the band equals the
     per-patch block sum bit for bit.
     """
-    cfg = cfg or MetricConfig()
     if not (np.all(np.isfinite(src.data)) and np.all(np.isfinite(tgt.data))):
         raise ValueError("volume data contains NaN or inf")
     radius = np.asarray(patch_radius(grid.spacing_mm, src.spacing), dtype=np.int64)
@@ -480,7 +315,7 @@ def feature_table(src, tgt, grid, label_space, cfg=None):
     L = label_space.n_labels
     c_src, in_src, c_tgt, in_tgt = _center_table(src, grid, label_space)
 
-    out = np.full((V, L, N_METRICS), float(cfg.empty_cost), dtype=np.float64)
+    out = np.full((V, L, N_METRICS), EMPTY_COST, dtype=np.float64)
     valid = in_src & in_tgt[:, None]
     if not np.any(valid):
         return out
@@ -534,15 +369,16 @@ def feature_table(src, tgt, grid, label_space, cfg=None):
             if haar:
                 ha = src_band[c].reshape(len(run), -1) * _INV_SQRT8
                 hb = tgt_band[t].reshape(-1) * _INV_SQRT8
-            u_vals[run] = _metric_rows(a, b, ha, hb, cfg.mi_bins)
+            u_vals[run] = _metric_rows(a, b, ha, hb, MI_BINS)
 
-    out[vi, li] = u_vals[inverse] / cfg.scale_array()
+    out[vi, li] = u_vals[inverse] / np.asarray(
+        (1.0,) * N_METRICS if scales is None else scales, dtype=np.float64)
     return out
 
 
-def empty_feature_rows(features, cfg):
+def empty_feature_rows(features):
     """(|V|, |L|) mask of (node, label) pairs whose patches were empty."""
-    return np.all(features == float(cfg.empty_cost), axis=2)
+    return np.all(features == EMPTY_COST, axis=2)
 
 
 def dominant_class_table(src_mask, grid, label_space, n_classes):
@@ -579,7 +415,7 @@ def dominant_class_table(src_mask, grid, label_space, n_classes):
     return out
 
 
-def calibrate_scales(pairs, grid_spacing_mm, cfg=None):
+def calibrate_scales(pairs, grid_spacing_mm):
     """Per-metric normalization divisors from zero-displacement features.
 
     For each (source, target) volume pair, features are computed for the
@@ -587,17 +423,12 @@ def calibrate_scales(pairs, grid_spacing_mm, cfg=None):
     the 95th percentile per metric over all pooled nodes. Metrics whose
     percentile is zero keep scale 1.
     """
-    from .volume import make_control_grid, LabelSpace as _LS
-
-    cfg = cfg or MetricConfig()
-    base = MetricConfig(mi_bins=cfg.mi_bins, empty_cost=cfg.empty_cost, scales=None)
-    zero_ls = _LS(np.zeros((1, 3)), 0.0)
+    zero_ls = LabelSpace(np.zeros((1, 3)), 0.0)
     pooled = []
     for src, tgt in pairs:
         grid = make_control_grid(src, grid_spacing_mm)
-        feats = feature_table(src, tgt, grid, zero_ls, base)[:, 0, :]
-        keep = ~np.all(feats == base.empty_cost, axis=1)
-        pooled.append(feats[keep])
+        feats = feature_table(src, tgt, grid, zero_ls)
+        pooled.append(feats[~empty_feature_rows(feats)])
     allf = np.concatenate(pooled, axis=0)
     scales = np.percentile(allf, 95.0, axis=0)
     scales = np.where(scales > 0, scales, 1.0)

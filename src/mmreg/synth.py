@@ -16,6 +16,7 @@ from .volume import (
     DeformationField,
     SegmentationMask,
     Volume,
+    check_fields,
     interpolate_dense,
     make_control_grid,
     parse_value,
@@ -56,12 +57,14 @@ class SynthSpec:
     max_gt_disp_mm: float = 8.0
 
     def __post_init__(self):
-        if self.gt_mode not in GT_MODES:
-            raise ValueError(f"gt_mode must be one of {GT_MODES}, got {self.gt_mode!r}")
-        if self.n_pairs < 1:
-            raise ValueError("n_pairs must be >= 1")
-        if len(self.organ_radii_mm) != len(self.organ_centers_frac):
-            raise ValueError("organ radii and centers must have the same length")
+        check_fields(self, {
+            f"gt_mode in {GT_MODES}": self.gt_mode in GT_MODES,
+            "n_pairs >= 1": self.n_pairs >= 1,
+            "3 dims >= 1": len(self.dims) == 3 and min(self.dims) >= 1,
+            "3 spacing_mm > 0": len(self.spacing_mm) == 3 and min(self.spacing_mm) > 0,
+            "noise_sigma >= 0": self.noise_sigma >= 0,
+            "one organ center per radius": len(self.organ_radii_mm) == len(self.organ_centers_frac),
+        })
 
 
 @dataclass

@@ -69,12 +69,13 @@ def parse_value(text, kind):
 
 
 def check_fields(obj, rules):
-    """ValueError unless every float of the dataclass `obj` (a field or an
-    item of a tuple field) is finite and every rule holds; `rules` maps the
-    text of each rule to whether it holds."""
+    """ValueError unless every float of the dataclass `obj` (a field, or an
+    item of a tuple field or of its tuples) is finite and every rule holds;
+    `rules` maps the text of each rule to whether it holds."""
     for f in fields(obj):
         value = getattr(obj, f.name)
-        items = value if isinstance(value, tuple) else (value,)
+        items = [y for x in (value if isinstance(value, tuple) else (value,))
+                 for y in (x if isinstance(x, tuple) else (x,))]
         if not all(math.isfinite(x) for x in items if isinstance(x, float)):
             raise ValueError(f"{f.name} must be finite, got {value!r}")
     for rule, holds in rules.items():
@@ -273,37 +274,24 @@ class LabelSpace:
 
 @dataclass(frozen=True)
 class DeformationField:
-    """Sparse (per-control-point) and/or dense (per-voxel) displacements in mm.
-
-    The dense representation carries the geometry of the volume it is
-    sampled on: dense has shape (nx, ny, nz, 3).
-    """
-    sparse: np.ndarray = None
-    dense: np.ndarray = None
-    spacing: tuple = None
-    origin: tuple = None
+    """Per-voxel displacements in mm on the grid of the volume they were
+    sampled on: dense has shape (nx, ny, nz, 3)."""
+    dense: np.ndarray
+    spacing: tuple
+    origin: tuple
 
     def __post_init__(self):
-        if self.sparse is not None:
-            s = np.ascontiguousarray(self.sparse, dtype=np.float64)
-            if s.ndim != 2 or s.shape[1] != 3:
-                raise ValueError("sparse field must have shape (|V|, 3)")
-            s.setflags(write=False)
-            object.__setattr__(self, "sparse", s)
-        if self.dense is not None:
-            d = np.ascontiguousarray(self.dense, dtype=np.float64)
-            if d.ndim != 4 or d.shape[3] != 3:
-                raise ValueError("dense field must have shape (nx, ny, nz, 3)")
-            d.setflags(write=False)
-            object.__setattr__(self, "dense", d)
-            if self.spacing is None or self.origin is None:
-                raise ValueError("dense field requires spacing and origin")
-            object.__setattr__(self, "spacing", _as_triple(self.spacing))
-            object.__setattr__(self, "origin", _as_triple(self.origin))
+        d = np.ascontiguousarray(self.dense, dtype=np.float64)
+        if d.ndim != 4 or d.shape[3] != 3:
+            raise ValueError("dense field must have shape (nx, ny, nz, 3)")
+        d.setflags(write=False)
+        object.__setattr__(self, "dense", d)
+        object.__setattr__(self, "spacing", _as_triple(self.spacing))
+        object.__setattr__(self, "origin", _as_triple(self.origin))
 
     @property
     def dims(self):
-        return None if self.dense is None else self.dense.shape[:3]
+        return self.dense.shape[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -380,21 +368,20 @@ def ffd_evaluate(grid, sparse_disp, points_mm):
     return out
 
 
-def interpolate_dense(grid, sparse_field, like):
-    """Densify a sparse control-point field onto the voxel grid of `like`.
+def interpolate_dense(grid, sparse, like):
+    """Densify control-point displacements onto the voxel grid of `like`.
 
     Uses separable cubic B-spline interpolation; at every voxel the result
     is a convex combination of the surrounding 4x4x4 control displacements.
 
     Args:
         grid: ControlGrid.
-        sparse_field: DeformationField with sparse set, or an (|V|, 3) array.
+        sparse: (|V|, 3) control-point displacements in mm.
         like: Volume or SegmentationMask supplying dims/spacing/origin.
 
     Returns:
-        DeformationField with both sparse and dense representations.
+        DeformationField on the grid of `like`.
     """
-    sparse = sparse_field.sparse if isinstance(sparse_field, DeformationField) else sparse_field
     sparse = np.asarray(sparse, dtype=np.float64)
     if sparse.shape != (grid.n_nodes, 3):
         raise ValueError(
@@ -420,7 +407,7 @@ def interpolate_dense(grid, sparse_field, like):
     tmp = np.einsum("ma,nmakc->nmkc", weights[1], tmp[:, idx_y])    # (nx, ny, gz, 3)
     idx_z = cells[2][:, None] - 1 + np.arange(4)[None, :]
     dense = np.einsum("pa,nmpac->nmpc", weights[2], tmp[:, :, idx_z])
-    return DeformationField(sparse=sparse, dense=dense, spacing=spacing, origin=origin)
+    return DeformationField(dense, spacing, origin)
 
 
 def _trilinear(values, coords):
@@ -454,8 +441,6 @@ def sample_field(fld, points_mm):
 
     Out-of-grid queries are clamped to the field boundary.
     """
-    if fld.dense is None:
-        raise ValueError("field has no dense representation")
     pts = np.asarray(points_mm, dtype=np.float64).reshape(-1, 3)
     coords = [(pts[:, a] - fld.origin[a]) / fld.spacing[a] for a in range(3)]
     return _trilinear(fld.dense, coords)
@@ -468,8 +453,6 @@ def sample_field(fld, points_mm):
 def _sample_coords(vol_like, fld):
     """Continuous voxel coordinates of x + d(x) for every voxel x."""
     dims = vol_like.dims
-    if fld.dense is None:
-        raise ValueError("warping requires a dense deformation field")
     if fld.dims != dims:
         raise ValueError(f"field dims {fld.dims} do not match volume dims {dims}")
     coords = []
@@ -526,56 +509,8 @@ def warp_mask(mask, fld):
 
 
 # ---------------------------------------------------------------------------
-# patches and tiles
+# tiles
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Patch:
-    """Axis-aligned block of voxels around a center voxel.
-
-    `left`/`right` record how many voxels the block extends from the center
-    along each axis (after cropping at the volume bounds), so two patches
-    can be intersected to a common shape. An empty patch has data=None.
-    """
-    data: np.ndarray = None
-    left: tuple = (0, 0, 0)
-    right: tuple = (0, 0, 0)
-    center_idx: tuple = None
-
-    @property
-    def is_empty(self):
-        return self.data is None
-
-    @property
-    def n_voxels(self):
-        return 0 if self.data is None else int(self.data.size)
-
-
-def extract_patch(vol_or_mask, center_mm, extent):
-    """Extract the block of `extent` voxels per side around the voxel nearest
-    to `center_mm`, cropped at the volume bounds.
-
-    A center outside the physical voxel-center extent yields an empty patch.
-    """
-    arr = vol_or_mask.data if isinstance(vol_or_mask, Volume) else vol_or_mask.labels
-    dims = vol_or_mask.dims
-    ext = np.asarray(extent, dtype=np.int64) if np.iterable(extent) else np.full(3, int(extent))
-    if np.any(ext < 0):
-        raise ValueError(f"patch extent must be >= 0, got {extent}")
-    t = [
-        (float(center_mm[a]) - vol_or_mask.origin[a]) / vol_or_mask.spacing[a]
-        for a in range(3)
-    ]
-    if any(t[a] < 0.0 or t[a] > dims[a] - 1 for a in range(3)):
-        return Patch()
-    c = [int(np.rint(t[a])) for a in range(3)]
-    lo = [max(c[a] - int(ext[a]), 0) for a in range(3)]
-    hi = [min(c[a] + int(ext[a]), dims[a] - 1) for a in range(3)]
-    block = arr[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1, lo[2]:hi[2] + 1]
-    left = tuple(c[a] - lo[a] for a in range(3))
-    right = tuple(hi[a] - c[a] for a in range(3))
-    return Patch(np.ascontiguousarray(block), left, right, tuple(c))
-
 
 def tile_edges(grid, like):
     """Per-axis voxel-index boundaries assigning every voxel to its nearest
@@ -597,21 +532,6 @@ def tile_edges(grid, like):
         b = np.searchsorted(owner, np.arange(g + 1), side="left")
         bounds.append(b)
     return bounds
-
-
-def tile_slices(grid, like):
-    """List of per-node (slice, slice, slice) tiles partitioning the volume."""
-    bounds = tile_edges(grid, like)
-    gx, gy, gz = grid.grid_dims
-    out = [None] * grid.n_nodes
-    for iz in range(gz):
-        sz = slice(bounds[2][iz], bounds[2][iz + 1])
-        for iy in range(gy):
-            sy = slice(bounds[1][iy], bounds[1][iy + 1])
-            for ix in range(gx):
-                sx = slice(bounds[0][ix], bounds[0][ix + 1])
-                out[grid.node_index(ix, iy, iz)] = (sx, sy, sz)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -722,9 +642,7 @@ def write_mask(path, mask):
 
 
 def write_field(path, fld):
-    """Write a dense deformation field: f32 raw with 3 components per voxel."""
-    if fld.dense is None:
-        raise ValueError("field has no dense representation to write")
+    """Write a deformation field: f32 raw with 3 components per voxel."""
     # component-fastest within each voxel, then x-fastest over voxels
     payload = np.moveaxis(fld.dense.astype("<f4"), 3, 0).ravel(order="F")
     _write_raw(path, fld, "f32", payload, components=3)
@@ -742,5 +660,4 @@ def read_mask(path):
 
 def read_field(path):
     data, spacing, origin = _read_raw(path, "field", ("f32",), 3)
-    return DeformationField(dense=np.moveaxis(data, 0, 3).astype(np.float64),
-                            spacing=spacing, origin=origin)
+    return DeformationField(np.moveaxis(data, 0, 3).astype(np.float64), spacing, origin)

@@ -98,16 +98,15 @@ def _haar_rows(A):
     return (c.sum(axis=(2, 4, 6)) * _INV_SQRT8).reshape(rows, -1)
 
 
-def feature_table_oracle(src, tgt, grid, label_space, cfg=None):
+def feature_table_oracle(src, tgt, grid, label_space, scales=None):
     """The replaced `feature_table`, line for line."""
-    cfg = cfg or me.MetricConfig()
     radius = np.asarray(me.patch_radius(grid.spacing_mm, src.spacing), dtype=np.int64)
     dims = np.asarray(src.dims)
     V = grid.n_nodes
     L = label_space.n_labels
     c_src, in_src, c_tgt, in_tgt = me._center_table(src, grid, label_space)
 
-    out = np.full((V, L, N_METRICS), float(cfg.empty_cost), dtype=np.float64)
+    out = np.full((V, L, N_METRICS), me.EMPTY_COST, dtype=np.float64)
     valid = in_src & in_tgt[:, None]
     if not np.any(valid):
         return out
@@ -154,7 +153,7 @@ def feature_table_oracle(src, tgt, grid, label_space, cfg=None):
                 corner[1]:corner[1] + shape[1],
                 corner[2]:corner[2] + shape[2],
             ]
-            u_vals[g[lo:hi]] = _metric_rows(A[lo:hi], b.reshape(-1), cfg.mi_bins)
+            u_vals[g[lo:hi]] = _metric_rows(A[lo:hi], b.reshape(-1), me.MI_BINS)
 
-    out[vi, li] = u_vals[inverse] / cfg.scale_array()
+    out[vi, li] = u_vals[inverse] / np.asarray((1.0,) * N_METRICS if scales is None else scales)
     return out

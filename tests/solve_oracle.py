@@ -1,10 +1,13 @@
-"""Reference expansion-move solver: a min-cut for every label of every sweep.
+"""Reference MRF solvers: exact enumeration, and a min-cut for every label of
+every sweep.
 
-This is the solver `mmreg.graphreg.solve` replaced. It builds a fresh sparse
-graph per cut and reads the cut from `graph - flow`; the library's solver
-skips moves it can prove useless and reuses one flow network per instance.
-Both must return the same labeling bit for bit, and the same move mask for
-every cut the library does make.
+`solve_bruteforce` enumerates every labeling of a small instance, so tests
+can bound the energy `mmreg.graphreg.solve` reaches. `solve_oracle` is the
+solver `mmreg.graphreg.solve` replaced. It builds a fresh sparse graph per
+cut and reads the cut from `graph - flow`; the library's solver skips moves
+it can prove useless and reuses one flow network per instance. Both must
+return the same labeling bit for bit, and the same move mask for every cut
+the library does make.
 """
 
 import numpy as np
@@ -150,3 +153,32 @@ def solve_oracle(instance, max_sweeps=20):
             break
     return labeling
 
+
+def solve_bruteforce(instance, limit=10_000_000):
+    """Exact minimum by enumeration; ties break to the lexicographically
+    smallest labeling (node 0 most significant)."""
+    V = instance.n_nodes
+    L = instance.n_labels
+    total = L ** V
+    if total > limit:
+        raise ValueError(f"{L}^{V} labelings exceed the enumeration limit {limit}")
+    ew = instance.edge_weight_array()
+    edges = instance.edges
+    best_energy = np.inf
+    best_index = -1
+    chunk = 1 << 18
+    powers = L ** (V - 1 - np.arange(V, dtype=np.int64))
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        digits = (idx[:, None] // powers[None, :]) % L       # (chunk, V)
+        e = instance.unaries[np.arange(V)[None, :], digits].sum(axis=1)
+        if len(edges):
+            li = digits[:, edges[:, 0]]
+            lj = digits[:, edges[:, 1]]
+            e += (ew[None, :] * instance.pairwise_table[li, lj]).sum(axis=1)
+        k = int(np.argmin(e))
+        if e[k] < best_energy:
+            best_energy = float(e[k])
+            best_index = int(idx[k])
+    digits = (best_index // powers) % L
+    return digits.astype(np.int64)

@@ -51,7 +51,6 @@ finest_spacing_mm=25.0
 labels_per_level=125
 levels=2
 max_cccp=20
-mi_bins=16
 normalize_metrics=True
 refine_factor=0.7
 seed=0
@@ -76,7 +75,7 @@ FLOAT_KEYS = ["finest_spacing_mm", "bound_factor", "refine_factor", "train_C", "
 OUT_OF_RANGE = {
     "levels": "0", "steps_per_level": "0", "labels_per_level": "0",
     "finest_spacing_mm": "0", "bound_factor": "0.5", "refine_factor": "1.0",
-    "mi_bins": "1", "normalize_metrics": "maybe", "train_C": "0", "train_alpha": "-0.1",
+    "normalize_metrics": "maybe", "train_C": "0", "train_alpha": "-0.1",
     "eta": "0", "epsilon": "0", "slack_tol": "-1e-4", "max_cccp": "0", "w0": "1,2,3",
     "wp0": "-1", "train_spacing_mm": "-25", "train_labels": "0",
     "baseline_wp_scale": "-0.02", "seed": "1.5", "threads": "0", "timings": "2",
@@ -110,6 +109,9 @@ class TestConfig:
             cli.load_config(path)
         with pytest.raises(cli.ConfigError):
             cli.load_config(None, ["nope=2"])
+        # MI always uses metrics.MI_BINS, so training and registration agree
+        with pytest.raises(cli.ConfigError):
+            cli.load_config(None, ["mi_bins=8"])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(cli.ConfigError):
@@ -221,6 +223,17 @@ class TestSynthCommand:
             lines.append(f"{f.name} = {v}")
         assert read_synth_spec(write_text(tmp_path / "s.txt", "\n".join(lines))) == want
 
+    @pytest.mark.parametrize("line", [
+        "noise_sigma=nan", "noise_sigma=-0.01", "dims=0,4,4", "dims=4,4",
+        "spacing_mm=2.0,0.0,2.0", "spacing_mm=2.0,inf,2.0", "organ_centers_frac=0.5,nan,0.5",
+    ])
+    def test_bad_spec_value_exits_3_and_writes_nothing(self, tmp_path, line):
+        spec = write_text(tmp_path / "s.txt", SYNTH_SPEC + line + "\n")
+        out = tmp_path / "o"
+        rc = cli.main(["synth", "--spec", spec, "--seed", "0", "--out-dir", str(out)])
+        assert rc == 3
+        assert not out.exists()
+
     def test_bad_spec_key(self, tmp_path):
         spec = write_text(tmp_path / "s.txt", "volume=huge\n")
         rc = cli.main(["synth", "--spec", spec, "--seed", "0", "--out-dir", str(tmp_path / "o")])
@@ -292,10 +305,17 @@ class TestRegisterCommand:
         "metrics=SAD,MI,NCC,DWT classes=0\nnan 10 10 10 0.3\n",
         "metrics=SAD,MI,NCC,DWT classes=0\n0.1 inf 10 10 0.3\n",
         "metrics=SAD,MI,NCC,DWT classes=0 scales=nan,1,1,1\n0.1 10 10 10 0.3\n",
+        "metrics=SAD,MI,NCC,DWT classes=0 scales=0,1,1,1\n0.1 10 10 10 0.3\n",
+        "metrics=SAD,MI,NCC,DWT classes=0 scales=-1,1,1,1\n0.1 10 10 10 0.3\n",
     ])
-    def test_malformed_weights_exits_2(self, workspace, text):
+    def test_malformed_weights_exits_2(self, workspace, monkeypatch, text):
         tmp, cfg, data = workspace
         wpath = write_text(tmp / "bad.txt", text)
+
+        def no_read(path):
+            raise AssertionError(f"volume {path} read before the weights were checked")
+
+        monkeypatch.setattr(cli, "read_volume", no_read)
         rc = cli.main([
             "register",
             "--source", os.path.join(data, "pair000_src.vol"),
@@ -305,6 +325,26 @@ class TestRegisterCommand:
         ])
         assert rc == 2
 
+
+    @pytest.mark.parametrize("setting", ["labels_per_level=100", "train_labels=64"])
+    @pytest.mark.parametrize("command", ["register", "train"])
+    def test_non_odd_cube_label_count_exits_3_at_config_load(self, workspace, monkeypatch,
+                                                             command, setting):
+        tmp, cfg, data = workspace
+
+        def no_read(path):
+            raise AssertionError(f"volume {path} read before the config was checked")
+
+        monkeypatch.setattr(cli, "read_volume", no_read)
+        argv = {"register": ["register", "--source", os.path.join(data, "pair000_src.vol"),
+                             "--target", os.path.join(data, "pair000_tgt.vol"),
+                             "--weights", str(tmp / "absent.txt"),
+                             "--out-field", str(tmp / "out" / "f.fld"),
+                             "--out-warped", str(tmp / "out" / "wv.vol")],
+                "train": ["train", "--dataset", os.path.join(data, "manifest.csv"),
+                          "--out-model", str(tmp / "out" / "model.txt")]}[command]
+        assert cli.main(argv + ["--set", setting]) == 3
+        assert not os.path.exists(tmp / "out")
 
     @pytest.mark.parametrize("setting", ["finest_spacing_mm=inf", "eta=nan", "w0=1,2,3,inf"])
     def test_non_finite_setting_exits_3(self, workspace, setting):
@@ -427,8 +467,9 @@ class TestTrainEvaluateCommands:
         assert rc in (0, 4)
         assert os.path.exists(model)
         assert os.path.exists(model + ".log")
-        wmat, meta = learn.read_model(model)
+        wmat, meta = me.read_weights(model)
         assert "eta" in meta and "scales" not in meta   # scales live in the header
+        assert meta["mi_bins"] == str(me.MI_BINS)
         log = open(model + ".log").read()
         assert log.startswith("class cccp_iter outer_objective")
 

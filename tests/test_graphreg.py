@@ -6,6 +6,7 @@ from mmreg import metrics as me
 from mmreg.volume import LabelSpace, SegmentationMask, Volume, make_control_grid, warp_mask
 from mmreg.synth import SynthSpec, synth_dataset
 
+import metric_oracle as mo
 import solve_oracle
 
 
@@ -82,10 +83,11 @@ class TestLabelSpaces:
         assert zero_rows.sum() == 1 and zero_rows[0]
 
     def test_non_cube_count_rejected(self):
-        with pytest.raises(ValueError):
-            gr.initialize_label_space(gr.PyramidConfig(labels_per_level=100), (25.0,) * 3)
-        with pytest.raises(ValueError):
-            gr.initialize_label_space(gr.PyramidConfig(labels_per_level=64), (25.0,) * 3)
+        # the catalog is k^3 labels for an odd k; other counts fail at construction
+        for n in (100, 64, 8, -27):
+            with pytest.raises(ValueError):
+                gr.PyramidConfig(labels_per_level=n)
+        assert gr.PyramidConfig(labels_per_level=1).labels_per_level == 1
 
     def test_refine_scales_by_factor(self):
         cfg = gr.PyramidConfig()
@@ -125,7 +127,7 @@ class TestSolve:
         lab = gr.solve(inst)
         assert inst.energy(lab) == pytest.approx(1.0)
         assert np.array_equal(lab, [0, 1])
-        assert np.array_equal(gr.solve_bruteforce(inst), [0, 1])
+        assert np.array_equal(solve_oracle.solve_bruteforce(inst), [0, 1])
 
     def test_zero_pairwise_equals_argmin(self):
         for seed in range(20):
@@ -160,7 +162,7 @@ class TestSolve:
         for seed in range(100):
             inst = registration_like_instance(seed)
             e1 = inst.energy(gr.solve(inst))
-            e2 = inst.energy(gr.solve_bruteforce(inst))
+            e2 = inst.energy(solve_oracle.solve_bruteforce(inst))
             assert e1 <= 1.05 * e2 + 1e-12
             worst = max(worst, e1 / max(e2, 1e-12))
         assert worst <= 1.05
@@ -168,12 +170,12 @@ class TestSolve:
     def test_bruteforce_lexicographic_ties(self):
         # all-equal unaries, zero pairwise: every labeling optimal
         inst = gr.MrfInstance(np.zeros((3, 3)), 0.0, np.zeros((3, 3)), np.zeros((0, 2), dtype=int))
-        assert np.array_equal(gr.solve_bruteforce(inst), [0, 0, 0])
+        assert np.array_equal(solve_oracle.solve_bruteforce(inst), [0, 0, 0])
 
     def test_bruteforce_limit(self):
         inst = gr.MrfInstance(np.zeros((30, 10)), 0.0, np.zeros((10, 10)), np.zeros((0, 2), dtype=int))
         with pytest.raises(ValueError):
-            gr.solve_bruteforce(inst)
+            solve_oracle.solve_bruteforce(inst)
 
     def test_edge_weight_array_variants(self):
         inst = registration_like_instance(3)
@@ -206,20 +208,17 @@ class TestBuildInstance:
         ls = gr.initialize_label_space(cfgp, (12.0,) * 3)
         rng = np.random.default_rng(0)
         wmat = me.WeightMatrix(rng.uniform(0.1, 2.0, (4, 2)), np.array([0.3, 0.6]), (0, 1))
-        cfg = me.MetricConfig()
-        inst = gr.build_instance(p.source, p.target, p.source_mask, wmat, grid, ls, cfg)
+        inst = gr.build_instance(p.source, p.target, p.source_mask, wmat, grid, ls)
 
-        empties = me.empty_feature_rows(
-            me.feature_table(p.source, p.target, grid, ls, cfg), cfg
-        )
+        empties = me.empty_feature_rows(me.feature_table(p.source, p.target, grid, ls))
         checked = 0
         for node in range(0, grid.n_nodes, 17):
             for lab in range(0, ls.n_labels, 5):
                 if empties[node, lab]:
                     continue
-                u = me.unary_features(p.source, p.target, grid, ls, node, lab, cfg)
-                c = me.dominant_class(p.source_mask, grid, ls, node, lab, 1)
-                expected = me.aggregated_unary(u, wmat, c)
+                u = mo.unary_features(p.source, p.target, grid, ls, node, lab)
+                c = mo.dominant_class(p.source_mask, grid, ls, node, lab, 1)
+                expected = mo.aggregated_unary(u, wmat, c)
                 assert inst.unaries[node, lab] == pytest.approx(expected, rel=1e-9)
                 checked += 1
         assert checked > 10

@@ -1,8 +1,14 @@
-"""Unused-import check for the library, on the standard library's `ast`.
+"""Dead-code checks for the library, on the standard library's `ast`.
 
-No linter ships with the project's dependencies, so this test stands in for
-one rule: every name a library module imports must be used in that module.
-`__init__.py` is skipped, since its imports are the package's re-exports.
+No linter ships with the project's dependencies, so these tests stand in for
+two rules:
+
+* every name a library module imports must be used in that module;
+* every public top-level function or class of a library module must be
+  referenced by other library code or by the benchmark (`bench/`).
+
+`__init__.py` is skipped by both, since its imports are the package's
+re-exports and do not count as uses.
 """
 
 import ast
@@ -10,7 +16,9 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "mmreg"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "mmreg"
+MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
 def unused_imports(source):
@@ -25,7 +33,28 @@ def unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
+def unreferenced_definitions(library, users):
+    """(module, name) of each public top-level function or class in the
+    `library` sources ({module: source}) that no other top-level statement
+    of the library or of the `users` sources names; a definition's uses of
+    its own name (recursion) do not count."""
+    defined = []
+    refs = {}                     # name -> ids of the top-level statements using it
+    for module, source in list(library.items()) + list(users.items()):
+        for k, stmt in enumerate(ast.parse(source).body):
+            if module in library and isinstance(
+                    stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
+                defined.append((module, stmt.name, (module, k)))
+            for node in ast.walk(stmt):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None:
+                    refs.setdefault(name, set()).add((module, k))
+    return sorted((module, name) for module, name, own in defined
+                  if not refs.get(name, set()) - {own})
+
+
+@pytest.mark.parametrize("path", MODULES)
 def test_no_unused_imports(path):
     assert unused_imports((SRC / path).read_text()) == []
 
@@ -33,3 +62,19 @@ def test_no_unused_imports(path):
 def test_check_finds_an_unused_import():
     assert unused_imports("import os\nimport sys\nfrom a import b as c\nsys.exit()\n") == [
         (1, "os"), (3, "c")]
+
+
+def test_every_public_definition_is_referenced():
+    library = {name: (SRC / name).read_text() for name in MODULES}
+    bench = {f"bench/{p.name}": p.read_text() for p in sorted((ROOT / "bench").glob("*.py"))}
+    assert unreferenced_definitions(library, bench) == []
+
+
+def test_check_finds_an_unreferenced_definition():
+    library = {
+        "a.py": "def used():\n    pass\n\ndef dead(n):\n    return dead(n - 1)\n\n"
+                "class _Private:\n    pass\n\nclass Called:\n    pass\n",
+        "b.py": "from a import dead\n\ndef caller():\n    return used()\n",
+    }
+    bench = {"run.py": "import a\na.Called()\n"}
+    assert unreferenced_definitions(library, bench) == [("a.py", "dead"), ("b.py", "caller")]

@@ -4,15 +4,19 @@ import pytest
 from mmreg import graphreg as gr
 from mmreg import learn
 from mmreg import metrics as me
+from mmreg.evaluation import exact_dice
 from mmreg.volume import (
     LabelSpace,
     SegmentationMask,
     Volume,
     interpolate_dense,
     make_control_grid,
+    tile_edges,
     warp_mask,
 )
 from mmreg.synth import SynthSpec, synth_dataset
+
+from solve_oracle import solve_bruteforce
 
 
 @pytest.fixture
@@ -32,23 +36,28 @@ def box_mask(dims, lo, hi, spacing=(2.0, 2.0, 2.0)):
     return SegmentationMask(arr, spacing)
 
 
+def dice_loss(mask_a, mask_b):
+    """The exact loss the trainer stores with a constraint (see warped_loss)."""
+    return 1.0 - exact_dice(mask_a.labels, mask_b.labels)
+
+
 class TestDiceLoss:
     def test_identical_nonempty(self, small_grid):
         vol, grid = small_grid
         m = box_mask(vol.dims, (3, 3, 3), (8, 8, 8))
-        assert learn.dice_loss(m, m, grid) == 0.0
+        assert dice_loss(m, m) == 0.0
 
     def test_disjoint(self, small_grid):
         vol, grid = small_grid
         a = box_mask(vol.dims, (0, 0, 0), (4, 4, 4))
         b = box_mask(vol.dims, (8, 8, 8), (12, 12, 12))
-        assert learn.dice_loss(a, b, grid) == 1.0
+        assert dice_loss(a, b) == 1.0
 
     def test_known_overlap(self, small_grid):
         vol, grid = small_grid
         a = box_mask(vol.dims, (3, 4, 3), (8, 9, 7))      # 5*5*4 = 100 voxels
         b = box_mask(vol.dims, (5, 4, 3), (10, 9, 7))     # overlap 3*5*4 = 60
-        got = learn.dice_loss(a, b, grid)
+        got = dice_loss(a, b)
         assert got == pytest.approx(1.0 - 2 * 60 / 200, abs=1e-15)
 
     def test_voxel_loop_oracle(self, small_grid, rng):
@@ -63,21 +72,21 @@ class TestDiceLoss:
                 for z in range(vol.dims[2]) if a[x, y, z] and b[x, y, z]
             )
             expected = 1.0 - 2.0 * inter / (a.sum() + b.sum())
-            assert learn.dice_loss(ma, mb, grid) == expected
+            assert dice_loss(ma, mb) == expected
 
     def test_bounds_and_symmetry(self, small_grid, rng):
         vol, grid = small_grid
         for _ in range(10):
             a = SegmentationMask((rng.random(vol.dims) > 0.6).astype(np.uint8), vol.spacing)
             b = SegmentationMask((rng.random(vol.dims) > 0.6).astype(np.uint8), vol.spacing)
-            l1 = learn.dice_loss(a, b, grid)
+            l1 = dice_loss(a, b)
             assert 0.0 <= l1 <= 1.0
-            assert l1 == learn.dice_loss(b, a, grid)
+            assert l1 == dice_loss(b, a)
 
     def test_both_empty(self, small_grid):
         vol, grid = small_grid
         e = box_mask(vol.dims, (0, 0, 0), (0, 0, 0))
-        assert learn.dice_loss(e, e, grid) == 0.0
+        assert dice_loss(e, e) == 0.0
 
 
 class TestLossIncrements:
@@ -90,12 +99,12 @@ class TestLossIncrements:
         # summed over nodes the zero-label surrogate equals the exact loss (0)
         assert terms[:, 0].sum() == pytest.approx(0.0, abs=1e-12)
 
-    def test_scale_zero(self, small_grid):
-        vol, grid = small_grid
-        a = box_mask(vol.dims, (3, 3, 3), (9, 9, 9))
-        ls = LabelSpace(np.array([[0.0, 0, 0], [2.0, 0, 0]]), 2.0)
-        inc = learn.loss_to_unary_increments(a, a, grid, ls, +1, 0.0)
-        assert np.all(inc == 0.0)
+    def test_scale_zero(self, rng):
+        # a zero loss scale leaves the plain registration unaries
+        s = toy_sample(rng)
+        w = np.array([0.5, 1.0, 2.0, 0.1, 0.3])
+        inst = learn.loss_augmented_instance(s, w, +1.0, 0.0)
+        assert np.array_equal(inst.unaries, s.features @ w[:4])
 
     def test_surrogate_equals_exact_at_zero_labeling(self, small_grid, rng):
         vol, grid = small_grid
@@ -104,7 +113,7 @@ class TestLossIncrements:
             b = SegmentationMask((rng.random(vol.dims) > 0.7).astype(np.uint8), vol.spacing)
             ls = LabelSpace(np.array([[0.0, 0, 0], [2.0, 0, 0], [0, -2.0, 0]]), 2.0)
             terms, _ = learn.loss_node_terms(a, b, grid, ls)
-            assert terms[:, 0].sum() == pytest.approx(learn.dice_loss(a, b, grid), abs=1e-12)
+            assert terms[:, 0].sum() == pytest.approx(dice_loss(a, b), abs=1e-12)
 
     def test_hand_enumerated_tile_overlaps(self):
         # two tiles along x; masks chosen so every (node, label) count is
@@ -120,10 +129,11 @@ class TestLossIncrements:
         ls = LabelSpace(np.array([[0.0, 0, 0], [1.0, 0.0, 0.0]]), 1.0)
         terms, d0 = learn.loss_node_terms(ms, mt, grid, ls)
         assert d0 == 16
-        from mmreg.volume import tile_slices
-        slices = tile_slices(grid, ms)
+        bounds = tile_edges(grid, ms)
         V = grid.n_nodes
-        for node, sl in enumerate(slices):
+        for cell in np.ndindex(*grid.grid_dims):
+            node = grid.node_index(*cell)
+            sl = tuple(slice(b[i], b[i + 1]) for b, i in zip(bounds, cell))
             # label 0: plain overlap in the tile
             num0 = int(np.logical_and(src[sl], tgt[sl]).sum())
             assert terms[node, 0] == pytest.approx(1.0 / V - 2.0 * num0 / d0)
@@ -240,8 +250,8 @@ class TestEnergyLinearity:
             w = np.concatenate([rng.uniform(0.1, 2, 4), [rng.uniform(0.01, 1)]])
             inst1 = learn.loss_augmented_instance(s, w, +1.0, 0.0)
             inst2 = learn.loss_augmented_instance(s, 3.0 * w, +1.0, 0.0)
-            lab1 = gr.solve_bruteforce(inst1)
-            lab2 = gr.solve_bruteforce(inst2)
+            lab1 = solve_bruteforce(inst1)
+            lab2 = solve_bruteforce(inst2)
             assert np.array_equal(lab1, lab2)
             assert inst2.energy(lab2) == pytest.approx(3.0 * inst1.energy(lab1), rel=1e-12)
 
@@ -350,7 +360,7 @@ class TestTrainClass:
         sparse = s.label_space.displacements[lab]
         fld = interpolate_dense(s.grid, sparse, s.src_fg)
         warped = warp_mask(s.src_fg, fld)
-        assert loss == learn.dice_loss(warped, s.tgt_fg, s.grid)
+        assert loss == dice_loss(warped, s.tgt_fg)
 
 
 class TestAssembleModel:
@@ -387,13 +397,21 @@ class TestAssembleModel:
         with pytest.raises(ValueError):
             learn.assemble_model([self.make_result(1, rng), self.make_result(1, rng)])
 
+    @pytest.mark.parametrize("scales", [(0.0, 1.0, 1.0, 1.0), (-1.0, 1.0, 1.0, 1.0),
+                                        (1.0, 1.0, 1.0)])
+    def test_bad_scales_rejected_where_they_enter(self, scales):
+        with pytest.raises(ValueError):
+            learn.TrainConfig(scales=scales)
+        with pytest.raises(ValueError):
+            me.WeightMatrix(np.ones((4, 1)), np.ones(1), (0,), me.METRIC_NAMES, scales)
+
     def test_model_file_roundtrip(self, tmp_path, rng):
         res = [self.make_result(1, rng), self.make_result(2, rng)]
         cfg = learn.TrainConfig(scales=(1.0, 2.0, 3.0, 4.0))
         m = learn.assemble_model(res, cfg)
         path = str(tmp_path / "model.txt")
         learn.write_model(path, m, cfg)
-        back, meta = learn.read_model(path)
+        back, meta = me.read_weights(path)
         assert np.array_equal(back.weights, m.weights)
         assert np.array_equal(back.pairwise, m.pairwise)
         assert back.class_ids == m.class_ids

@@ -4,11 +4,11 @@ import pytest
 from mmreg import graphreg as gr
 from mmreg import metrics as me
 from mmreg.synth import SynthSpec, synth_dataset
-from mmreg.volume import (
-    FormatError, LabelSpace, Patch, SegmentationMask, Volume, extract_patch, make_control_grid,
-)
+from mmreg.volume import FormatError, LabelSpace, SegmentationMask, Volume, make_control_grid
 
 import feature_oracle
+import metric_oracle as mo
+from metric_oracle import Patch, extract_patch
 
 
 @pytest.fixture
@@ -25,43 +25,42 @@ def patch_from(arr):
 class TestComputeMetric:
     def test_identical_patches(self, rng):
         a = patch_from(rng.random((6, 6, 6)))
-        assert me.compute_metric("SAD", a, a) == 0.0
-        assert me.compute_metric("NCC", a, a) == 0.0
-        assert me.compute_metric("DWT", a, a) == 0.0
+        assert mo.compute_metric("SAD", a, a) == 0.0
+        assert mo.compute_metric("NCC", a, a) == 0.0
+        assert mo.compute_metric("DWT", a, a) == 0.0
 
     def test_ncc_affine_invariance(self, rng):
         a = rng.random((6, 6, 6))
         pa = patch_from(a)
         pb = patch_from(2.0 * a + 3.0)
-        assert me.compute_metric("NCC", pa, pb) == pytest.approx(0.0, abs=1e-12)
-        assert me.compute_metric("SAD", pa, pb) > 0.0
+        assert mo.compute_metric("NCC", pa, pb) == pytest.approx(0.0, abs=1e-12)
+        assert mo.compute_metric("SAD", pa, pb) > 0.0
 
     def test_ncc_degenerate_variance(self, rng):
         const = patch_from(np.full((4, 4, 4), 2.5))
         other = patch_from(rng.random((4, 4, 4)))
-        assert me.compute_metric("NCC", const, other) == 1.0
+        assert mo.compute_metric("NCC", const, other) == 1.0
 
     def test_random_patches_against_straight_loops(self, rng):
-        cfg = me.MetricConfig()
         for _ in range(10):
             a = rng.random((8, 8, 8))
             b = rng.random((8, 8, 8))
             pa, pb = patch_from(a), patch_from(b)
 
-            assert me.compute_metric("SAD", pa, pb) == pytest.approx(
+            assert mo.compute_metric("SAD", pa, pb) == pytest.approx(
                 _sad_loop(a, b), abs=1e-12
             )
-            assert me.compute_metric("NCC", pa, pb) == pytest.approx(
+            assert mo.compute_metric("NCC", pa, pb) == pytest.approx(
                 _ncc_loop(a, b), abs=1e-12
             )
-            assert me.compute_metric("MI", pa, pb, cfg) == pytest.approx(
-                _mi_loop(a, b, cfg.mi_bins), abs=1e-12
+            assert mo.compute_metric("MI", pa, pb) == pytest.approx(
+                _mi_loop(a, b, me.MI_BINS), abs=1e-12
             )
-            assert me.compute_metric("DWT", pa, pb) == pytest.approx(
+            assert mo.compute_metric("DWT", pa, pb) == pytest.approx(
                 _dwt_loop(a, b), abs=1e-12
             )
             # independent random patches barely correlate
-            assert abs(1.0 - me.compute_metric("NCC", pa, pb)) < 0.3
+            assert abs(1.0 - mo.compute_metric("NCC", pa, pb)) < 0.3
 
     def test_common_crop_intersection(self, rng):
         a = rng.random((5, 5, 5))
@@ -69,34 +68,32 @@ class TestComputeMetric:
         pa = Patch(a, (2, 2, 2), (2, 2, 2), None)
         pb = Patch(b, (0, 2, 2), (2, 2, 2), None)   # cropped on the left in x
         expected = _sad_loop(a[2:, :, :], b)
-        assert me.compute_metric("SAD", pa, pb) == pytest.approx(expected, abs=1e-12)
+        assert mo.compute_metric("SAD", pa, pb) == pytest.approx(expected, abs=1e-12)
 
     def test_empty_patch_cost(self, rng):
-        cfg = me.MetricConfig(empty_cost=123.0)
         a = patch_from(rng.random((3, 3, 3)))
-        assert me.compute_metric("SAD", a, Patch(), cfg) == 123.0
+        assert mo.compute_metric("SAD", a, Patch()) == me.EMPTY_COST
 
     def test_nonfinite_rejected(self):
         bad = np.full((3, 3, 3), np.nan)
         with pytest.raises(ValueError):
-            me.compute_metric("SAD", patch_from(bad), patch_from(np.zeros((3, 3, 3))))
+            mo.compute_metric("SAD", patch_from(bad), patch_from(np.zeros((3, 3, 3))))
 
     def test_unknown_metric(self, rng):
         a = patch_from(rng.random((3, 3, 3)))
         with pytest.raises(ValueError):
-            me.compute_metric("SSIM", a, a)
+            mo.compute_metric("SSIM", a, a)
 
     def test_dissimilarity_ordering_under_permutation(self, rng):
         # a perfectly corresponding pair scores no worse than a permuted one
-        cfg = me.MetricConfig()
         for trial in range(50):
             a = rng.random((6, 6, 6))
             b = a + rng.normal(0, 0.01, a.shape)
             perm = rng.permutation(b.ravel()).reshape(b.shape)
             pa, pb, pp = patch_from(a), patch_from(b), patch_from(perm)
             for name in me.METRIC_NAMES:
-                good = me.compute_metric(name, pa, pb, cfg)
-                bad = me.compute_metric(name, pa, pp, cfg)
+                good = mo.compute_metric(name, pa, pb)
+                bad = mo.compute_metric(name, pa, pp)
                 assert good <= bad + 1e-9, (name, trial)
 
 
@@ -169,7 +166,7 @@ class TestUnaryFeatures:
     def test_self_match_zero_sad(self, small_setup):
         src, _, grid, ls = small_setup
         node = grid.node_index(2, 2, 2)
-        u = me.unary_features(src, src, grid, ls, node, 0)
+        u = mo.unary_features(src, src, grid, ls, node, 0)
         assert u[me.METRIC_NAMES.index("SAD")] == 0.0
         assert u[me.METRIC_NAMES.index("NCC")] == 0.0
 
@@ -180,26 +177,23 @@ class TestUnaryFeatures:
         grid = make_control_grid(src, 8.0)
         ls = LabelSpace(np.array([[0.0, 0, 0], [2.0, 0, 0]]), 2.0)
         node = grid.node_index(2, 2, 2)
-        u = me.unary_features(src, tgt, grid, ls, node, 1)
+        u = mo.unary_features(src, tgt, grid, ls, node, 1)
         assert u[me.METRIC_NAMES.index("SAD")] == 0.0
 
     def test_batch_equals_scalar_calls(self, small_setup):
         src, tgt, grid, ls = small_setup
-        cfg = me.MetricConfig()
-        table = me.feature_table(src, tgt, grid, ls, cfg)
+        table = me.feature_table(src, tgt, grid, ls)
         assert table.shape == (grid.n_nodes, ls.n_labels, me.N_METRICS)
         for node in range(0, grid.n_nodes, 7):
             for lab in range(0, ls.n_labels, 4):
-                u = me.unary_features(src, tgt, grid, ls, node, lab, cfg)
+                u = mo.unary_features(src, tgt, grid, ls, node, lab)
                 assert np.allclose(table[node, lab], u, atol=1e-9)
 
     def test_scales_divide_features(self, small_setup):
         src, tgt, grid, ls = small_setup
-        cfg = me.MetricConfig(scales=(2.0, 4.0, 0.5, 1.0))
-        base = me.MetricConfig()
         node = grid.node_index(2, 2, 2)
-        u0 = me.unary_features(src, tgt, grid, ls, node, 0, base)
-        u1 = me.unary_features(src, tgt, grid, ls, node, 0, cfg)
+        u0 = mo.unary_features(src, tgt, grid, ls, node, 0)
+        u1 = mo.unary_features(src, tgt, grid, ls, node, 0, (2.0, 4.0, 0.5, 1.0))
         assert np.allclose(u1, u0 / np.array([2.0, 4.0, 0.5, 1.0]), atol=1e-12)
 
 
@@ -267,28 +261,25 @@ class TestFeatureTableOracle:
         _registration_like, _half_size_one, _side_below_two, _single_row_runs,
         _constant_and_shaky, _one_dim_of_one,
     ])
-    @pytest.mark.parametrize("cfg", [
-        me.MetricConfig(), me.MetricConfig(mi_bins=7, scales=(2.0, 0.5, 3.0, 0.25)),
-    ])
-    def test_bit_exact(self, build, cfg):
+    @pytest.mark.parametrize("scales", [None, (2.0, 0.5, 3.0, 0.25)])
+    def test_bit_exact(self, build, scales):
         src, tgt, grid, ls = build(np.random.default_rng(17))
-        got = me.feature_table(src, tgt, grid, ls, cfg)
-        want = feature_oracle.feature_table_oracle(src, tgt, grid, ls, cfg)
-        assert not np.all(me.empty_feature_rows(got, cfg))
+        got = me.feature_table(src, tgt, grid, ls, scales)
+        want = feature_oracle.feature_table_oracle(src, tgt, grid, ls, scales)
+        assert not np.all(me.empty_feature_rows(got))
         assert np.array_equal(got, want)
 
     def test_calibration_zero_label_table(self):
         pairs = [_registration_like(None)[:2], _random_pair(np.random.default_rng(3), (20, 18, 16))]
-        base = me.MetricConfig()
         zero_ls = LabelSpace(np.zeros((1, 3)), 0.0)
         pooled = []
         for src, tgt in pairs:
             grid = make_control_grid(src, 10.0)
-            got = me.feature_table(src, tgt, grid, zero_ls, base)
-            want = feature_oracle.feature_table_oracle(src, tgt, grid, zero_ls, base)
+            got = me.feature_table(src, tgt, grid, zero_ls)
+            want = feature_oracle.feature_table_oracle(src, tgt, grid, zero_ls)
             assert np.array_equal(got, want)
             feats = want[:, 0, :]
-            pooled.append(feats[~np.all(feats == base.empty_cost, axis=1)])
+            pooled.append(feats[~np.all(feats == me.EMPTY_COST, axis=1)])
         scales = np.percentile(np.concatenate(pooled), 95.0, axis=0)
         assert me.calibrate_scales(pairs, 10.0) == tuple(float(s) for s in scales)
 
@@ -317,14 +308,14 @@ class TestDominantClass:
         src, _, grid, ls = small_setup
         mask = self.make_mask(np.full(src.dims, 2))
         node = grid.node_index(2, 2, 2)
-        assert me.dominant_class(mask, grid, ls, node, 0, 3) == 2
+        assert mo.dominant_class(mask, grid, ls, node, 0, 3) == 2
 
     def test_majority(self, small_setup, rng):
         src, _, grid, ls = small_setup
         labels = np.where(rng.random(src.dims) < 0.6, 1, 3).astype(np.uint8)
         mask = self.make_mask(labels)
         node = grid.node_index(2, 2, 2)
-        assert me.dominant_class(mask, grid, ls, node, 0, 3) == 1
+        assert mo.dominant_class(mask, grid, ls, node, 0, 3) == 1
 
     def test_tie_breaks_to_smaller_id(self):
         vol = Volume(np.zeros((8, 8, 8), dtype=np.float32), (1.0, 1.0, 1.0))
@@ -336,17 +327,16 @@ class TestDominantClass:
         mask = SegmentationMask(labels, (1.0, 1.0, 1.0))
         node = int(np.argmin(np.abs(grid.points - [3.5, 3.5, 3.5]).sum(axis=1)))
         ext = me.patch_radius(grid.spacing_mm, (1.0, 1.0, 1.0))
-        from mmreg.volume import extract_patch
         patch = extract_patch(mask, grid.points[node], ext)
         counts = np.bincount(patch.data.ravel(), minlength=4)
         assume_tie = counts[1] == counts[3]
         if assume_tie:
-            assert me.dominant_class(mask, grid, ls, node, 0, 3) == 1
+            assert mo.dominant_class(mask, grid, ls, node, 0, 3) == 1
 
     def test_background_only(self, small_setup):
         src, _, grid, ls = small_setup
         mask = self.make_mask(np.zeros(src.dims))
-        assert me.dominant_class(mask, grid, ls, grid.node_index(2, 2, 2), 0, 3) == 0
+        assert mo.dominant_class(mask, grid, ls, grid.node_index(2, 2, 2), 0, 3) == 0
 
     def test_batch_equals_scalar(self, small_setup, rng):
         src, _, grid, ls = small_setup
@@ -368,7 +358,7 @@ class TestDominantClass:
             table = me.dominant_class_table(mask, grid, ls, n_classes)
             for node in range(0, grid.n_nodes, 5):
                 for lab in range(0, ls.n_labels, 4):
-                    assert table[node, lab] == me.dominant_class(
+                    assert table[node, lab] == mo.dominant_class(
                         mask, grid, ls, node, lab, n_classes)
                     patch = extract_patch(mask, grid.points[node] + ls.displacements[lab],
                                           me.patch_radius(grid.spacing_mm, mask.spacing))
@@ -394,32 +384,32 @@ class TestDominantClass:
             grid = make_control_grid(vol, 4.0)
             ls = LabelSpace(np.zeros((1, 3)), 0.0)
             node = int(np.argmin(np.abs(grid.points - [2, 2, 0.5]).sum(axis=1)))
-            assert me.dominant_class(mask, grid, ls, node, 0, 2) == 1
+            assert mo.dominant_class(mask, grid, ls, node, 0, 2) == 1
 
 
 class TestAggregatedUnary:
     def test_one_hot_projection(self):
         w = me.single_metric_weights("SAD", 1.0, 0.0)
         feats = np.array([0.7, 1.0, 2.0, 3.0])
-        assert me.aggregated_unary(feats, w, 0) == 0.7
+        assert mo.aggregated_unary(feats, w, 0) == 0.7
 
     def test_zero_features(self):
         w = me.WeightMatrix(np.ones((4, 2)), np.zeros(2), (0, 1))
-        assert me.aggregated_unary(np.zeros(4), w, 1) == 0.0
+        assert mo.aggregated_unary(np.zeros(4), w, 1) == 0.0
 
     def test_hand_tuned_weights(self):
         w = me.WeightMatrix(
             np.array([[0.1], [10.0], [10.0], [10.0]]), np.zeros(1), (0,)
         )
-        val = me.aggregated_unary(np.array([2.0, 0.1, 0.3, 0.5]), w, 0)
+        val = mo.aggregated_unary(np.array([2.0, 0.1, 0.3, 0.5]), w, 0)
         assert val == pytest.approx(9.2, abs=1e-12)
 
     def test_linearity_in_column(self, rng):
         feats = rng.random(4)
         w1 = me.WeightMatrix(rng.random((4, 1)), np.zeros(1), (0,))
         w2 = me.WeightMatrix(2.0 * w1.weights, np.zeros(1), (0,))
-        assert me.aggregated_unary(feats, w2, 0) == pytest.approx(
-            2.0 * me.aggregated_unary(feats, w1, 0), rel=1e-15
+        assert mo.aggregated_unary(feats, w2, 0) == pytest.approx(
+            2.0 * mo.aggregated_unary(feats, w1, 0), rel=1e-15
         )
 
 
@@ -479,6 +469,8 @@ class TestWeightMatrix:
         "metrics=SAD,MI,NCC,DWT classes=0\nnan 1 1 1 0.3\n",        # non-finite weights
         "metrics=SAD,MI,NCC,DWT classes=0\n1 1 -inf 1 0.3\n",
         "metrics=SAD,MI,NCC,DWT classes=0 scales=1,nan,1,1\n1 1 1 1 0.3\n",
+        "metrics=SAD,MI,NCC,DWT classes=0 scales=0,1,1,1\n1 1 1 1 0.3\n",   # scales <= 0
+        "metrics=SAD,MI,NCC,DWT classes=0 scales=-1,1,1,1\n1 1 1 1 0.3\n",
     ])
     def test_malformed_file_is_format_error(self, tmp_path, text):
         path = tmp_path / "w.txt"
