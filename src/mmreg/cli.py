@@ -234,11 +234,15 @@ def cmd_train(args):
 
     results = []
     exit_code = 0
+    tables = {}             # pair id -> its pair tables, built for the first class using it
     for c in class_ids:
         samples = []
         for pid, src, tgt, smask, tmask in pairs:
             if c in smask.class_ids() and c in tmask.class_ids():
-                samples.append(learn.TrainingSample(src, tgt, smask, tmask, c))
+                if pid not in tables:
+                    tables[pid] = learn.pair_tables(src, tgt, tcfg)
+                samples.append(learn.prepare_sample(
+                    learn.TrainingSample(src, tgt, smask, tmask, c), tcfg, tables[pid]))
             else:
                 print(f"note: {pid} lacks class {c} in both masks; excluded", file=sys.stderr)
         res = learn.train_class(samples, tcfg)

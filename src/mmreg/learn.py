@@ -13,9 +13,9 @@ constraint is stored, so the QP always sees true loss values.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import metrics as me
 from .evaluation import exact_dice
@@ -85,7 +85,7 @@ class TrainingSample:
     source_mask: SegmentationMask
     target_mask: SegmentationMask
     class_id: int
-    # populated by prepare_sample
+    # populated by prepare_sample; the first five are the pair's shared tables
     grid: object = None
     label_space: object = None
     features: np.ndarray = None       # (|V|, |L|, n)
@@ -104,36 +104,6 @@ class TrainingSample:
 # node-decomposable Dice loss surrogate
 # ---------------------------------------------------------------------------
 
-def _tile_sums(values, bounds):
-    """Per-tile sums of a 3D array for the tile partition given by per-axis
-    boundary index arrays; returns sums in node order (x-fastest)."""
-    s = np.zeros(tuple(d + 1 for d in values.shape), dtype=np.int64)
-    s[1:, 1:, 1:] = np.cumsum(np.cumsum(np.cumsum(values, axis=0), axis=1), axis=2)
-    corner = s[np.ix_(bounds[0], bounds[1], bounds[2])]
-    tiles = np.diff(np.diff(np.diff(corner, axis=0), axis=1), axis=2)
-    return tiles.reshape(-1, order="F")
-
-
-def _shift_sample(arr, shift):
-    """out[v] = arr[v + shift] with zero fill outside the array."""
-    out = np.zeros_like(arr)
-    src = []
-    dst = []
-    for a in range(3):
-        s = int(shift[a])
-        n = arr.shape[a]
-        if abs(s) >= n:
-            return out
-        if s >= 0:
-            dst.append(slice(0, n - s))
-            src.append(slice(s, n))
-        else:
-            dst.append(slice(-s, n))
-            src.append(slice(0, n + s))
-    out[tuple(dst)] = arr[tuple(src)]
-    return out
-
-
 def loss_node_terms(src_mask, tgt_mask, grid, label_space):
     """Per-(node, label) contributions of the decomposable Dice loss.
 
@@ -141,13 +111,18 @@ def loss_node_terms(src_mask, tgt_mask, grid, label_space):
     integer voxel shift; the denominator is held at its zero-displacement
     value so any labeling's surrogate loss is the plain sum of these terms.
 
+    Only target-foreground voxels x can add to an overlap count, so the
+    source indicator, zero-padded, is gathered at x + s for every such x and
+    every unique shift s, and the hits are summed per tile owning x. The
+    counts are integers, hence equal to those of shifting the whole source
+    mask and summing its overlap with the target per tile.
+
     Returns:
         (terms, d0): terms has shape (|V|, |L|) and sums over a labeling to
         the surrogate loss in [0, 1]; d0 is the frozen denominator.
     """
     a = src_mask.labels > 0
     b = tgt_mask.labels > 0
-    bounds = tile_edges(grid, src_mask)
     V = grid.n_nodes
     L = label_space.n_labels
     d0 = int(a.sum()) + int(b.sum())
@@ -159,11 +134,26 @@ def loss_node_terms(src_mask, tgt_mask, grid, label_space):
     shifts = np.rint(label_space.displacements / spacing).astype(np.int64)
     uniq, inverse = np.unique(shifts, axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
-    num = np.zeros((V, len(uniq)), dtype=np.int64)
-    for k, sh in enumerate(uniq):
-        shifted = _shift_sample(a, sh)
-        num[:, k] = _tile_sums(shifted & b, bounds)
-    terms = 1.0 / V - 2.0 * num[:, inverse] / d0
+    K = len(uniq)
+    # a shift of n or more voxels along an axis of n voxels reads only padding
+    dims = np.asarray(a.shape)
+    uniq = np.clip(uniq, -dims, dims)
+    pad = np.abs(uniq).max(axis=0)
+    padded = np.pad(a, [(int(p), int(p)) for p in pad])
+    offsets = uniq @ (np.asarray(padded.strides) // padded.itemsize)
+    x = np.nonzero(b)
+    base = np.ravel_multi_index(tuple(x[i] + pad[i] for i in range(3)), padded.shape)
+    bounds = tile_edges(grid, src_mask)
+    gx, gy, _ = grid.grid_dims
+    owner = [np.searchsorted(bounds[i], x[i], side="right") - 1 for i in range(3)]
+    tile = (owner[0] + gx * (owner[1] + gy * owner[2])) * K
+    flat = padded.reshape(-1)
+    num = np.zeros(V * K, dtype=np.int64)
+    chunk = max(1, (1 << 19) // K)        # bounds each gather to ~4 MB of indices
+    for s in range(0, len(base), chunk):
+        rows, k = np.nonzero(flat[base[s:s + chunk, None] + offsets])
+        num += np.bincount(tile[s + rows] + k, minlength=V * K)
+    terms = 1.0 / V - 2.0 * num.reshape(V, K)[:, inverse] / d0
     return terms, d0
 
 
@@ -171,16 +161,36 @@ def loss_node_terms(src_mask, tgt_mask, grid, label_space):
 # sample preparation and joint features
 # ---------------------------------------------------------------------------
 
-def prepare_sample(sample, config):
-    """Build the w-independent tables of one sample: metric features, the
-    pairwise distance table and the per-(node, label) loss contributions."""
-    grid = make_control_grid(sample.source, config.spacing_mm)
+class PairTables(NamedTuple):
+    """The tables of one training pair that depend on neither w nor the
+    class under training; every class's sample of the pair shares them."""
+    grid: object
+    label_space: object
+    features: np.ndarray           # (|V|, |L|, n)
+    pairwise_table: np.ndarray
+    edges: np.ndarray
+
+
+def pair_tables(source, target, config):
+    """Control grid, label space, metric features, pairwise distance table
+    and grid edges of one pair, with the arrays made read-only so samples
+    of several classes can share them."""
+    grid = make_control_grid(source, config.spacing_mm)
     ls = initialize_label_space(config.label_schedule(), (config.spacing_mm,) * 3)
-    sample.grid = grid
-    sample.label_space = ls
-    sample.features = me.feature_table(sample.source, sample.target, grid, ls, config.scales)
-    sample.pairwise_table = pairwise_l1_table(ls)
-    sample.edges = grid.edges
+    tables = PairTables(grid, ls, me.feature_table(source, target, grid, ls, config.scales),
+                        pairwise_l1_table(ls), grid.edges)
+    for arr in (tables.features, tables.pairwise_table, tables.edges):
+        arr.setflags(write=False)
+    return tables
+
+
+def prepare_sample(sample, config, tables=None):
+    """Build the w-independent tables of one sample: the pair's tables
+    (`tables` from pair_tables, built here when None) and the class's
+    foreground masks and per-(node, label) loss contributions."""
+    if tables is None:
+        tables = pair_tables(sample.source, sample.target, config)
+    sample.grid, sample.label_space, sample.features, sample.pairwise_table, sample.edges = tables
     sample.src_fg = SegmentationMask(
         (sample.source_mask.labels == sample.class_id).astype(np.uint8),
         sample.source_mask.spacing, sample.source_mask.origin,
@@ -189,7 +199,8 @@ def prepare_sample(sample, config):
         (sample.target_mask.labels == sample.class_id).astype(np.uint8),
         sample.target_mask.spacing, sample.target_mask.origin,
     )
-    sample.loss_terms, _ = loss_node_terms(sample.src_fg, sample.tgt_fg, grid, ls)
+    sample.loss_terms, _ = loss_node_terms(sample.src_fg, sample.tgt_fg,
+                                           tables.grid, tables.label_space)
     return sample
 
 
@@ -263,6 +274,8 @@ def solve_qp(working_sets, imputed_psis, w0_full, C, alpha):
         (w, xi, converged): slacks are recomputed from the constraints at
         the returned w, so every stored inequality holds exactly.
     """
+    from scipy.optimize import LinearConstraint, minimize   # only training needs scipy.optimize
+
     w0_full = np.asarray(w0_full, dtype=np.float64)
     nw = len(w0_full)
     N = len(working_sets)
@@ -332,8 +345,6 @@ def solve_qp(working_sets, imputed_psis, w0_full, C, alpha):
     if not converged:
         # SLSQP occasionally stalls in its line search; the interior-point
         # solver is slower but dependable on these tiny problems
-        from scipy.optimize import LinearConstraint
-
         res2 = minimize(
             objective, x0, jac=grad, bounds=bounds,
             constraints=[LinearConstraint(A_full, b, np.inf)],

@@ -41,8 +41,8 @@ def patch_radius(grid_spacing_mm, voxel_spacing_mm):
 class WeightMatrix:
     """Per-class metric weights: column w_c per class plus pairwise weight w_p.
 
-    class_ids lists the classes covered by the columns, in ascending order;
-    id 0 is the designated background column.
+    class_ids lists the classes covered by the columns, in strictly
+    ascending order; id 0 is the designated background column.
     """
     weights: np.ndarray            # (n_metrics, n_classes)
     pairwise: np.ndarray           # (n_classes,)
@@ -58,8 +58,8 @@ class WeightMatrix:
             raise ValueError(f"weights must be (n_metrics, n_classes), got {w.shape}")
         if w.shape[1] != len(ids) or p.shape != (len(ids),):
             raise ValueError("class count mismatch between weights, pairwise and class_ids")
-        if list(ids) != sorted(ids):
-            raise ValueError(f"class_ids must be ascending, got {ids}")
+        if any(b <= a for a, b in zip(ids, ids[1:])):
+            raise ValueError(f"class_ids must be strictly ascending, got {ids}")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(p))) or np.any(p < 0):
             raise ValueError(f"weights must be finite and pairwise weights >= 0, "
                              f"got {w.tolist()} and {p.tolist()}")
@@ -284,12 +284,6 @@ def _box_sums(v):
     return ((p[:-1, :-1] + p[:-1, 1:]) + p[1:, :-1]) + p[1:, 1:]
 
 
-def _gather_blocks(arr, corners, shape):
-    """Copy same-shaped blocks out of a 3D array given their low corners."""
-    view = sliding_window_view(arr, shape)
-    return view[corners[:, 0], corners[:, 1], corners[:, 2]]
-
-
 def feature_table(src, tgt, grid, label_space, scales=None):
     """All unary feature vectors: (|V|, |L|, n_metrics).
 
@@ -384,7 +378,14 @@ def empty_feature_rows(features):
 def dominant_class_table(src_mask, grid, label_space, n_classes):
     """Dominant class for every (node, label): (|V|, |L|) int array.
 
-    Background (0) marks empty or all-background patches.
+    Background (0) marks empty or all-background patches; labels above
+    n_classes count toward the top class, and ties go to the smaller id.
+
+    Each class's voxel count in a patch window is read from the 8 corners
+    of one integer summed-area table of the class indicator, with the
+    window clipped to the volume (voxels outside it are background and add
+    nothing). The counts are exact integers, so they equal counts over the
+    gathered windows.
     """
     radius = np.asarray(patch_radius(grid.spacing_mm, src_mask.spacing), dtype=np.int64)
     c_src, in_src, _, _ = _center_table(src_mask, grid, label_space)
@@ -393,24 +394,31 @@ def dominant_class_table(src_mask, grid, label_space, n_classes):
     vi, li = np.nonzero(in_src)
     if len(vi) == 0:
         return out
+    dims = np.asarray(src_mask.dims)
     # dedupe centers by flat voxel index: a 1-D unique is much cheaper than axis=0
     flat, inverse = np.unique(np.ravel_multi_index(c_src[vi, li].T, src_mask.dims),
                               return_inverse=True)
-    centers = np.stack(np.unravel_index(flat, src_mask.dims), axis=1)
-    u_cls = np.zeros(len(centers), dtype=np.int64)
-    # background padding gives every patch the full window: like cropping, it
-    # adds nothing to the foreground counts, and one window shape needs one gather
-    labels = np.pad(src_mask.labels, [(r, r) for r in radius])
-    shape = tuple(int(x) for x in 2 * radius + 1)
-    size = int(np.prod(shape))
-    chunk = max(1, (1 << 22) // size)      # bounds each gather to ~4 MB of labels
-    for s in range(0, len(centers), chunk):
-        blocks = _gather_blocks(labels, centers[s:s + chunk], shape).reshape(-1, size)
-        # labels above n_classes count toward the top class
-        fg = np.stack([np.count_nonzero(blocks == c, axis=1) for c in range(1, n_classes)]
-                      + [np.count_nonzero(blocks >= n_classes, axis=1)], axis=1)
-        u_cls[s:s + chunk] = np.where(fg.sum(axis=1) > 0, np.argmax(fg, axis=1) + 1, 0)
-
+    centers = np.unravel_index(flat, src_mask.dims)
+    # window [lo, hi) per axis; the summed-area table has a zero plane at index 0
+    # of each axis, so a count is the signed sum of the table at the 8 corners
+    ends = ([np.minimum(centers[a] + radius[a] + 1, dims[a]) for a in range(3)],
+            [np.maximum(centers[a] - radius[a], 0) for a in range(3)])
+    sat_shape = tuple(int(n) + 1 for n in dims)
+    corners = [(np.ravel_multi_index([ends[b][a] for a, b in enumerate(bits)], sat_shape),
+                (-1) ** sum(bits)) for bits in np.ndindex(2, 2, 2)]
+    sat = np.zeros(sat_shape, dtype=np.int64)
+    inner = sat[1:, 1:, 1:]
+    table = sat.reshape(-1)
+    labels = src_mask.labels
+    n_cols = max(n_classes, 1)
+    fg = np.empty((len(flat), n_cols), dtype=np.int64)
+    for j in range(n_cols):
+        c = j + 1
+        np.cumsum(labels == c if c < n_classes else labels >= n_classes, axis=0, out=inner)
+        np.cumsum(inner, axis=1, out=inner)
+        np.cumsum(inner, axis=2, out=inner)
+        fg[:, j] = sum(sign * table[idx] for idx, sign in corners)
+    u_cls = np.where(fg.sum(axis=1) > 0, np.argmax(fg, axis=1) + 1, 0)
     out[vi, li] = u_cls[inverse]
     return out
 

@@ -12,6 +12,8 @@ import numpy as np
 
 from mmreg import metrics as me
 
+from count_oracle import gather_blocks
+
 _INV_SQRT8 = me._INV_SQRT8
 N_METRICS = me.N_METRICS
 
@@ -141,7 +143,7 @@ def feature_table_oracle(src, tgt, grid, label_space, scales=None):
         gl = u_left[g[0]]
         gr = u_right[g[0]]
         shape = tuple(int(x) for x in (gl + gr + 1))
-        A = me._gather_blocks(src_data, u_cs[g] - gl, shape)
+        A = gather_blocks(src_data, u_cs[g] - gl, shape)
         nodes_g = u_node[g]
         runs = np.nonzero(np.diff(nodes_g) != 0)[0] + 1
         starts = np.concatenate([[0], runs, [len(g)]])

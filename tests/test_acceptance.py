@@ -22,6 +22,7 @@ def verdict(name, ok, detail=""):
     assert ok, f"{name}: {detail}"
 
 
+from count_oracle import tile_sums
 from helpers import build_toy_sample, seeded_instance
 from solve_oracle import solve_bruteforce
 
@@ -203,8 +204,8 @@ class TestCriterion6LossDiceConsistency:
             a = rng.random(vol.dims) > rng.uniform(0.3, 0.8)
             b = rng.random(vol.dims) > rng.uniform(0.3, 0.8)
             # the per-node tile counts the loss surrogate accumulates
-            num = int(learn._tile_sums(a & b, bounds).sum())
-            den = int(learn._tile_sums(a, bounds).sum()) + int(learn._tile_sums(b, bounds).sum())
+            num = int(tile_sums(a & b, bounds).sum())
+            den = int(tile_sums(a, bounds).sum()) + int(tile_sums(b, bounds).sum())
             if 1.0 - 2.0 * num / den != 1.0 - ev.exact_dice(a, b):
                 all_equal = False
         verdict(

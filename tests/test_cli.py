@@ -307,6 +307,7 @@ class TestRegisterCommand:
         "metrics=SAD,MI,NCC,DWT classes=0 scales=nan,1,1,1\n0.1 10 10 10 0.3\n",
         "metrics=SAD,MI,NCC,DWT classes=0 scales=0,1,1,1\n0.1 10 10 10 0.3\n",
         "metrics=SAD,MI,NCC,DWT classes=0 scales=-1,1,1,1\n0.1 10 10 10 0.3\n",
+        "metrics=SAD,MI,NCC,DWT classes=1,1\n0.1 10 10 10 0.3\n0.2 5 5 5 0.6\n",
     ])
     def test_malformed_weights_exits_2(self, workspace, monkeypatch, text):
         tmp, cfg, data = workspace

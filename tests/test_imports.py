@@ -7,12 +7,18 @@ two rules:
 * every public top-level function or class of a library module must be
   referenced by other library code or by the benchmark (`bench/`).
 
+A last check keeps `scipy.optimize`, which only training uses, out of the
+import of the command-line module.
+
 `__init__.py` is skipped by both, since its imports are the package's
 re-exports and do not count as uses.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -78,3 +84,10 @@ def test_check_finds_an_unreferenced_definition():
     }
     bench = {"run.py": "import a\na.Called()\n"}
     assert unreferenced_definitions(library, bench) == [("a.py", "dead"), ("b.py", "caller")]
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    code = "import sys, mmreg.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(SRC.parent)), check=True)
+    assert out.stdout.strip() == "False"

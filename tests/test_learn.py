@@ -6,6 +6,7 @@ from mmreg import learn
 from mmreg import metrics as me
 from mmreg.evaluation import exact_dice
 from mmreg.volume import (
+    ControlGrid,
     LabelSpace,
     SegmentationMask,
     Volume,
@@ -16,6 +17,7 @@ from mmreg.volume import (
 )
 from mmreg.synth import SynthSpec, synth_dataset
 
+import count_oracle
 from solve_oracle import solve_bruteforce
 
 
@@ -142,6 +144,115 @@ class TestLossIncrements:
             shifted[:-1] = src[1:]
             num1 = int(np.logical_and(shifted[sl], tgt[sl]).sum())
             assert terms[node, 1] == pytest.approx(1.0 / V - 2.0 * num1 / d0)
+
+
+def _labels(rng, dims, p_fg, max_label=1):
+    """Random mask labels: foreground with probability p_fg, ids 1..max_label."""
+    fg = rng.random(dims) < p_fg
+    return np.where(fg, rng.integers(1, max_label + 1, dims), 0).astype(np.uint8)
+
+
+def _count_case(rng, dims, spacing, grid_mm, disp, p_src=0.5, p_tgt=0.5, max_label=1,
+                grid=None):
+    vol = Volume(np.zeros(dims, dtype=np.float32), spacing)
+    src = SegmentationMask(_labels(rng, dims, p_src, max_label), spacing)
+    tgt = SegmentationMask(_labels(rng, dims, p_tgt, max_label), spacing)
+    disp = np.asarray(disp, dtype=np.float64)
+    ls = LabelSpace(disp, float(np.abs(disp).max()))
+    return src, tgt, grid or make_control_grid(vol, grid_mm), ls
+
+
+def _registration_like(rng):
+    # 125 distinct voxel shifts over 11,520 voxels: several gather chunks
+    ls = gr.initialize_label_space(gr.PyramidConfig(), (25.0,) * 3)
+    return _count_case(rng, (24, 24, 20), (2.0, 2.0, 2.0), 25.0, ls.displacements,
+                       max_label=3)
+
+
+def _shifts_past_the_volume(rng):
+    # |shift| equal to, just below and far beyond the volume size per axis
+    disp = [[0, 0, 0], [6, 0, 0], [-6, 0, 0], [5, 0, 0], [40, 0, 0], [0, -9, 0],
+            [0, 8, 0], [0, 0, 100], [-7, 9, -7], [5.6, -8.6, 6.4]]
+    return _count_case(rng, (6, 9, 7), (1.0, 1.0, 1.0), 3.0, disp)
+
+
+def _both_empty(rng):
+    src, tgt, grid, ls = _shifts_past_the_volume(rng)
+    empty = SegmentationMask(np.zeros(src.dims, dtype=np.uint8), src.spacing)
+    return empty, empty, grid, ls
+
+
+def _background_target(rng):
+    src, tgt, grid, ls = _registration_like(rng)
+    return src, SegmentationMask(np.zeros(tgt.dims, dtype=np.uint8), tgt.spacing), grid, ls
+
+
+def _background_source(rng):
+    src, tgt, grid, ls = _registration_like(rng)
+    return SegmentationMask(np.zeros(src.dims, dtype=np.uint8), src.spacing), tgt, grid, ls
+
+
+def _one_voxel_thick(rng):
+    disp = [[0, 0, 0], [2, 0, 0], [0, -2, 0], [0, 0, 2], [-2, 2, -2]]
+    return _count_case(rng, (11, 1, 9), (2.0, 2.0, 2.0), 6.0, disp)
+
+
+def _non_cubic_anisotropic(rng):
+    ls = gr.initialize_label_space(gr.PyramidConfig(labels_per_level=27), (9.0, 12.0, 7.5))
+    return _count_case(rng, (23, 7, 15), (1.0, 2.5, 1.5), (9.0, 12.0, 7.5), ls.displacements,
+                       p_src=0.3, p_tgt=0.7)
+
+
+def _shared_voxel_shifts(rng):
+    # at 2 mm voxels these round to shifts 0, 0, 0, 1, 1, 2, -2, -1 (0.5 and 1.5
+    # voxels round half to even)
+    disp = [[0, 0, 0], [0.9, 0, 0], [1.0, 0, 0], [1.2, 0, 0], [2.9, 0, 0],
+            [3.0, 0, 0], [-3.0, 0, 0], [-2.9, 0, 0]]
+    return _count_case(rng, (10, 8, 6), (2.0, 2.0, 2.0), 8.0, disp)
+
+
+def _clipped_tiles(rng):
+    # a lattice that starts past the volume: every voxel clips into the last
+    # node along x, and most tiles are empty
+    grid = ControlGrid((3, 4, 3), (4.0, 4.0, 4.0), (-20.0, -4.0, -4.0))
+    return _count_case(rng, (6, 8, 5), (1.0, 1.0, 1.0), None, [[0, 0, 0], [1, -1, 2]],
+                       grid=grid)
+
+
+class TestLossNodeTermsOracle:
+    """loss_node_terms equals the whole-volume shift-and-tile-sum oracle bit
+    for bit."""
+
+    @pytest.mark.parametrize("build", [
+        _registration_like, _shifts_past_the_volume, _both_empty, _background_target,
+        _background_source, _one_voxel_thick, _non_cubic_anisotropic, _shared_voxel_shifts,
+        _clipped_tiles,
+    ])
+    def test_bit_exact(self, build):
+        src, tgt, grid, ls = build(np.random.default_rng(5))
+        terms, d0 = learn.loss_node_terms(src, tgt, grid, ls)
+        want_terms, want_d0 = count_oracle.loss_node_terms(src, tgt, grid, ls)
+        assert d0 == want_d0
+        assert terms.dtype == want_terms.dtype
+        assert np.array_equal(terms, want_terms)
+
+    def test_cases_cover_their_edge(self):
+        rng = np.random.default_rng(5)
+        src, _, _, ls = _shifts_past_the_volume(rng)
+        shifts = np.rint(ls.displacements / src.spacing)
+        assert np.any(np.abs(shifts) >= src.dims) and np.any(np.abs(shifts) == src.dims)
+        assert learn.loss_node_terms(*_both_empty(rng))[1] == 0
+        src, _, _, ls = _shared_voxel_shifts(rng)
+        shifts = np.rint(ls.displacements / src.spacing)
+        assert len(np.unique(shifts, axis=0)) < ls.n_labels
+        for build in (_registration_like, _clipped_tiles):
+            src, _, grid, _ = build(rng)
+            sizes = [np.diff(b) for b in tile_edges(grid, src)]
+            assert any(np.any(n == 0) for n in sizes)     # padding-node tiles are empty
+        src, tgt, grid, ls = _registration_like(rng)
+        # more target-foreground voxels than one gather chunk holds
+        assert np.count_nonzero(tgt.labels) > (1 << 19) // ls.n_labels
+        assert src.labels.max() > 1
 
 
 def toy_sample(rng, V=6, L=4):
@@ -361,6 +472,56 @@ class TestTrainClass:
         fld = interpolate_dense(s.grid, sparse, s.src_fg)
         warped = warp_mask(s.src_fg, fld)
         assert loss == dice_loss(warped, s.tgt_fg)
+
+
+class TestSharedPairTables:
+    """Samples of every class share one pair's tables, read-only, and train
+    to the same model as samples that each build their own."""
+
+    @pytest.fixture(scope="class")
+    def two_organ_pairs(self):
+        spec = SynthSpec(dims=(28, 24, 20), spacing_mm=(2.0, 2.0, 2.0), n_pairs=2,
+                         organ_radii_mm=(7.0, 6.0), center_jitter_mm=1.0)
+        return synth_dataset(spec, 4)
+
+    def train_and_write(self, pairs, cfg, path, shared):
+        results = []
+        tables = [learn.pair_tables(p.source, p.target, cfg) for p in pairs] if shared else None
+        for c in (1, 2):
+            samples = []
+            for i, p in enumerate(pairs):
+                s = learn.TrainingSample(p.source, p.target, p.source_mask, p.target_mask, c)
+                samples.append(learn.prepare_sample(s, cfg, tables[i]) if shared else s)
+            results.append(learn.train_class(samples, cfg))
+        learn.write_model(str(path), learn.assemble_model(results, cfg), cfg)
+        learn.write_training_manifest(str(path) + ".log", results)
+
+    def test_model_and_log_byte_identical(self, two_organ_pairs, tmp_path):
+        cfg = learn.TrainConfig(spacing_mm=14.0, labels=27, C=20.0, alpha=1.0, max_cccp=2,
+                                wp0=0.1, scales=(0.1, 0.2, 0.3, 0.4))
+        self.train_and_write(two_organ_pairs, cfg, tmp_path / "shared.txt", True)
+        self.train_and_write(two_organ_pairs, cfg, tmp_path / "own.txt", False)
+        for suffix in ("", ".log"):
+            shared = (tmp_path / f"shared.txt{suffix}").read_bytes()
+            assert shared == (tmp_path / f"own.txt{suffix}").read_bytes()
+
+    def test_tables_shared_and_read_only(self, two_organ_pairs):
+        cfg = learn.TrainConfig(spacing_mm=14.0, labels=27)
+        p = two_organ_pairs[0]
+        tables = learn.pair_tables(p.source, p.target, cfg)
+        one, two = (learn.prepare_sample(
+            learn.TrainingSample(p.source, p.target, p.source_mask, p.target_mask, c),
+            cfg, tables) for c in (1, 2))
+        for name in ("grid", "label_space", "features", "pairwise_table", "edges"):
+            assert getattr(one, name) is getattr(two, name) is getattr(tables, name)
+        for arr in (one.features, one.pairwise_table, one.edges,
+                    one.label_space.displacements):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1
+        # the class-specific parts differ per sample
+        assert not np.array_equal(one.src_fg.labels, two.src_fg.labels)
+        assert not np.array_equal(one.loss_terms, two.loss_terms)
 
 
 class TestAssembleModel:

@@ -6,6 +6,7 @@ from mmreg import metrics as me
 from mmreg.synth import SynthSpec, synth_dataset
 from mmreg.volume import FormatError, LabelSpace, SegmentationMask, Volume, make_control_grid
 
+import count_oracle
 import feature_oracle
 import metric_oracle as mo
 from metric_oracle import Patch, extract_patch
@@ -387,6 +388,77 @@ class TestDominantClass:
             assert mo.dominant_class(mask, grid, ls, node, 0, 2) == 1
 
 
+def _class_labels(rng, dims, top, p_fg=0.5):
+    return np.where(rng.random(dims) < p_fg, rng.integers(1, top + 1, dims), 0)
+
+
+def _classes_above_n(rng):
+    # ids 1..5 against n_classes 3: 3, 4 and 5 all count toward class 3
+    src, _, grid, ls = _registration_like(rng)
+    return _class_labels(rng, src.dims, 5), src.spacing, grid, ls, 3
+
+
+def _single_class(rng):
+    src, _, grid, ls = _registration_like(rng)
+    return _class_labels(rng, src.dims, 4, 0.05), src.spacing, grid, ls, 1
+
+
+def _mostly_background(rng):
+    # foreground only in one corner block: most windows are all background
+    labels = np.zeros((32, 30, 28), dtype=np.int64)
+    labels[:6, :5, :4] = _class_labels(rng, (6, 5, 4), 2)
+    src, _, grid, ls = _registration_like(rng)
+    return labels, src.spacing, grid, ls, 2
+
+
+def _all_background(rng):
+    src, _, grid, ls = _registration_like(rng)
+    return np.zeros(src.dims, dtype=np.int64), src.spacing, grid, ls, 2
+
+
+def _checkerboard_ties(rng):
+    x, y, z = np.indices((14, 12, 10))
+    labels = np.where((x + y + z) % 2 == 0, 3, 1)
+    return (labels, (1.0, 1.0, 1.0), make_control_grid(Volume(np.zeros((14, 12, 10)),
+            (1.0, 1.0, 1.0)), 4.0), _shift_labels((-2, 0, 1), (-1, 0, 1), (0, 3)), 3)
+
+
+def _thin_non_cubic(rng):
+    # one voxel thick in y, windows wider than the volume along y and z
+    vol = Volume(np.zeros((17, 1, 6), dtype=np.float32), (1.0, 2.0, 1.5))
+    return (_class_labels(rng, vol.dims, 3), vol.spacing, make_control_grid(vol, 9.0),
+            _shift_labels((-4, 0, 3), (-2, 0, 2), (0, 5)), 3)
+
+
+class TestDominantClassTableOracle:
+    """dominant_class_table equals the gathered-window oracle bit for bit."""
+
+    @pytest.mark.parametrize("build", [
+        _classes_above_n, _single_class, _mostly_background, _all_background,
+        _checkerboard_ties, _thin_non_cubic,
+    ])
+    def test_bit_exact(self, build):
+        labels, spacing, grid, ls, n_classes = build(np.random.default_rng(23))
+        mask = SegmentationMask(np.asarray(labels, dtype=np.uint8), spacing)
+        got = me.dominant_class_table(mask, grid, ls, n_classes)
+        want = count_oracle.dominant_class_table(mask, grid, ls, n_classes)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_cases_cover_their_edge(self):
+        rng = np.random.default_rng(23)
+        labels, spacing, grid, ls, n = _classes_above_n(rng)
+        mask = SegmentationMask(labels.astype(np.uint8), spacing)
+        assert labels.max() > n and n in me.dominant_class_table(mask, grid, ls, n)
+        labels, spacing, grid, ls, n = _mostly_background(rng)
+        table = me.dominant_class_table(SegmentationMask(labels.astype(np.uint8), spacing),
+                                        grid, ls, n)
+        assert np.any(table == 0) and np.any(table > 0)
+        labels, spacing, grid, ls, n = _thin_non_cubic(rng)
+        radius = me.patch_radius(grid.spacing_mm, spacing)
+        assert any(2 * r + 1 > d for r, d in zip(radius, labels.shape))
+
+
 class TestAggregatedUnary:
     def test_one_hot_projection(self):
         w = me.single_metric_weights("SAD", 1.0, 0.0)
@@ -465,6 +537,7 @@ class TestWeightMatrix:
         "metrics=SAD,MI,NCC,DWT classes=0,x\n1 1 1 1 0.3\n1 1 1 1 0.3\n",
         "metrics=SAD,MI,NCC,DWT classes=0 scales=1,2,3\n1 1 1 1 0.3\n",
         "metrics=SAD,MI,NCC,DWT classes=1,0\n1 1 1 1 0.3\n1 1 1 1 0.3\n",
+        "metrics=SAD,MI,NCC,DWT classes=1,1\n1 1 1 1 0.3\n2 2 2 2 0.5\n",   # repeated id
         "metrics=SAD,MI,NCC,DWT classes=0\n1 1 1 1 nan\n",          # non-finite pairwise
         "metrics=SAD,MI,NCC,DWT classes=0\nnan 1 1 1 0.3\n",        # non-finite weights
         "metrics=SAD,MI,NCC,DWT classes=0\n1 1 -inf 1 0.3\n",
@@ -477,6 +550,12 @@ class TestWeightMatrix:
         path.write_text(text)
         with pytest.raises(FormatError):
             me.read_weights(str(path))
+
+    @pytest.mark.parametrize("ids", [(1, 1), (0, 2, 2), (0, 1, 1)])
+    def test_repeated_class_id_rejected(self, ids):
+        # a repeated id would leave every column after its first unreachable
+        with pytest.raises(ValueError, match="strictly ascending"):
+            me.WeightMatrix(np.ones((4, len(ids))), np.ones(len(ids)), ids)
 
     def test_column_lookup(self):
         w = me.WeightMatrix(np.arange(8).reshape(4, 2), np.array([0.5, 1.5]), (0, 2))
