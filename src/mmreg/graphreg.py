@@ -455,6 +455,7 @@ class StepRecord:
     max_sparse_component_mm: float
     bound_mm: float
     runtime_s: float
+    moved_nodes: int          # nodes with a nonzero label; not in to_text
 
 
 @dataclass
@@ -478,6 +479,13 @@ def register(src, tgt, src_mask, wmat, config=None):
     by the accumulated field, (b) build and solve the MRF, (c) compose the
     step field into the accumulated dense field, (d) shrink the labels.
 
+    A step whose labeling is all zero moves no control point, so its step
+    field is +0.0 everywhere. Composing it changes at most the sign of a
+    zero in the accumulated field, which sampling and warping cannot see
+    (a coordinate plus +-0.0 is the coordinate), so the next step of the
+    level reuses the warped source and mask instead of computing them
+    again. Every level warps at its first step.
+
     Returns:
         (DeformationField with the dense composed field, Diagnostics).
     """
@@ -499,22 +507,25 @@ def register(src, tgt, src_mask, wmat, config=None):
         spacing = tuple(config.finest_spacing_mm * (2 ** level) for _ in range(3))
         grid = make_control_grid(s_lvl, spacing)
         ls = initialize_label_space(config, spacing)
+        warped = None
 
         for step in range(config.steps_per_level):
             t0 = time.perf_counter()
-            acc_field = DeformationField(
-                dense=acc.reshape(dims + (3,)), spacing=src.spacing, origin=src.origin
-            )
-            if level == 0:
-                lvl_disp = acc.reshape(dims + (3,))
-            else:
-                lvl_pts = np.stack(
-                    np.meshgrid(*s_lvl.voxel_centers_mm(), indexing="ij"), axis=-1
-                ).reshape(-1, 3)
-                lvl_disp = sample_field(acc_field, lvl_pts).reshape(s_lvl.dims + (3,))
-            lvl_field = DeformationField(dense=lvl_disp, spacing=s_lvl.spacing, origin=s_lvl.origin)
-            warped = warp(s_lvl, lvl_field)
-            warped_mask = warp_mask(m_lvl, lvl_field) if m_lvl is not None else None
+            if warped is None:
+                if level == 0:
+                    lvl_disp = acc.reshape(dims + (3,))
+                else:
+                    acc_field = DeformationField(
+                        dense=acc.reshape(dims + (3,)), spacing=src.spacing, origin=src.origin
+                    )
+                    lvl_pts = np.stack(
+                        np.meshgrid(*s_lvl.voxel_centers_mm(), indexing="ij"), axis=-1
+                    ).reshape(-1, 3)
+                    lvl_disp = sample_field(acc_field, lvl_pts).reshape(s_lvl.dims + (3,))
+                lvl_field = DeformationField(dense=lvl_disp, spacing=s_lvl.spacing,
+                                             origin=s_lvl.origin)
+                warped = warp(s_lvl, lvl_field)
+                warped_mask = warp_mask(m_lvl, lvl_field) if m_lvl is not None else None
 
             inst = build_instance(warped, t_lvl, warped_mask, wmat, grid, ls)
             labeling = solve(inst)
@@ -528,13 +539,17 @@ def register(src, tgt, src_mask, wmat, config=None):
             step_disp = ffd_evaluate(grid, sparse, centers + acc)
             acc = acc + step_disp
 
-            diag.steps.append(StepRecord(
+            record = StepRecord(
                 level=level, step=step,
                 label_max_norm_mm=float(np.abs(ls.displacements).max()),
                 energy_zero=e_zero, energy_accepted=e_acc,
                 max_sparse_component_mm=max_comp, bound_mm=bound,
                 runtime_s=time.perf_counter() - t0,
-            ))
+                moved_nodes=int(np.count_nonzero(labeling)),
+            )
+            diag.steps.append(record)
+            if record.moved_nodes:
+                warped = None
             ls = refine_label_space(ls, config.refine_factor)
 
     final = DeformationField(

@@ -94,6 +94,7 @@ class TrainingSample:
     loss_terms: np.ndarray = None     # (|V|, |L|) decomposable loss contributions
     src_fg: SegmentationMask = None
     tgt_fg: SegmentationMask = None
+    loss_cache: dict = field(default_factory=dict)   # warped_loss by labeling bytes
 
     @property
     def prepared(self):
@@ -201,6 +202,7 @@ def prepare_sample(sample, config, tables=None):
     )
     sample.loss_terms, _ = loss_node_terms(sample.src_fg, sample.tgt_fg,
                                            tables.grid, tables.label_space)
+    sample.loss_cache = {}
     return sample
 
 
@@ -231,10 +233,19 @@ def loss_augmented_instance(sample, w, sign, scale):
 
 
 def warped_loss(sample, labeling):
-    """Exact Dice loss of the class mask deformed by the labeling's FFD field."""
-    sparse = sample.label_space.displacements[np.asarray(labeling)]
-    warped = warp_mask(sample.src_fg, interpolate_dense(sample.grid, sparse, sample.src_fg))
-    return 1.0 - exact_dice(warped.labels, sample.tgt_fg.labels)
+    """Exact Dice loss of the class mask deformed by the labeling's FFD field.
+
+    The loss depends only on the labeling and the sample's read-only tables,
+    and the oracle often returns a labeling it returned before, so each
+    labeling's loss is computed once per sample preparation.
+    """
+    labeling = np.asarray(labeling, dtype=np.int64)
+    key = labeling.tobytes()
+    if key not in sample.loss_cache:
+        sparse = sample.label_space.displacements[labeling]
+        warped = warp_mask(sample.src_fg, interpolate_dense(sample.grid, sparse, sample.src_fg))
+        sample.loss_cache[key] = 1.0 - exact_dice(warped.labels, sample.tgt_fg.labels)
+    return sample.loss_cache[key]
 
 
 def impute_latent(sample, w, config):

@@ -298,8 +298,9 @@ class DeformationField:
 # cubic B-spline FFD interpolation
 # ---------------------------------------------------------------------------
 
-def _bspline_weights(u):
-    """Cubic B-spline basis values (B0..B3) for fractional offsets u in [0, 1)."""
+def _bspline_weights(u, axis=-1):
+    """Cubic B-spline basis values (B0..B3) for fractional offsets u in [0, 1),
+    stacked along `axis`."""
     u = np.asarray(u, dtype=np.float64)
     u2 = u * u
     u3 = u2 * u
@@ -307,11 +308,12 @@ def _bspline_weights(u):
     b1 = (3.0 * u3 - 6.0 * u2 + 4.0) / 6.0
     b2 = (-3.0 * u3 + 3.0 * u2 + 3.0 * u + 1.0) / 6.0
     b3 = u3 / 6.0
-    return np.stack([b0, b1, b2, b3], axis=-1)
+    return np.stack([b0, b1, b2, b3], axis=axis)
 
 
-def _spline_coords(grid, coords, axis):
-    """Cell index and basis weights along one axis for physical coordinates."""
+def _spline_cells(grid, coords, axis):
+    """Cell index and fractional offset in the cell along one axis for
+    physical coordinates."""
     g = grid.grid_dims[axis]
     if g < 4:
         raise ValueError(f"control grid needs >= 4 points per axis, got {grid.grid_dims}")
@@ -320,12 +322,32 @@ def _spline_coords(grid, coords, axis):
     t = np.clip(t, 1.0, np.nextafter(float(g - 2), 0.0))
     cell = np.floor(t).astype(np.int64)
     cell = np.minimum(cell, g - 3)
-    u = t - cell
+    return cell, t - cell
+
+
+def _spline_coords(grid, coords, axis):
+    """Cell index and basis weights along one axis for physical coordinates."""
+    cell, u = _spline_cells(grid, coords, axis)
     return cell, _bspline_weights(u)
+
+
+# a tap whose moved node reaches more than this share of a chunk's points is
+# accumulated over all of them, as one pass costs less than gathering the
+# share; the points whose tap node did not move add +-0.0
+_DENSE_TAP_SHARE = 0.2
 
 
 def ffd_evaluate(grid, sparse_disp, points_mm):
     """Evaluate the FFD displacement at arbitrary physical points.
+
+    Only control points with a nonzero displacement ("moved" nodes) are
+    read. A point whose 4x4x4 support holds no moved node gets +0.0, and
+    every other point accumulates only its taps on moved nodes, in the tap
+    order and rounding of the full sum, acc += ((wx*wy)*wz)*v. The result is
+    the full 64-tap sum bit for bit, signed zeros included: the B-spline
+    weights are finite and >= 0, so a tap on an unmoved node adds +-0.0; the
+    accumulator starts at +0.0 and a round-to-nearest sum never turns it
+    into -0.0, so adding +-0.0 leaves it unchanged.
 
     Args:
         grid: ControlGrid.
@@ -343,28 +365,61 @@ def ffd_evaluate(grid, sparse_disp, points_mm):
             f"{grid.n_nodes} nodes"
         )
     pts = np.asarray(points_mm, dtype=np.float64).reshape(-1, 3)
-    # one contiguous table per component in node order: each of the 64 taps
-    # is then a 1-D gather at the constant node offset of (a, b, c)
+    out = np.zeros((pts.shape[0], 3), dtype=np.float64)
+    V = grid.n_nodes
+    moved = np.any(sparse_disp != 0.0, axis=1)
+    if not moved.any():
+        return out
+    # the support starting at node n holds a moved node: node n + offset of
+    # one of its taps moved (such n are the bases _spline_cells yields)
+    reached = np.zeros(V, dtype=bool)
+    for a in range(4):
+        for b in range(4):
+            for c in range(4):
+                o = grid.node_index(a, b, c)
+                reached[:V - o] |= moved[o:]
+    # one contiguous table per component in node order: each tap is then a
+    # 1-D gather at the constant node offset of (a, b, c)
     comp = np.ascontiguousarray(sparse_disp.T)
 
-    out = np.zeros((pts.shape[0], 3), dtype=np.float64)
     chunk = 1 << 16
     for s in range(0, pts.shape[0], chunk):
         p = pts[s:s + chunk]
-        (cx, wx), (cy, wy), (cz, wz) = (_spline_coords(grid, p[:, a], a) for a in range(3))
-        wx, wy, wz = (np.ascontiguousarray(w.T) for w in (wx, wy, wz))
+        (cx, ux), (cy, uy), (cz, uz) = (_spline_cells(grid, p[:, a], a) for a in range(3))
         base = grid.node_index(cx - 1, cy - 1, cz - 1)
-        acc = np.zeros((3, p.shape[0]), dtype=np.float64)
+        keep = np.flatnonzero(reached[base])
+        if not len(keep):
+            continue
+        # kept points grouped by support: the points that one tap reaches
+        # are then the runs of the supports whose tap node moved
+        keep = keep[np.argsort(base[keep], kind="stable")]
+        base = base[keep]
+        count = np.bincount(base, minlength=V)
+        end = np.cumsum(count)
+        wx, wy, wz = (_bspline_weights(u[keep], axis=0) for u in (ux, uy, uz))
+        acc = np.zeros((3, len(keep)), dtype=np.float64)
         for a in range(4):
             for b in range(4):
                 wab = wx[a] * wy[b]
                 for c in range(4):
-                    w = wab * wz[c]
-                    i = base + grid.node_index(a, b, c)
-                    for d in range(3):
-                        # clip never applies: _spline_coords keeps taps in the grid
-                        acc[d] += w * comp[d].take(i, mode="clip")
-        out[s:s + chunk] = acc.T
+                    o = grid.node_index(a, b, c)
+                    hit = np.flatnonzero(moved[o:])     # supports whose (a, b, c) moved
+                    n = count[hit]
+                    m = int(n.sum())
+                    if m == 0:
+                        continue
+                    node = comp[:, o:]          # node[d][base] = comp[d][base + o]
+                    if m > _DENSE_TAP_SHARE * len(keep):
+                        w = wab * wz[c]
+                        for d in range(3):
+                            acc[d] += w * node[d].take(base)
+                    else:
+                        # positions end - n .. end - 1 of each hit support's points
+                        i = np.repeat(end[hit] - np.cumsum(n), n) + np.arange(m)
+                        w = wab[i] * wz[c][i]
+                        for d in range(3):
+                            acc[d, i] += w * node[d].take(base[i])
+        out[s + keep] = acc.T
     return out
 
 

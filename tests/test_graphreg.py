@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,19 @@ class TestBuildInstance:
             gr.build_instance(p.source, p.target, None, wmat, grid, ls)
 
 
+@pytest.fixture(scope="module")
+def translated_pair():
+    spec = SynthSpec(
+        dims=(24, 20, 18), spacing_mm=(2.0, 2.0, 2.0), n_pairs=1,
+        organ_radii_mm=(7.0,), organ_centers_frac=((0.45, 0.5, 0.5),),
+        center_jitter_mm=0.0, radius_jitter_mm=0.0,
+        base_levels=(0.25, 0.7), texture_amp=(0.05, 0.08),
+        remap_region_x_frac=1.0, noise_sigma=0.01,
+        gt_mode="translate", gt_translate_mm=(4.0, 0.0, 0.0), max_gt_disp_mm=8.0,
+    )
+    return synth_dataset(spec, 1)[0]
+
+
 class TestRegister:
     def test_self_registration(self, small_pair):
         p = small_pair
@@ -271,16 +286,8 @@ class TestRegister:
         for rec in diag.steps:
             assert rec.energy_accepted <= rec.energy_zero + 1e-9
 
-    def test_translation_recovery_small(self):
-        spec = SynthSpec(
-            dims=(24, 20, 18), spacing_mm=(2.0, 2.0, 2.0), n_pairs=1,
-            organ_radii_mm=(7.0,), organ_centers_frac=((0.45, 0.5, 0.5),),
-            center_jitter_mm=0.0, radius_jitter_mm=0.0,
-            base_levels=(0.25, 0.7), texture_amp=(0.05, 0.08),
-            remap_region_x_frac=1.0, noise_sigma=0.01,
-            gt_mode="translate", gt_translate_mm=(4.0, 0.0, 0.0), max_gt_disp_mm=8.0,
-        )
-        p = synth_dataset(spec, 1)[0]
+    def test_translation_recovery_small(self, translated_pair):
+        p = translated_pair
         w = me.WeightMatrix(np.array([[0.1], [10.0], [10.0], [10.0]]), np.array([0.4]), (0,))
         cfg = gr.PyramidConfig(levels=1, steps_per_level=4, labels_per_level=27,
                                finest_spacing_mm=12.0)
@@ -308,6 +315,94 @@ class TestRegister:
         text = diag.to_text()
         assert text.startswith("level step")
         assert len(text.strip().splitlines()) == 3
+        # moved_nodes stays out of the log, which keeps five columns
+        assert all(len(line.split()) == 5 for line in text.splitlines())
+
+
+class TestWarpReuse:
+    """register warps the source again only after a step that moved a
+    control point, and reusing the warp changes no output bit."""
+
+    W = me.WeightMatrix(np.array([[0.1], [10.0], [10.0], [10.0]]), np.array([0.4]), (0,))
+    CFG = gr.PyramidConfig(levels=2, steps_per_level=4, labels_per_level=27,
+                           finest_spacing_mm=12.0)
+
+    def count_calls(self, monkeypatch):
+        calls = dict.fromkeys(("warp", "warp_mask", "sample_field", "solve"), 0)
+        labelings = []
+
+        def counted(name):
+            inner = getattr(gr, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                out = inner(*args)
+                if name == "solve":
+                    labelings.append(out)
+                return out
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(gr, name, counted(name))
+        return calls, labelings
+
+    def test_moved_nodes_counts_nonzero_labels(self, translated_pair, monkeypatch):
+        p = translated_pair
+        solve = gr.solve
+
+        def diagonal_moves(instance):
+            # every other moved node takes the last label, (+b, +b, +b), so
+            # nodes and nonzero displacement components count differently
+            lab = solve(instance)
+            lab[np.flatnonzero(lab)[::2]] = instance.n_labels - 1
+            return lab
+
+        monkeypatch.setattr(gr, "solve", diagonal_moves)
+        _, labelings = self.count_calls(monkeypatch)
+        _, diag = gr.register(p.source, p.target, p.source_mask, self.W, self.CFG)
+        moved = [r.moved_nodes for r in diag.steps]
+        assert moved == [int(np.count_nonzero(lab)) for lab in labelings]
+        assert 0 in moved and max(moved) > 0
+
+    def test_warps_once_per_level_and_after_moved_steps(self, translated_pair, monkeypatch):
+        p = translated_pair
+        calls, _ = self.count_calls(monkeypatch)
+        _, diag = gr.register(p.source, p.target, p.source_mask, self.W, self.CFG)
+        last = self.CFG.steps_per_level - 1
+        rewarps = [r for r in diag.steps if r.moved_nodes and r.step < last]
+        assert any(r.moved_nodes == 0 and r.step < last for r in diag.steps)
+        warps = self.CFG.levels + len(rewarps)
+        assert calls["warp"] == calls["warp_mask"] == warps
+        # only the finest level reads the accumulated field without sampling
+        finest = 1 + sum(r.level == 0 for r in rewarps)
+        assert calls["sample_field"] == warps - finest
+
+    def test_reuse_matches_warping_every_step(self, translated_pair, monkeypatch):
+        p = translated_pair
+        fld, diag = gr.register(p.source, p.target, p.source_mask, self.W, self.CFG)
+
+        @dataclass
+        class EveryStepMoved(gr.StepRecord):
+            def __post_init__(self):
+                self.moved_nodes = max(self.moved_nodes, 1)
+
+        monkeypatch.setattr(gr, "StepRecord", EveryStepMoved)
+        calls, _ = self.count_calls(monkeypatch)
+        ref, ref_diag = gr.register(p.source, p.target, p.source_mask, self.W, self.CFG)
+        assert calls["warp"] == self.CFG.levels * self.CFG.steps_per_level
+        assert fld.dense.tobytes() == ref.dense.tobytes()
+        assert diag.to_text() == ref_diag.to_text()
+
+    def test_all_zero_steps_warp_once_per_level(self, small_pair, monkeypatch):
+        # source = target under SAD: the zero labeling is optimal at every step
+        p = small_pair
+        w = me.single_metric_weights("SAD", 1.0, 0.1)
+        calls, _ = self.count_calls(monkeypatch)
+        fld, diag = gr.register(p.source, p.source, p.source_mask, w, self.CFG)
+        assert all(r.moved_nodes == 0 for r in diag.steps)
+        assert calls["warp"] == calls["warp_mask"] == self.CFG.levels
+        assert calls["solve"] == self.CFG.levels * self.CFG.steps_per_level
+        assert fld.dense.tobytes() == np.zeros_like(fld.dense).tobytes()
 
 
 class TestSkipCertificate:

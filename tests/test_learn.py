@@ -474,36 +474,90 @@ class TestTrainClass:
         assert loss == dice_loss(warped, s.tgt_fg)
 
 
+@pytest.fixture(scope="module")
+def two_organ_pairs():
+    spec = SynthSpec(dims=(28, 24, 20), spacing_mm=(2.0, 2.0, 2.0), n_pairs=2,
+                     organ_radii_mm=(7.0, 6.0), center_jitter_mm=1.0)
+    return synth_dataset(spec, 4)
+
+
+# wp0=0.1 keeps training from returning w0 untouched
+TWO_ORGAN_CONFIG = learn.TrainConfig(spacing_mm=14.0, labels=27, C=20.0, alpha=1.0,
+                                     max_cccp=2, wp0=0.1, scales=(0.1, 0.2, 0.3, 0.4))
+
+
+def train_and_write(pairs, cfg, path, shared):
+    """Train classes 1 and 2 on `pairs`, with one set of pair tables shared by
+    both classes or each sample building its own; write model and log."""
+    results = []
+    tables = [learn.pair_tables(p.source, p.target, cfg) for p in pairs] if shared else None
+    for c in (1, 2):
+        samples = []
+        for i, p in enumerate(pairs):
+            s = learn.TrainingSample(p.source, p.target, p.source_mask, p.target_mask, c)
+            samples.append(learn.prepare_sample(s, cfg, tables[i]) if shared else s)
+        results.append(learn.train_class(samples, cfg))
+    learn.write_model(str(path), learn.assemble_model(results, cfg), cfg)
+    learn.write_training_manifest(str(path) + ".log", results)
+
+
+def same_model_and_log(a, b):
+    return all(a.with_name(a.name + suffix).read_bytes()
+               == b.with_name(b.name + suffix).read_bytes() for suffix in ("", ".log"))
+
+
+class TestWarpedLossCache:
+    """The oracle's exact loss is computed once per labeling and sample."""
+
+    def test_model_and_log_unchanged_with_fewer_losses(self, two_organ_pairs, tmp_path,
+                                                       monkeypatch):
+        calls = {"interpolate_dense": 0}
+        inner = learn.interpolate_dense
+
+        def counted(*args):
+            calls["interpolate_dense"] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(learn, "interpolate_dense", counted)
+        train_and_write(two_organ_pairs, TWO_ORGAN_CONFIG, tmp_path / "cached.txt", True)
+        cached = calls["interpolate_dense"]
+
+        warped_loss = learn.warped_loss
+
+        def uncached(sample, labeling):
+            sample.loss_cache = {}
+            return warped_loss(sample, labeling)
+
+        monkeypatch.setattr(learn, "warped_loss", uncached)
+        calls["interpolate_dense"] = 0
+        train_and_write(two_organ_pairs, TWO_ORGAN_CONFIG, tmp_path / "uncached.txt", True)
+        assert same_model_and_log(tmp_path / "cached.txt", tmp_path / "uncached.txt")
+        assert 0 < cached < calls["interpolate_dense"]
+
+    def test_new_preparation_starts_empty(self, two_organ_pairs):
+        p = two_organ_pairs[0]
+        s = learn.TrainingSample(p.source, p.target, p.source_mask, p.target_mask, 1)
+        learn.prepare_sample(s, TWO_ORGAN_CONFIG)
+        lab = np.zeros(s.grid.n_nodes, dtype=np.int64)
+        loss = learn.warped_loss(s, lab)
+        assert list(s.loss_cache.values()) == [loss]
+        # labelings that differ in one node are cached apart
+        lab[-1] = 1
+        learn.warped_loss(s, lab)
+        learn.warped_loss(s, lab.astype(np.int32))
+        assert len(s.loss_cache) == 2
+        learn.prepare_sample(s, TWO_ORGAN_CONFIG)
+        assert s.loss_cache == {}
+
+
 class TestSharedPairTables:
     """Samples of every class share one pair's tables, read-only, and train
     to the same model as samples that each build their own."""
 
-    @pytest.fixture(scope="class")
-    def two_organ_pairs(self):
-        spec = SynthSpec(dims=(28, 24, 20), spacing_mm=(2.0, 2.0, 2.0), n_pairs=2,
-                         organ_radii_mm=(7.0, 6.0), center_jitter_mm=1.0)
-        return synth_dataset(spec, 4)
-
-    def train_and_write(self, pairs, cfg, path, shared):
-        results = []
-        tables = [learn.pair_tables(p.source, p.target, cfg) for p in pairs] if shared else None
-        for c in (1, 2):
-            samples = []
-            for i, p in enumerate(pairs):
-                s = learn.TrainingSample(p.source, p.target, p.source_mask, p.target_mask, c)
-                samples.append(learn.prepare_sample(s, cfg, tables[i]) if shared else s)
-            results.append(learn.train_class(samples, cfg))
-        learn.write_model(str(path), learn.assemble_model(results, cfg), cfg)
-        learn.write_training_manifest(str(path) + ".log", results)
-
     def test_model_and_log_byte_identical(self, two_organ_pairs, tmp_path):
-        cfg = learn.TrainConfig(spacing_mm=14.0, labels=27, C=20.0, alpha=1.0, max_cccp=2,
-                                wp0=0.1, scales=(0.1, 0.2, 0.3, 0.4))
-        self.train_and_write(two_organ_pairs, cfg, tmp_path / "shared.txt", True)
-        self.train_and_write(two_organ_pairs, cfg, tmp_path / "own.txt", False)
-        for suffix in ("", ".log"):
-            shared = (tmp_path / f"shared.txt{suffix}").read_bytes()
-            assert shared == (tmp_path / f"own.txt{suffix}").read_bytes()
+        train_and_write(two_organ_pairs, TWO_ORGAN_CONFIG, tmp_path / "shared.txt", True)
+        train_and_write(two_organ_pairs, TWO_ORGAN_CONFIG, tmp_path / "own.txt", False)
+        assert same_model_and_log(tmp_path / "shared.txt", tmp_path / "own.txt")
 
     def test_tables_shared_and_read_only(self, two_organ_pairs):
         cfg = learn.TrainConfig(spacing_mm=14.0, labels=27)

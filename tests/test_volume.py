@@ -168,7 +168,7 @@ class TestFfdEvaluateBitExact:
         sparse = rng.uniform(-3, 3, (grid.n_nodes, 3))
         out = ffd_evaluate(grid, sparse, pts)
         assert out.shape == (len(pts), 3)
-        assert np.array_equal(out, _ffd_gather_oracle(grid, sparse, pts))
+        assert out.tobytes() == _ffd_gather_oracle(grid, sparse, pts).tobytes()
 
     def test_random_off_grid_points(self, vol, grid, rng):
         lo, hi = vol.extent_mm()
@@ -191,6 +191,79 @@ class TestFfdEvaluateBitExact:
         lo = np.asarray(grid.origin_mm)
         hi = lo + (np.asarray(grid.grid_dims) - 1) * np.asarray(grid.spacing_mm)
         self.check(grid, rng.uniform(lo - 2.0, hi + 2.0, (2000, 3)), rng)
+
+
+class TestFfdEvaluateMovedSupport:
+    """ffd_evaluate reads only moved control points (nonzero displacement);
+    it must still equal the full 64-tap sum byte for byte, signed zeros
+    included. TestFfdEvaluateBitExact covers fields where every node moved."""
+
+    GRID = ControlGrid((10, 10, 10), (4.0, 4.0, 4.0), (0.0, 0.0, 0.0))
+
+    def points(self, grid, rng, n, margin=0.0):
+        lo = np.asarray(grid.origin_mm)
+        hi = lo + (np.asarray(grid.grid_dims) - 1) * np.asarray(grid.spacing_mm)
+        return rng.uniform(lo - margin, hi + margin, (n, 3))
+
+    def check(self, grid, sparse, pts):
+        out = ffd_evaluate(grid, sparse, pts)
+        assert out.tobytes() == _ffd_gather_oracle(grid, sparse, pts).tobytes()
+        return out
+
+    def one_node(self, grid, ix, iy, iz, d=(1.5, -0.75, 2.25)):
+        sparse = np.zeros((grid.n_nodes, 3))
+        sparse[grid.node_index(ix, iy, iz)] = d
+        return sparse
+
+    def test_all_zero_field(self, rng):
+        pts = self.points(self.GRID, rng, 3000)
+        out = self.check(self.GRID, np.zeros((self.GRID.n_nodes, 3)), pts)
+        assert not np.signbit(out).any() and not out.any()
+
+    @pytest.mark.parametrize("node", [(4, 5, 3), (0, 0, 0), (9, 9, 9), (0, 4, 6), (5, 9, 2)])
+    def test_one_moved_node(self, rng, node):
+        # interior, both grid corners, and padding nodes on two faces
+        out = self.check(self.GRID, self.one_node(self.GRID, *node),
+                         self.points(self.GRID, rng, 5000, margin=2.0))
+        assert out.any()
+
+    def test_zero_rows_and_negative_zeros(self, rng):
+        # nodes with ix < 5 are unmoved: rows of +0.0, of -0.0, or mixed;
+        # the moved nodes carry some -0.0 components
+        V = self.GRID.n_nodes
+        sparse = rng.uniform(-3, 3, (V, 3))
+        sparse[rng.random((V, 3)) < 0.3] = -0.0
+        unmoved = np.arange(V) % 10 < 5
+        sparse[unmoved & (rng.random(V) < 0.5)] = 0.0
+        sparse[unmoved & (rng.random(V) < 0.3)] = -0.0
+        sparse[unmoved] *= np.where(rng.random((V, 3)) < 0.5, 0.0, -0.0)[unmoved]
+        assert np.signbit(sparse[unmoved]).any() and not sparse[unmoved].any()
+        out = self.check(self.GRID, sparse, self.points(self.GRID, rng, 5000))
+        # points whose support holds only unmoved nodes get +0.0
+        assert (out == 0.0).any() and not np.signbit(out[out == 0.0]).any()
+
+    def test_moved_support_only_in_last_chunk(self, rng):
+        # node (8, 8, 8) moves; its supports start at nodes 5..6 per axis,
+        # i.e. at coordinates >= 24 mm, which only the tail points reach
+        n = (1 << 16) + 300
+        pts = rng.uniform(4.0, 20.0, (n, 3))
+        pts[-300:] = rng.uniform(24.5, 31.5, (300, 3))
+        out = self.check(self.GRID, self.one_node(self.GRID, 8, 8, 8), pts)
+        assert not out[:1 << 16].any() and np.all(out[-300:] != 0.0)
+
+    def test_clamped_points_outside_support(self, rng):
+        sparse = self.one_node(self.GRID, 2, 1, 8) + self.one_node(self.GRID, 7, 8, 1)
+        pts = self.points(self.GRID, rng, 3000, margin=40.0)
+        pts[:4] = [[-1e6, -1e6, 1e6], [1e6, 1e6, -1e6], [-5.0, 50.0, 17.0], [50.0, -5.0, 17.0]]
+        out = self.check(self.GRID, sparse, pts)
+        assert out[:2].any()
+
+    def test_non_cubic_grid(self, rng):
+        grid = ControlGrid((5, 7, 9), (3.0, 2.0, 1.5), (-3.0, 1.0, -2.0))
+        sparse = np.zeros((grid.n_nodes, 3))
+        moved = rng.choice(grid.n_nodes, 12, replace=False)
+        sparse[moved] = rng.uniform(-2, 2, (12, 3))
+        self.check(grid, sparse, self.points(grid, rng, 4000, margin=2.0))
 
 
 class TestSampleField:
