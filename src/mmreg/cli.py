@@ -63,10 +63,9 @@ class Config:
         return getattr(getattr(self, part), f.name)
 
 
-# TrainConfig fields whose config key differs from the field name; scales
-# are calibrated from the training pairs, so no key sets them
+# TrainConfig fields whose config key differs from the field name
 _TRAIN_KEYS = {"C": "train_C", "alpha": "train_alpha", "spacing_mm": "train_spacing_mm",
-               "labels": "train_labels", "scales": None}
+               "labels": "train_labels"}
 
 
 def _config_keys():
@@ -76,8 +75,7 @@ def _config_keys():
     for part in fields(Config):
         for f in fields(part.type):
             key = _TRAIN_KEYS.get(f.name, f.name) if part.name == "train" else f.name
-            if key is not None:
-                keys.setdefault(key, []).append((part.name, f))
+            keys.setdefault(key, []).append((part.name, f))
     return keys
 
 
@@ -223,9 +221,8 @@ def cmd_train(args):
     pairs = _load_pairs(rows)
 
     tcfg = cfg.train
-    if cfg.run.normalize_metrics:
-        vols = [(src, tgt) for (_, src, tgt, _, _) in pairs]
-        tcfg = replace(tcfg, scales=me.calibrate_scales(vols, tcfg.spacing_mm))
+    scales = (me.calibrate_scales([(src, tgt) for (_, src, tgt, _, _) in pairs], tcfg.spacing_mm)
+              if cfg.run.normalize_metrics else None)
 
     class_ids = sorted({c for (_, _, _, sm, tm) in pairs
                         for c in set(sm.class_ids()) & set(tm.class_ids())})
@@ -240,9 +237,8 @@ def cmd_train(args):
         for pid, src, tgt, smask, tmask in pairs:
             if c in smask.class_ids() and c in tmask.class_ids():
                 if pid not in tables:
-                    tables[pid] = learn.pair_tables(src, tgt, tcfg)
-                samples.append(learn.prepare_sample(
-                    learn.TrainingSample(src, tgt, smask, tmask, c), tcfg, tables[pid]))
+                    tables[pid] = learn.pair_tables(src, tgt, tcfg, scales)
+                samples.append(learn.prepare_sample(tables[pid], smask, tmask, c))
             else:
                 print(f"note: {pid} lacks class {c} in both masks; excluded", file=sys.stderr)
         res = learn.train_class(samples, tcfg)
@@ -251,7 +247,7 @@ def cmd_train(args):
             exit_code = 4
         results.append(res)
 
-    wmat = learn.assemble_model(results, tcfg)
+    wmat = learn.assemble_model(results, tcfg, scales)
     out_dir = os.path.dirname(os.path.abspath(args.out_model)) or "."
     os.makedirs(out_dir, exist_ok=True)
     learn.write_model(args.out_model, wmat, tcfg, {"seed": str(cfg.run.seed)})

@@ -50,7 +50,6 @@ class EvalRow:
 @dataclass
 class EvalReport:
     rows: list = field(default_factory=list)
-    skipped: list = field(default_factory=list)
 
     def summary(self):
         """Aggregate rows: {(organ, method): dict of statistics}."""
@@ -92,25 +91,11 @@ def run_benchmark(dataset, model, config=None, wp_scale=BASELINE_WP_SCALE, threa
     """
     config = config or PyramidConfig()
     report = EvalReport()
-    scales = model.scales if model is not None else None
-
-    jobs = []
-    for entry in dataset:
-        pair_id, src, tgt, smask, tmask = entry
-        if smask is None or tmask is None:
-            report.skipped.append((pair_id, "missing mask"))
-            continue
-        for method in ALL_METHODS:
-            jobs.append((pair_id, src, tgt, smask, tmask, method))
+    jobs = [(*entry, method) for entry in dataset for method in ALL_METHODS]
 
     def run_one(job):
         pair_id, src, tgt, smask, tmask, method = job
-        if method == MW_METHOD:
-            if model is None:
-                return None
-            wmat = model
-        else:
-            wmat = baseline_weights(method, scales, wp_scale)
+        wmat = model if method == MW_METHOD else baseline_weights(method, model.scales, wp_scale)
         t0 = time.perf_counter()
         fld, _ = register(src, tgt, smask, wmat, config)
         runtime = time.perf_counter() - t0
@@ -134,8 +119,7 @@ def run_benchmark(dataset, model, config=None, wp_scale=BASELINE_WP_SCALE, threa
     else:
         results = [run_one(j) for j in jobs]
     for rows in results:
-        if rows:
-            report.rows.extend(rows)
+        report.rows.extend(rows)
     report.rows.sort(key=lambda r: (r.pair, r.organ, ALL_METHODS.index(r.method)))
     return report
 
@@ -147,8 +131,6 @@ def write_report_csv(path, report, timings=False):
     for r in report.rows:
         rt = repr(r.runtime_s) if timings else ""
         lines.append(f"{r.pair},{r.organ},{r.method},{repr(r.dice_before)},{repr(r.dice_after)},{rt}")
-    for pair_id, reason in report.skipped:
-        lines.append(f"# skipped {pair_id}: {reason}")
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 

@@ -69,28 +69,28 @@ class MrfInstance:
     """Pairwise MRF over the control grid.
 
     unaries: (|V|, |L|) node costs.
-    pairwise_weight: scalar w_p applied to every edge unless edge_weights
-        provides a per-edge value (used when w_p varies by dominant class).
+    edge_weights: pairwise weight w_p, one value for every edge or one per
+        edge (w_p varies by dominant class); stored as an (|E|,) array.
     pairwise_table: (|L|, |L|) L1 distances (mm) between displacement labels.
     """
     unaries: np.ndarray
-    pairwise_weight: float
+    edge_weights: np.ndarray
     pairwise_table: np.ndarray
     edges: np.ndarray
-    edge_weights: np.ndarray = None
 
     def __post_init__(self):
         u = np.ascontiguousarray(self.unaries, dtype=np.float64)
         t = np.ascontiguousarray(self.pairwise_table, dtype=np.float64)
         e = np.ascontiguousarray(self.edges, dtype=np.int64)
+        w = np.asarray(self.edge_weights, dtype=np.float64)
+        w = np.full(len(e), w) if w.ndim == 0 else np.ascontiguousarray(w)
+        if w.shape != (len(e),):
+            raise ValueError(f"edge_weights must be one value or one per edge, got shape "
+                             f"{w.shape} for {len(e)} edges")
         object.__setattr__(self, "unaries", u)
+        object.__setattr__(self, "edge_weights", w)
         object.__setattr__(self, "pairwise_table", t)
         object.__setattr__(self, "edges", e)
-        if self.edge_weights is not None:
-            w = np.ascontiguousarray(self.edge_weights, dtype=np.float64)
-            if w.shape != (len(e),):
-                raise ValueError("edge_weights must have one entry per edge")
-            object.__setattr__(self, "edge_weights", w)
 
     @property
     def n_nodes(self):
@@ -100,18 +100,13 @@ class MrfInstance:
     def n_labels(self):
         return self.unaries.shape[1]
 
-    def edge_weight_array(self):
-        if self.edge_weights is not None:
-            return self.edge_weights
-        return np.full(len(self.edges), float(self.pairwise_weight))
-
     def energy(self, labeling):
         labeling = np.asarray(labeling)
         e = float(self.unaries[np.arange(self.n_nodes), labeling].sum())
         if len(self.edges):
             li = labeling[self.edges[:, 0]]
             lj = labeling[self.edges[:, 1]]
-            e += float((self.edge_weight_array() * self.pairwise_table[li, lj]).sum())
+            e += float((self.edge_weights * self.pairwise_table[li, lj]).sum())
         return e
 
 
@@ -193,8 +188,8 @@ def build_instance(src, tgt, src_mask, wmat, grid, label_space):
     cols = col_of[cls]                                    # (V, L) column indices
     unaries = np.einsum("vln,nvl->vl", feats, wmat.weights[:, cols])
     node_wp = wmat.pairwise[cols[:, 0]]                   # zero-label dominant class
-    edge_w = 0.5 * (node_wp[edges[:, 0]] + node_wp[edges[:, 1]]) if len(edges) else np.zeros(0)
-    return MrfInstance(unaries, float(node_wp.mean()), table, edges, edge_w)
+    edge_w = 0.5 * (node_wp[edges[:, 0]] + node_wp[edges[:, 1]])
+    return MrfInstance(unaries, edge_w, table, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +218,13 @@ class _ExpansionNetwork:
     the dual bound that lets a move be skipped without a cut.
     """
 
-    def __init__(self, instance, edge_w):
+    def __init__(self, instance):
         V = instance.n_nodes
         self.unaries = instance.unaries
         self.table = instance.pairwise_table
         self.i = instance.edges[:, 0]
         self.j = instance.edges[:, 1]
-        self.w = edge_w
+        self.w = instance.edge_weights
 
         s, t = V, V + 1
         n = V + 2
@@ -341,7 +336,7 @@ def _neighbor_table(instance):
     pos = np.full((V, max(int(deg.max()), 1)), len(ends))
     pos[ends[order], rank] = order
     nbrs = np.append(instance.edges[:, ::-1].ravel(), 0)[pos]
-    weights = np.append(np.repeat(instance.edge_weight_array(), 2), 0.0)[pos]
+    weights = np.append(np.repeat(instance.edge_weights, 2), 0.0)[pos]
     return nbrs, weights, pos < len(ends)
 
 
@@ -403,11 +398,10 @@ def solve(instance):
     labeling = np.zeros(V, dtype=np.int64)
     if L == 1:
         return labeling
-    edge_w = instance.edge_weight_array()
-    if len(instance.edges) == 0 or np.all(edge_w == 0.0):
+    if len(instance.edges) == 0 or np.all(instance.edge_weights == 0.0):
         return np.argmin(instance.unaries, axis=1).astype(np.int64)
 
-    net = _ExpansionNetwork(instance, edge_w)
+    net = _ExpansionNetwork(instance)
     net.relabel(labeling)
     energy = instance.energy(labeling)
     version = 0                           # bumped on every accepted move

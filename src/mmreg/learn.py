@@ -50,7 +50,6 @@ class TrainConfig:
     spacing_mm: float = 25.0     # single-level training grid spacing
     labels: int = 125
     bound_factor: float = 0.4
-    scales: tuple = None         # normalization divisors, one per metric
 
     def __post_init__(self):
         check_fields(self, {
@@ -62,8 +61,6 @@ class TrainConfig:
             "epsilon > 0": self.epsilon > 0,
             "slack_tol > 0": self.slack_tol > 0,
             "max_cccp >= 1": self.max_cccp >= 1,
-            f"no scales, or {me.N_METRICS} scales > 0": self.scales is None or (
-                len(self.scales) == me.N_METRICS and min(self.scales) > 0),
         })
         self.label_schedule()     # checks spacing_mm, labels and bound_factor
 
@@ -75,30 +72,6 @@ class TrainConfig:
             levels=1, steps_per_level=1, labels_per_level=self.labels,
             finest_spacing_mm=self.spacing_mm, bound_factor=self.bound_factor,
         )
-
-
-@dataclass
-class TrainingSample:
-    """One (volume pair, mask pair) example for a single class under training."""
-    source: object
-    target: object
-    source_mask: SegmentationMask
-    target_mask: SegmentationMask
-    class_id: int
-    # populated by prepare_sample; the first five are the pair's shared tables
-    grid: object = None
-    label_space: object = None
-    features: np.ndarray = None       # (|V|, |L|, n)
-    pairwise_table: np.ndarray = None
-    edges: np.ndarray = None
-    loss_terms: np.ndarray = None     # (|V|, |L|) decomposable loss contributions
-    src_fg: SegmentationMask = None
-    tgt_fg: SegmentationMask = None
-    loss_cache: dict = field(default_factory=dict)   # warped_loss by labeling bytes
-
-    @property
-    def prepared(self):
-        return self.features is not None
 
 
 # ---------------------------------------------------------------------------
@@ -119,17 +92,15 @@ def loss_node_terms(src_mask, tgt_mask, grid, label_space):
     mask and summing its overlap with the target per tile.
 
     Returns:
-        (terms, d0): terms has shape (|V|, |L|) and sums over a labeling to
-        the surrogate loss in [0, 1]; d0 is the frozen denominator.
+        (|V|, |L|) terms that sum over a labeling to the surrogate loss in
+        [0, 1]; all zero when both masks are empty.
     """
     a = src_mask.labels > 0
     b = tgt_mask.labels > 0
     V = grid.n_nodes
-    L = label_space.n_labels
     d0 = int(a.sum()) + int(b.sum())
-    terms = np.zeros((V, L), dtype=np.float64)
     if d0 == 0:
-        return terms, 0
+        return np.zeros((V, label_space.n_labels))
 
     spacing = np.asarray(src_mask.spacing, dtype=np.float64)
     shifts = np.rint(label_space.displacements / spacing).astype(np.int64)
@@ -154,8 +125,7 @@ def loss_node_terms(src_mask, tgt_mask, grid, label_space):
     for s in range(0, len(base), chunk):
         rows, k = np.nonzero(flat[base[s:s + chunk, None] + offsets])
         num += np.bincount(tile[s + rows] + k, minlength=V * K)
-    terms = 1.0 / V - 2.0 * num.reshape(V, K)[:, inverse] / d0
-    return terms, d0
+    return 1.0 / V - 2.0 * num.reshape(V, K)[:, inverse] / d0
 
 
 # ---------------------------------------------------------------------------
@@ -172,50 +142,51 @@ class PairTables(NamedTuple):
     edges: np.ndarray
 
 
-def pair_tables(source, target, config):
-    """Control grid, label space, metric features, pairwise distance table
-    and grid edges of one pair, with the arrays made read-only so samples
-    of several classes can share them."""
+def pair_tables(source, target, config, scales):
+    """Control grid, label space, metric features (divided by `scales`,
+    none when None), pairwise distance table and grid edges of one pair,
+    with the arrays made read-only so samples of several classes can share
+    them."""
     grid = make_control_grid(source, config.spacing_mm)
     ls = initialize_label_space(config.label_schedule(), (config.spacing_mm,) * 3)
-    tables = PairTables(grid, ls, me.feature_table(source, target, grid, ls, config.scales),
+    tables = PairTables(grid, ls, me.feature_table(source, target, grid, ls, scales),
                         pairwise_l1_table(ls), grid.edges)
     for arr in (tables.features, tables.pairwise_table, tables.edges):
         arr.setflags(write=False)
     return tables
 
 
-def prepare_sample(sample, config, tables=None):
-    """Build the w-independent tables of one sample: the pair's tables
-    (`tables` from pair_tables, built here when None) and the class's
-    foreground masks and per-(node, label) loss contributions."""
-    if tables is None:
-        tables = pair_tables(sample.source, sample.target, config)
-    sample.grid, sample.label_space, sample.features, sample.pairwise_table, sample.edges = tables
-    sample.src_fg = SegmentationMask(
-        (sample.source_mask.labels == sample.class_id).astype(np.uint8),
-        sample.source_mask.spacing, sample.source_mask.origin,
-    )
-    sample.tgt_fg = SegmentationMask(
-        (sample.target_mask.labels == sample.class_id).astype(np.uint8),
-        sample.target_mask.spacing, sample.target_mask.origin,
-    )
-    sample.loss_terms, _ = loss_node_terms(sample.src_fg, sample.tgt_fg,
-                                           tables.grid, tables.label_space)
-    sample.loss_cache = {}
-    return sample
+@dataclass
+class TrainingSample:
+    """One (volume pair, class) example: the pair's shared tables plus the
+    class's foreground masks and loss contributions."""
+    tables: PairTables
+    class_id: int
+    src_fg: SegmentationMask
+    tgt_fg: SegmentationMask
+    loss_terms: np.ndarray            # (|V|, |L|) decomposable loss contributions
+    loss_cache: dict = field(default_factory=dict)   # warped_loss by labeling bytes
+
+
+def prepare_sample(tables, source_mask, target_mask, class_id):
+    """The sample of class `class_id` on a pair with tables `tables` (from
+    pair_tables): the class's foreground masks and per-(node, label) loss
+    contributions."""
+    src_fg, tgt_fg = (SegmentationMask((m.labels == class_id).astype(np.uint8),
+                                       m.spacing, m.origin)
+                      for m in (source_mask, target_mask))
+    return TrainingSample(tables, class_id, src_fg, tgt_fg,
+                          loss_node_terms(src_fg, tgt_fg, tables.grid, tables.label_space))
 
 
 def joint_feature(sample, labeling):
     """Psi(labeling): per-metric unary sums plus the unweighted pairwise sum."""
     labeling = np.asarray(labeling)
-    V = sample.features.shape[0]
-    unary = sample.features[np.arange(V), labeling, :].sum(axis=0)
+    t = sample.tables
+    unary = t.features[np.arange(t.features.shape[0]), labeling, :].sum(axis=0)
     pair = 0.0
-    if len(sample.edges):
-        pair = float(sample.pairwise_table[
-            labeling[sample.edges[:, 0]], labeling[sample.edges[:, 1]]
-        ].sum())
+    if len(t.edges):
+        pair = float(t.pairwise_table[labeling[t.edges[:, 0]], labeling[t.edges[:, 1]]].sum())
     return np.concatenate([unary, [pair]])
 
 
@@ -225,11 +196,12 @@ def loss_augmented_instance(sample, w, sign, scale):
     Imputation, prediction and the separation oracle differ only here.
     """
     w = np.asarray(w, dtype=np.float64)
-    n = sample.features.shape[2]
-    unaries = sample.features @ w[:n]
+    t = sample.tables
+    n = t.features.shape[2]
+    unaries = t.features @ w[:n]
     if scale != 0.0:
         unaries = unaries + float(sign) * float(scale) * sample.loss_terms
-    return MrfInstance(unaries, float(w[n]), sample.pairwise_table, sample.edges)
+    return MrfInstance(unaries, float(w[n]), t.pairwise_table, t.edges)
 
 
 def warped_loss(sample, labeling):
@@ -237,34 +209,31 @@ def warped_loss(sample, labeling):
 
     The loss depends only on the labeling and the sample's read-only tables,
     and the oracle often returns a labeling it returned before, so each
-    labeling's loss is computed once per sample preparation.
+    labeling's loss is computed once per sample.
     """
     labeling = np.asarray(labeling, dtype=np.int64)
     key = labeling.tobytes()
     if key not in sample.loss_cache:
-        sparse = sample.label_space.displacements[labeling]
-        warped = warp_mask(sample.src_fg, interpolate_dense(sample.grid, sparse, sample.src_fg))
+        sparse = sample.tables.label_space.displacements[labeling]
+        fld = interpolate_dense(sample.tables.grid, sparse, sample.src_fg)
+        warped = warp_mask(sample.src_fg, fld)
         sample.loss_cache[key] = 1.0 - exact_dice(warped.labels, sample.tgt_fg.labels)
     return sample.loss_cache[key]
 
 
 def impute_latent(sample, w, config):
     """Segmentation-consistent registration: argmin w'Psi + eta * loss."""
-    if not sample.prepared:
-        prepare_sample(sample, config)
     inst = loss_augmented_instance(sample, w, +1.0, config.eta)
     return solve(inst)
 
 
-def most_violated(sample, w, config):
+def most_violated(sample, w):
     """Separation oracle: argmin w'Psi - loss.
 
     Returns:
         (labeling, psi, loss) where loss is the exact warped-mask Dice loss
         stored with the constraint.
     """
-    if not sample.prepared:
-        prepare_sample(sample, config)
     inst = loss_augmented_instance(sample, w, -1.0, 1.0)
     labeling = solve(inst)
     return labeling, joint_feature(sample, labeling), warped_loss(sample, labeling)
@@ -382,8 +351,7 @@ class TrainResult:
     class_id: int
     w_c: np.ndarray
     w_p: float
-    history: list
-    manifest_rows: list = field(default_factory=list)
+    manifest_rows: list            # one dict per CCCP iteration
     converged: bool = True
     warning: str = ""
 
@@ -401,16 +369,12 @@ def train_class(samples, config=None):
     config = config or TrainConfig()
     if not samples:
         raise ValueError("train_class needs at least one sample")
-    for s in samples:
-        if s.class_id != samples[0].class_id:
-            raise ValueError("all samples must target the same class")
-        if not s.prepared:
-            prepare_sample(s, config)
+    if any(s.class_id != samples[0].class_id for s in samples):
+        raise ValueError("all samples must target the same class")
 
     w0_full = config.w0_full()
     N = len(samples)
     w = w0_full.copy()
-    history = []
     manifest = []
     prev = None            # (w, objective) of the best iterate so far
     stall = 0
@@ -428,7 +392,7 @@ def train_class(samples, config=None):
         for _ in range(50):
             grew = False
             for i, s in enumerate(samples):
-                lab, psi_bar, loss = most_violated(s, w, config)
+                lab, psi_bar, loss = most_violated(s, w)
                 slack_new = max(0.0, loss - float(w @ psi_bar) + float(w @ psis_hat[i]))
                 duplicate = any(np.array_equal(lab, st[0]) for st in wsets[i])
                 if not duplicate and slack_new > xi[i] + config.slack_tol:
@@ -447,7 +411,7 @@ def train_class(samples, config=None):
         # re-imputation can raise the objective; such iterates are kept as
         # exploration (the violator search at the new w exposes its own bad
         # basins) but the retained model is always the best so far, and the
-        # recorded history tracks the retained-model objective
+        # manifest marks the iterates it retained
         improved = prev is None or obj < prev[1]
         manifest.append({
             "cccp_iter": t,
@@ -459,7 +423,6 @@ def train_class(samples, config=None):
         if improved:
             small = prev is not None and prev[1] - obj < config.epsilon * max(1.0, abs(prev[1]))
             prev = (w.copy(), obj)
-            history.append(obj)
             stall = 0
             if small:
                 converged = True
@@ -477,12 +440,12 @@ def train_class(samples, config=None):
     return TrainResult(
         class_id=samples[0].class_id,
         w_c=w[:n].copy(), w_p=float(w[n]),
-        history=history, manifest_rows=manifest,
+        manifest_rows=manifest,
         converged=converged, warning=warning,
     )
 
 
-def assemble_model(results, config=None):
+def assemble_model(results, config, scales):
     """Combine per-class results into a weight matrix, columns in class-id
     order. With several classes a background column (class 0) handles
     all-background patches; it is set to the trainer's no-constraint
@@ -493,9 +456,9 @@ def assemble_model(results, config=None):
     cheaper-column class by displacing its patch. Columns (with their
     pairwise weights) are therefore rescaled to a common aggregate
     magnitude, which preserves each class's learned metric proportions and
-    its unary/pairwise balance.
+    its unary/pairwise balance. `scales` are the normalization divisors
+    the features were divided by (None for none), recorded with the model.
     """
-    config = config or TrainConfig()
     by_class = {r.class_id: r for r in results}
     if len(by_class) != len(results):
         raise ValueError("duplicate class ids in training results")
@@ -506,7 +469,7 @@ def assemble_model(results, config=None):
         res = by_class[ids[0]]
         return me.WeightMatrix(
             res.w_c.reshape(-1, 1), np.asarray([res.w_p]),
-            tuple(ids), me.METRIC_NAMES, config.scales,
+            tuple(ids), me.METRIC_NAMES, scales,
         )
     target = float(np.abs(np.asarray(config.w0)).sum())
     cols = []
@@ -524,7 +487,7 @@ def assemble_model(results, config=None):
     pws.insert(0, float(np.mean(pws)))
     return me.WeightMatrix(
         np.stack(cols, axis=1), np.asarray(pws), tuple(ids),
-        me.METRIC_NAMES, config.scales,
+        me.METRIC_NAMES, scales,
     )
 
 

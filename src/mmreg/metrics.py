@@ -85,12 +85,6 @@ class WeightMatrix:
         except ValueError:
             raise ValueError(f"class {class_id} not covered by this weight matrix") from None
 
-    def column(self, class_id):
-        return self.weights[:, self.column_index(class_id)]
-
-    def pairwise_for(self, class_id):
-        return float(self.pairwise[self.column_index(class_id)])
-
 
 def single_metric_weights(name, magnitude, pairwise, scales=None):
     """One-hot weight matrix for a single-metric baseline (one class column)."""

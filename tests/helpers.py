@@ -47,7 +47,6 @@ def build_toy_sample(seed, V=6, L=4):
     edges = grid_edges_2d(2, 3)
     disp = np.vstack([[0.0, 0.0, 0.0], rng.uniform(-5, 5, (L - 1, 3))])
     ls = LabelSpace(disp, 5.0)
-    s = learn.TrainingSample(None, None, None, None, 1)
     base = rng.uniform(-5, 5, 3)
     feats = np.zeros((V, L, me.N_METRICS))
     for i in range(V):
@@ -55,9 +54,7 @@ def build_toy_sample(seed, V=6, L=4):
         dist = np.abs(disp - target).sum(axis=1)
         for j in range(me.N_METRICS):
             feats[i, :, j] = rng.uniform(0.1, 0.5) * dist + rng.normal(0, 0.2, L)
-    s.features = feats - feats.min() + 0.1
-    s.loss_terms = 1.0 / V - rng.uniform(0, 2.0 / V, (V, L))
-    s.pairwise_table = gr.pairwise_l1_table(ls)
-    s.edges = edges
-    s.label_space = ls
-    return s, rng
+    tables = learn.PairTables(None, ls, feats - feats.min() + 0.1, gr.pairwise_l1_table(ls),
+                              edges)
+    loss_terms = 1.0 / V - rng.uniform(0, 2.0 / V, (V, L))
+    return learn.TrainingSample(tables, 1, None, None, loss_terms), rng

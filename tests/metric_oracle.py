@@ -207,4 +207,4 @@ def dominant_class(src_mask, grid, label_space, node, label, n_classes):
 
 def aggregated_unary(features, wmat, class_id):
     """Class-conditioned linear aggregation: w(class)^T features."""
-    return float(np.dot(wmat.column(class_id), np.asarray(features, dtype=np.float64)))
+    return float(np.dot(wmat.weights[:, wmat.column_index(class_id)], np.asarray(features, dtype=np.float64)))

@@ -104,7 +104,7 @@ def _icm_pass(instance, labeling, neighbor_lists):
 
 def _neighbor_lists(instance):
     out = [([], []) for _ in range(instance.n_nodes)]
-    ew = instance.edge_weight_array()
+    ew = instance.edge_weights
     for k, (i, j) in enumerate(instance.edges):
         out[i][0].append(j)
         out[i][1].append(ew[k])
@@ -127,7 +127,7 @@ def solve_oracle(instance, max_sweeps=20):
     labeling = np.zeros(V, dtype=np.int64)
     if L == 1:
         return labeling
-    edge_w = instance.edge_weight_array()
+    edge_w = instance.edge_weights
     if len(instance.edges) == 0 or np.all(edge_w == 0.0):
         return np.argmin(instance.unaries, axis=1).astype(np.int64)
 
@@ -162,7 +162,7 @@ def solve_bruteforce(instance, limit=10_000_000):
     total = L ** V
     if total > limit:
         raise ValueError(f"{L}^{V} labelings exceed the enumeration limit {limit}")
-    ew = instance.edge_weight_array()
+    ew = instance.edge_weights
     edges = instance.edges
     best_energy = np.inf
     best_index = -1

@@ -55,11 +55,9 @@ class TestCriterion2EnergyLinearity:
         argmin_stable = True
         for seed in range(50):
             inst, rng = seeded_instance(seed, n_labels=3)
-            s = learn.TrainingSample(None, None, None, None, 1)
-            s.features = rng.uniform(0.0, 2.0, (6, 3, me.N_METRICS))
-            s.loss_terms = np.zeros((6, 3))
-            s.pairwise_table = inst.pairwise_table
-            s.edges = inst.edges
+            feats = rng.uniform(0.0, 2.0, (6, 3, me.N_METRICS))
+            tables = learn.PairTables(None, None, feats, inst.pairwise_table, inst.edges)
+            s = learn.TrainingSample(tables, 1, None, None, np.zeros((6, 3)))
             w = np.concatenate([rng.uniform(-1, 2, me.N_METRICS), [rng.uniform(0.0, 1.0)]])
             lab = rng.integers(0, 3, 6)
             e = learn.loss_augmented_instance(s, w, 1.0, 0.0).energy(lab)
@@ -246,14 +244,14 @@ class TestCriterion8LossAugmentedOracle:
 
 
 def _augmented_value(s, w, lab, sign, scale):
-    V = s.features.shape[0]
+    V = s.tables.features.shape[0]
     return float(w @ learn.joint_feature(s, lab)) + sign * scale * float(
         s.loss_terms[np.arange(V), lab].sum()
     )
 
 
 def _enumerate(s, w, sign, scale):
-    V, L, _ = s.features.shape
+    V, L, _ = s.tables.features.shape
     best = None
     for idx in range(L ** V):
         lab = np.array([(idx // L ** (V - 1 - k)) % L for k in range(V)])

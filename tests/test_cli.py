@@ -483,6 +483,40 @@ class TestTrainEvaluateCommands:
         assert len(lines) == 1 + 2 * 1 * 5      # pairs x organs x methods
         assert os.path.exists(report + ".summary.csv")
 
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_train_shares_pair_tables_across_classes(self, tmp_path, monkeypatch, normalize):
+        spec = write_text(tmp_path / "synth.txt", SYNTH_SPEC.replace(
+            "organ_radii_mm=6.0\norgan_centers_frac=0.5,0.5,0.5\n",
+            "organ_radii_mm=6.0,5.0\norgan_centers_frac=0.35,0.5,0.5;0.65,0.5,0.5\n"))
+        data = str(tmp_path / "data")
+        assert cli.main(["synth", "--spec", spec, "--seed", "3", "--out-dir", data]) == 0
+        built, trained = [], {}
+        pair_tables, train_class = learn.pair_tables, learn.train_class
+
+        def recorded_tables(*args):
+            built.append(pair_tables(*args))
+            return built[-1]
+
+        def recorded_training(samples, config):
+            trained[samples[0].class_id] = samples
+            return train_class(samples, config)
+
+        monkeypatch.setattr(learn, "pair_tables", recorded_tables)
+        monkeypatch.setattr(learn, "train_class", recorded_training)
+        model = str(tmp_path / "model.txt")
+        rc = cli.main(["train", "--dataset", os.path.join(data, "manifest.csv"),
+                       "--config", write_text(tmp_path / "c.txt", FAST_CONFIG),
+                       "--set", f"normalize_metrics={normalize}", "--out-model", model])
+        assert rc in (0, 4)
+        # one set of tables per pair, held by the sample of every class
+        assert sorted(trained) == [1, 2] and len(built) == 2
+        for i, tables in enumerate(built):
+            assert trained[1][i].tables is trained[2][i].tables is tables
+        pairs = [(read_volume(r[0]), read_volume(r[1]))
+                 for r in cli.read_manifest(os.path.join(data, "manifest.csv"))]
+        want = me.calibrate_scales(pairs, 12.0) if normalize else None
+        assert me.read_weights(model)[0].scales == want
+
     def test_malformed_manifest_row(self, workspace):
         tmp, cfg, data = workspace
         bad = write_text(tmp / "bad.csv", "source,target,source_mask,target_mask\na,b,c\n")

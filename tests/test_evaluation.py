@@ -98,12 +98,6 @@ class TestRunBenchmark:
         organs = 1
         assert len(report.rows) == len(tiny_dataset) * organs * len(ev.ALL_METHODS)
 
-    def test_missing_mask_skipped(self, tiny_dataset, tiny_config, tiny_model):
-        broken = [(pid, s, t, None, tm) for (pid, s, t, sm, tm) in tiny_dataset[:1]]
-        report = ev.run_benchmark(broken, tiny_model, tiny_config)
-        assert report.rows == []
-        assert report.skipped and report.skipped[0][1] == "missing mask"
-
     def test_aggregates_match_rows(self, tiny_dataset, tiny_config, tiny_model):
         report = ev.run_benchmark(tiny_dataset, tiny_model, tiny_config)
         summary = report.summary()

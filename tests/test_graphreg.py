@@ -61,7 +61,7 @@ def move_energy_changes(inst, labeling, alpha):
     e = inst.unaries[rows, cands].sum(axis=1)
     if len(inst.edges):
         i, j = inst.edges[:, 0], inst.edges[:, 1]
-        e += (inst.edge_weight_array() * inst.pairwise_table[cands[:, i], cands[:, j]]).sum(axis=1)
+        e += (inst.edge_weights * inst.pairwise_table[cands[:, i], cands[:, j]]).sum(axis=1)
     return e - inst.energy(labeling)
 
 
@@ -179,13 +179,22 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve_oracle.solve_bruteforce(inst)
 
-    def test_edge_weight_array_variants(self):
+    def test_edge_weights_one_value_or_one_per_edge(self):
         inst = registration_like_instance(3)
-        assert np.allclose(inst.edge_weight_array(), inst.pairwise_weight)
-        inst2 = gr.MrfInstance(inst.unaries, 0.0, inst.pairwise_table, inst.edges,
-                               np.linspace(0, 1, len(inst.edges)))
-        lab = gr.solve(inst2)
-        assert inst2.energy(lab) <= inst2.energy(np.zeros(6, dtype=int)) + 1e-12
+        E = len(inst.edges)
+        one = gr.MrfInstance(inst.unaries, 0.37, inst.pairwise_table, inst.edges)
+        full = gr.MrfInstance(inst.unaries, np.full(E, 0.37), inst.pairwise_table, inst.edges)
+        assert one.edge_weights.shape == (E,)
+        assert one.edge_weights.tobytes() == full.edge_weights.tobytes()
+        for lab in np.random.default_rng(3).integers(0, inst.n_labels, (20, inst.n_nodes)):
+            assert one.energy(lab) == full.energy(lab)
+        for bad in (np.ones(E - 1), np.ones(E + 1), np.ones((E, 1)), np.ones((1, E))):
+            with pytest.raises(ValueError, match="one per edge"):
+                gr.MrfInstance(inst.unaries, bad, inst.pairwise_table, inst.edges)
+        per_edge = gr.MrfInstance(inst.unaries, np.linspace(0, 1, E), inst.pairwise_table,
+                                  inst.edges)
+        lab = gr.solve(per_edge)
+        assert per_edge.energy(lab) <= per_edge.energy(np.zeros(6, dtype=int)) + 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -411,7 +420,7 @@ class TestSkipCertificate:
     def _check(self, inst, rng):
         """Certify every label from the solved labeling, from it with two
         nodes changed, from all-zero and from a random labeling."""
-        net = gr._ExpansionNetwork(inst, inst.edge_weight_array())
+        net = gr._ExpansionNetwork(inst)
         solved = gr.solve(inst)
         perturbed = solved.copy()
         perturbed[rng.integers(0, inst.n_nodes, 2)] = rng.integers(0, inst.n_labels, 2)
@@ -443,7 +452,7 @@ class TestSkipCertificate:
             w[rng.random(len(w)) < 0.3] = 0.0
             if seed % 5 == 0:
                 w[:] = 0.0
-            inst = gr.MrfInstance(base.unaries, 1.0, base.pairwise_table, base.edges, w)
+            inst = gr.MrfInstance(base.unaries, w, base.pairwise_table, base.edges)
             skipped += self._check(inst, rng)
         assert skipped > 100
 
@@ -451,7 +460,7 @@ class TestSkipCertificate:
         # asymmetric, non-metric, nonzero diagonal: t[a, a] != 0 must be used
         hand = gr.MrfInstance(np.array([[0.0, -0.8], [0.0, -0.8]]), 1.0,
                               np.array([[0.0, 5.0], [5.0, 1.0]]), np.array([[0, 1]]))
-        net = gr._ExpansionNetwork(hand, hand.edge_weight_array())
+        net = gr._ExpansionNetwork(hand)
         net.relabel(np.zeros(2, dtype=np.int64))
         # moving both nodes costs 1 - 1.6 < 0 though each alone costs 4.2
         assert not net.certify(1)
@@ -498,7 +507,7 @@ class TestSolverOracle:
             base = registration_like_instance(seed, n_nodes=18, n_labels=8, edges=edges)
             w = rng.uniform(0.0, 0.8, len(edges))
             w[rng.random(len(w)) < 0.2] = 0.0
-            inst = gr.MrfInstance(base.unaries, 0.5, base.pairwise_table, edges, w)
+            inst = gr.MrfInstance(base.unaries, w, base.pairwise_table, edges)
             assert np.array_equal(gr.solve(inst), solve_oracle.solve_oracle(inst)), f"seed {seed}"
 
     def test_cut_masks_match(self):
@@ -509,16 +518,15 @@ class TestSolverOracle:
             inst = registration_like_instance(seed, n_nodes=24, n_labels=9, edges=edges,
                                               wp_range=(0.01, 0.3))
             if seed % 2:
-                inst = gr.MrfInstance(inst.unaries, 0.0, inst.pairwise_table, edges,
-                                      rng.uniform(0.0, 0.3, len(edges)))
-            edge_w = inst.edge_weight_array()
-            net = gr._ExpansionNetwork(inst, edge_w)
+                inst = gr.MrfInstance(inst.unaries, rng.uniform(0.0, 0.3, len(edges)),
+                                      inst.pairwise_table, edges)
+            net = gr._ExpansionNetwork(inst)
             labelings = [rng.integers(0, inst.n_labels, inst.n_nodes) for _ in range(4)]
             for x in labelings + [gr.solve(inst)]:
                 net.relabel(x)
                 for alpha in range(inst.n_labels):
                     mask = net.cut(alpha)
-                    ref = solve_oracle._expansion_cut(inst, x, alpha, edge_w)
+                    ref = solve_oracle._expansion_cut(inst, x, alpha, inst.edge_weights)
                     assert np.array_equal(mask, ref), f"seed {seed} alpha {alpha}"
                     partial += bool(mask.any()) and not mask.all()
         assert partial > 100

@@ -1,20 +1,23 @@
 """Dead-code checks for the library, on the standard library's `ast`.
 
 No linter ships with the project's dependencies, so these tests stand in for
-two rules:
+three rules:
 
 * every name a library module imports must be used in that module;
 * every public top-level function or class of a library module must be
-  referenced by other library code or by the benchmark (`bench/`).
+  referenced by other library code or by the benchmark (`bench/`);
+* every public method or property of a library class must be read as an
+  attribute by library or benchmark code.
 
 A last check keeps `scipy.optimize`, which only training uses, out of the
 import of the command-line module.
 
-`__init__.py` is skipped by both, since its imports are the package's
+`__init__.py` is skipped by all three, since its imports are the package's
 re-exports and do not count as uses.
 """
 
 import ast
+import collections
 import os
 import pathlib
 import subprocess
@@ -60,6 +63,30 @@ def unreferenced_definitions(library, users):
                   if not refs.get(name, set()) - {own})
 
 
+def unreferenced_members(library, users):
+    """(module, "Class.name") of each public method or property of a
+    top-level class in the `library` sources that no attribute read
+    (`x.name`) in the library or the `users` sources names; reads inside
+    the member's own body (recursion) do not count."""
+    trees = {module: ast.parse(source)
+             for module, source in list(library.items()) + list(users.items())}
+    reads = collections.Counter(node.attr for tree in trees.values() for node in ast.walk(tree)
+                                if isinstance(node, ast.Attribute))
+    dead = []
+    for module in library:
+        for cls in trees[module].body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for member in cls.body:
+                if not isinstance(member, ast.FunctionDef) or member.name.startswith("_"):
+                    continue
+                own = sum(isinstance(node, ast.Attribute) and node.attr == member.name
+                          for node in ast.walk(member))
+                if reads[member.name] == own:
+                    dead.append((module, f"{cls.name}.{member.name}"))
+    return sorted(dead)
+
+
 @pytest.mark.parametrize("path", MODULES)
 def test_no_unused_imports(path):
     assert unused_imports((SRC / path).read_text()) == []
@@ -70,10 +97,33 @@ def test_check_finds_an_unused_import():
         (1, "os"), (3, "c")]
 
 
-def test_every_public_definition_is_referenced():
+def library_and_bench():
+    """({module: source} of the library, {path: source} of `bench/`)."""
     library = {name: (SRC / name).read_text() for name in MODULES}
     bench = {f"bench/{p.name}": p.read_text() for p in sorted((ROOT / "bench").glob("*.py"))}
-    assert unreferenced_definitions(library, bench) == []
+    return library, bench
+
+
+def test_every_public_definition_is_referenced():
+    assert unreferenced_definitions(*library_and_bench()) == []
+
+
+def test_every_public_member_is_read():
+    assert unreferenced_members(*library_and_bench()) == []
+
+
+def test_check_finds_an_unread_member():
+    library = {
+        "a.py": "class A:\n    def __init__(self):\n        pass\n\n"
+                "    def used(self):\n        return self\n\n"
+                "    def dead(self, n):\n        return self.dead(n - 1)\n\n"
+                "    @property\n    def size(self):\n        return 1\n\n"
+                "    @property\n    def unread(self):\n        return 2\n\n"
+                "    def _private(self):\n        pass\n",
+        "b.py": "def caller(a):\n    return a.used()\n",
+    }
+    bench = {"run.py": "import a\nprint(a.A().size)\n"}
+    assert unreferenced_members(library, bench) == [("a.py", "A.dead"), ("a.py", "A.unread")]
 
 
 def test_check_finds_an_unreferenced_definition():

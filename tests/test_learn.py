@@ -96,8 +96,7 @@ class TestLossIncrements:
         vol, grid = small_grid
         a = box_mask(vol.dims, (3, 3, 3), (9, 9, 9))
         ls = LabelSpace(np.zeros((1, 3)), 0.0)
-        terms, d0 = learn.loss_node_terms(a, a, grid, ls)
-        assert d0 == 2 * int(a.labels.sum())
+        terms = learn.loss_node_terms(a, a, grid, ls)
         # summed over nodes the zero-label surrogate equals the exact loss (0)
         assert terms[:, 0].sum() == pytest.approx(0.0, abs=1e-12)
 
@@ -106,7 +105,7 @@ class TestLossIncrements:
         s = toy_sample(rng)
         w = np.array([0.5, 1.0, 2.0, 0.1, 0.3])
         inst = learn.loss_augmented_instance(s, w, +1.0, 0.0)
-        assert np.array_equal(inst.unaries, s.features @ w[:4])
+        assert np.array_equal(inst.unaries, s.tables.features @ w[:4])
 
     def test_surrogate_equals_exact_at_zero_labeling(self, small_grid, rng):
         vol, grid = small_grid
@@ -114,7 +113,7 @@ class TestLossIncrements:
             a = SegmentationMask((rng.random(vol.dims) > 0.7).astype(np.uint8), vol.spacing)
             b = SegmentationMask((rng.random(vol.dims) > 0.7).astype(np.uint8), vol.spacing)
             ls = LabelSpace(np.array([[0.0, 0, 0], [2.0, 0, 0], [0, -2.0, 0]]), 2.0)
-            terms, _ = learn.loss_node_terms(a, b, grid, ls)
+            terms = learn.loss_node_terms(a, b, grid, ls)
             assert terms[:, 0].sum() == pytest.approx(dice_loss(a, b), abs=1e-12)
 
     def test_hand_enumerated_tile_overlaps(self):
@@ -129,8 +128,8 @@ class TestLossIncrements:
         ms = SegmentationMask(src, (1.0, 1.0, 1.0))
         mt = SegmentationMask(tgt, (1.0, 1.0, 1.0))
         ls = LabelSpace(np.array([[0.0, 0, 0], [1.0, 0.0, 0.0]]), 1.0)
-        terms, d0 = learn.loss_node_terms(ms, mt, grid, ls)
-        assert d0 == 16
+        terms = learn.loss_node_terms(ms, mt, grid, ls)
+        d0 = 16                                     # source plus target voxels
         bounds = tile_edges(grid, ms)
         V = grid.n_nodes
         for cell in np.ndindex(*grid.grid_dims):
@@ -230,9 +229,8 @@ class TestLossNodeTermsOracle:
     ])
     def test_bit_exact(self, build):
         src, tgt, grid, ls = build(np.random.default_rng(5))
-        terms, d0 = learn.loss_node_terms(src, tgt, grid, ls)
-        want_terms, want_d0 = count_oracle.loss_node_terms(src, tgt, grid, ls)
-        assert d0 == want_d0
+        terms = learn.loss_node_terms(src, tgt, grid, ls)
+        want_terms = count_oracle.loss_node_terms(src, tgt, grid, ls)[0]
         assert terms.dtype == want_terms.dtype
         assert np.array_equal(terms, want_terms)
 
@@ -241,7 +239,9 @@ class TestLossNodeTermsOracle:
         src, _, _, ls = _shifts_past_the_volume(rng)
         shifts = np.rint(ls.displacements / src.spacing)
         assert np.any(np.abs(shifts) >= src.dims) and np.any(np.abs(shifts) == src.dims)
-        assert learn.loss_node_terms(*_both_empty(rng))[1] == 0
+        src, tgt, grid, ls = _both_empty(rng)
+        assert not src.labels.any() and not tgt.labels.any()
+        assert not learn.loss_node_terms(src, tgt, grid, ls).any()
         src, _, _, ls = _shared_voxel_shifts(rng)
         shifts = np.rint(ls.displacements / src.spacing)
         assert len(np.unique(shifts, axis=0)) < ls.n_labels
@@ -264,7 +264,6 @@ def toy_sample(rng, V=6, L=4):
     edges = np.array([[0, 1], [2, 3], [4, 5], [0, 2], [2, 4], [1, 3], [3, 5]])
     disp = np.vstack([[0.0, 0.0, 0.0], rng.uniform(-5, 5, (L - 1, 3))])
     ls = LabelSpace(disp, 5.0)
-    s = learn.TrainingSample(None, None, None, None, 1)
     base = rng.uniform(-5, 5, 3)
     feats = np.zeros((V, L, me.N_METRICS))
     for i in range(V):
@@ -272,16 +271,13 @@ def toy_sample(rng, V=6, L=4):
         dist = np.abs(disp - target).sum(axis=1)
         for j in range(me.N_METRICS):
             feats[i, :, j] = rng.uniform(0.1, 0.5) * dist + rng.normal(0, 0.2, L)
-    s.features = feats - feats.min() + 0.1
-    s.loss_terms = 1.0 / V - rng.uniform(0, 2.0 / V, (V, L))
-    s.pairwise_table = gr.pairwise_l1_table(ls)
-    s.edges = edges
-    s.label_space = ls
-    return s
+    tables = learn.PairTables(None, ls, feats - feats.min() + 0.1, gr.pairwise_l1_table(ls),
+                              edges)
+    return learn.TrainingSample(tables, 1, None, None, 1.0 / V - rng.uniform(0, 2.0 / V, (V, L)))
 
 
 def enumerate_loss_augmented(sample, w, sign, scale):
-    V, L, _ = sample.features.shape
+    V, L, _ = sample.tables.features.shape
     best = None
     for idx in range(L ** V):
         lab = np.array([(idx // L ** (V - 1 - k)) % L for k in range(V)])
@@ -334,14 +330,14 @@ class TestLossAugmentedInference:
         b = learn.loss_augmented_instance(s, w, -1.0, 1.0)
         assert np.array_equal(a.edges, b.edges)
         assert np.array_equal(a.pairwise_table, b.pairwise_table)
-        assert a.pairwise_weight == b.pairwise_weight
+        assert np.array_equal(a.edge_weights, b.edge_weights)
         assert not np.allclose(a.unaries, b.unaries)
 
     def test_zero_scale_reduces_to_plain_inference(self, rng):
         s = toy_sample(rng)
         w = np.array([1.0, 0.5, 0.7, 0.2, 0.1])
         inst = learn.loss_augmented_instance(s, w, +1.0, 0.0)
-        assert np.allclose(inst.unaries, s.features @ w[:4], atol=1e-15)
+        assert np.allclose(inst.unaries, s.tables.features @ w[:4], atol=1e-15)
 
 
 class TestEnergyLinearity:
@@ -425,6 +421,12 @@ def mini_samples():
     return synth_dataset(spec, 21)
 
 
+def prepare(p, cfg, class_id=1, scales=None):
+    """The class's sample on synthetic pair `p`, with the pair's own tables."""
+    return learn.prepare_sample(learn.pair_tables(p.source, p.target, cfg, scales),
+                                p.source_mask, p.target_mask, class_id)
+
+
 class TestTrainClass:
     def test_identity_pair_converges_quickly(self):
         spec = SynthSpec(
@@ -438,38 +440,31 @@ class TestTrainClass:
         p = synth_dataset(spec, 3)[0]
         # identity pair: source and target volumes and masks coincide
         cfg = learn.TrainConfig(spacing_mm=14.0, labels=27, C=10.0, alpha=0.1, max_cccp=3)
-        s = learn.TrainingSample(p.source, p.source, p.source_mask, p.source_mask, 1)
+        s = learn.prepare_sample(learn.pair_tables(p.source, p.source, cfg, None),
+                                 p.source_mask, p.source_mask, 1)
         res = learn.train_class([s], cfg)
         assert res.converged
         assert max(res.manifest_rows[0]["slacks"]) < 0.05
 
     def test_objective_history_non_increasing(self, mini_samples):
         cfg = learn.TrainConfig(spacing_mm=14.0, labels=27, C=20.0, alpha=0.1, max_cccp=4)
-        samples = [
-            learn.TrainingSample(p.source, p.target, p.source_mask, p.target_mask, 1)
-            for p in mini_samples
-        ]
-        res = learn.train_class(samples, cfg)
-        for prev, cur in zip(res.history, res.history[1:]):
+        res = learn.train_class([prepare(p, cfg) for p in mini_samples], cfg)
+        retained = [r["outer_objective"] for r in res.manifest_rows if r["retained"]]
+        assert retained
+        for prev, cur in zip(retained, retained[1:]):
             assert cur <= prev + cfg.epsilon * max(1.0, abs(prev))
 
     def test_constraints_satisfied_in_manifest(self, mini_samples):
         cfg = learn.TrainConfig(spacing_mm=14.0, labels=27, C=20.0, alpha=0.1, max_cccp=3)
-        samples = [
-            learn.TrainingSample(p.source, p.target, p.source_mask, p.target_mask, 1)
-            for p in mini_samples
-        ]
-        res = learn.train_class(samples, cfg)
+        res = learn.train_class([prepare(p, cfg) for p in mini_samples], cfg)
         assert all(v >= -1e-9 for row in res.manifest_rows for v in row["slacks"])
 
     def test_exact_loss_stored_in_constraints(self, mini_samples):
         cfg = learn.TrainConfig(spacing_mm=14.0, labels=27, C=20.0, alpha=0.1)
-        p = mini_samples[0]
-        s = learn.TrainingSample(p.source, p.target, p.source_mask, p.target_mask, 1)
-        learn.prepare_sample(s, cfg)
-        lab, psi, loss = learn.most_violated(s, cfg.w0_full(), cfg)
-        sparse = s.label_space.displacements[lab]
-        fld = interpolate_dense(s.grid, sparse, s.src_fg)
+        s = prepare(mini_samples[0], cfg)
+        lab, psi, loss = learn.most_violated(s, cfg.w0_full())
+        sparse = s.tables.label_space.displacements[lab]
+        fld = interpolate_dense(s.tables.grid, sparse, s.src_fg)
         warped = warp_mask(s.src_fg, fld)
         assert loss == dice_loss(warped, s.tgt_fg)
 
@@ -483,21 +478,20 @@ def two_organ_pairs():
 
 # wp0=0.1 keeps training from returning w0 untouched
 TWO_ORGAN_CONFIG = learn.TrainConfig(spacing_mm=14.0, labels=27, C=20.0, alpha=1.0,
-                                     max_cccp=2, wp0=0.1, scales=(0.1, 0.2, 0.3, 0.4))
+                                     max_cccp=2, wp0=0.1)
+TWO_ORGAN_SCALES = (0.1, 0.2, 0.3, 0.4)
 
 
-def train_and_write(pairs, cfg, path, shared):
+def train_and_write(pairs, cfg, scales, path, shared):
     """Train classes 1 and 2 on `pairs`, with one set of pair tables shared by
     both classes or each sample building its own; write model and log."""
     results = []
-    tables = [learn.pair_tables(p.source, p.target, cfg) for p in pairs] if shared else None
+    tables = [learn.pair_tables(p.source, p.target, cfg, scales) for p in pairs]
     for c in (1, 2):
-        samples = []
-        for i, p in enumerate(pairs):
-            s = learn.TrainingSample(p.source, p.target, p.source_mask, p.target_mask, c)
-            samples.append(learn.prepare_sample(s, cfg, tables[i]) if shared else s)
+        samples = [learn.prepare_sample(tables[i], p.source_mask, p.target_mask, c) if shared
+                   else prepare(p, cfg, c, scales) for i, p in enumerate(pairs)]
         results.append(learn.train_class(samples, cfg))
-    learn.write_model(str(path), learn.assemble_model(results, cfg), cfg)
+    learn.write_model(str(path), learn.assemble_model(results, cfg, scales), cfg)
     learn.write_training_manifest(str(path) + ".log", results)
 
 
@@ -519,7 +513,8 @@ class TestWarpedLossCache:
             return inner(*args)
 
         monkeypatch.setattr(learn, "interpolate_dense", counted)
-        train_and_write(two_organ_pairs, TWO_ORGAN_CONFIG, tmp_path / "cached.txt", True)
+        train_and_write(two_organ_pairs, TWO_ORGAN_CONFIG, TWO_ORGAN_SCALES,
+                        tmp_path / "cached.txt", True)
         cached = calls["interpolate_dense"]
 
         warped_loss = learn.warped_loss
@@ -530,15 +525,15 @@ class TestWarpedLossCache:
 
         monkeypatch.setattr(learn, "warped_loss", uncached)
         calls["interpolate_dense"] = 0
-        train_and_write(two_organ_pairs, TWO_ORGAN_CONFIG, tmp_path / "uncached.txt", True)
+        train_and_write(two_organ_pairs, TWO_ORGAN_CONFIG, TWO_ORGAN_SCALES,
+                        tmp_path / "uncached.txt", True)
         assert same_model_and_log(tmp_path / "cached.txt", tmp_path / "uncached.txt")
         assert 0 < cached < calls["interpolate_dense"]
 
     def test_new_preparation_starts_empty(self, two_organ_pairs):
         p = two_organ_pairs[0]
-        s = learn.TrainingSample(p.source, p.target, p.source_mask, p.target_mask, 1)
-        learn.prepare_sample(s, TWO_ORGAN_CONFIG)
-        lab = np.zeros(s.grid.n_nodes, dtype=np.int64)
+        s = prepare(p, TWO_ORGAN_CONFIG, 1, TWO_ORGAN_SCALES)
+        lab = np.zeros(s.tables.grid.n_nodes, dtype=np.int64)
         loss = learn.warped_loss(s, lab)
         assert list(s.loss_cache.values()) == [loss]
         # labelings that differ in one node are cached apart
@@ -546,8 +541,8 @@ class TestWarpedLossCache:
         learn.warped_loss(s, lab)
         learn.warped_loss(s, lab.astype(np.int32))
         assert len(s.loss_cache) == 2
-        learn.prepare_sample(s, TWO_ORGAN_CONFIG)
-        assert s.loss_cache == {}
+        again = learn.prepare_sample(s.tables, p.source_mask, p.target_mask, 1)
+        assert again.loss_cache == {} and len(s.loss_cache) == 2
 
 
 class TestSharedPairTables:
@@ -555,21 +550,21 @@ class TestSharedPairTables:
     to the same model as samples that each build their own."""
 
     def test_model_and_log_byte_identical(self, two_organ_pairs, tmp_path):
-        train_and_write(two_organ_pairs, TWO_ORGAN_CONFIG, tmp_path / "shared.txt", True)
-        train_and_write(two_organ_pairs, TWO_ORGAN_CONFIG, tmp_path / "own.txt", False)
+        train_and_write(two_organ_pairs, TWO_ORGAN_CONFIG, TWO_ORGAN_SCALES,
+                        tmp_path / "shared.txt", True)
+        train_and_write(two_organ_pairs, TWO_ORGAN_CONFIG, TWO_ORGAN_SCALES,
+                        tmp_path / "own.txt", False)
         assert same_model_and_log(tmp_path / "shared.txt", tmp_path / "own.txt")
 
     def test_tables_shared_and_read_only(self, two_organ_pairs):
         cfg = learn.TrainConfig(spacing_mm=14.0, labels=27)
         p = two_organ_pairs[0]
-        tables = learn.pair_tables(p.source, p.target, cfg)
-        one, two = (learn.prepare_sample(
-            learn.TrainingSample(p.source, p.target, p.source_mask, p.target_mask, c),
-            cfg, tables) for c in (1, 2))
-        for name in ("grid", "label_space", "features", "pairwise_table", "edges"):
-            assert getattr(one, name) is getattr(two, name) is getattr(tables, name)
-        for arr in (one.features, one.pairwise_table, one.edges,
-                    one.label_space.displacements):
+        tables = learn.pair_tables(p.source, p.target, cfg, None)
+        one, two = (learn.prepare_sample(tables, p.source_mask, p.target_mask, c)
+                    for c in (1, 2))
+        assert one.tables is two.tables is tables
+        for arr in (tables.features, tables.pairwise_table, tables.edges,
+                    tables.label_space.displacements):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1
@@ -580,12 +575,12 @@ class TestSharedPairTables:
 
 class TestAssembleModel:
     def make_result(self, cls, rng):
-        return learn.TrainResult(cls, rng.random(4), float(rng.random()), [1.0])
+        return learn.TrainResult(cls, rng.random(4), float(rng.random()), [])
 
     def test_single_class_single_column(self, rng):
         res = self.make_result(2, rng)
         cfg = learn.TrainConfig()
-        m = learn.assemble_model([res], cfg)
+        m = learn.assemble_model([res], cfg, None)
         assert m.class_ids == (2,)
         assert np.array_equal(m.weights[:, 0], res.w_c)
 
@@ -593,7 +588,7 @@ class TestAssembleModel:
         r3 = self.make_result(3, rng)
         r1 = self.make_result(1, rng)
         cfg = learn.TrainConfig(alpha=0.25)
-        m = learn.assemble_model([r3, r1], cfg)        # permuted input order
+        m = learn.assemble_model([r3, r1], cfg, None)  # permuted input order
         assert m.class_ids == (0, 1, 3)
         # columns keep the learned proportions and share a common magnitude
         target = np.abs(np.asarray(cfg.w0)).sum()
@@ -610,24 +605,26 @@ class TestAssembleModel:
 
     def test_duplicate_class_rejected(self, rng):
         with pytest.raises(ValueError):
-            learn.assemble_model([self.make_result(1, rng), self.make_result(1, rng)])
+            learn.assemble_model([self.make_result(1, rng), self.make_result(1, rng)],
+                                 learn.TrainConfig(), None)
 
     @pytest.mark.parametrize("scales", [(0.0, 1.0, 1.0, 1.0), (-1.0, 1.0, 1.0, 1.0),
                                         (1.0, 1.0, 1.0)])
-    def test_bad_scales_rejected_where_they_enter(self, scales):
+    def test_bad_scales_rejected_where_they_enter(self, scales, rng):
         with pytest.raises(ValueError):
-            learn.TrainConfig(scales=scales)
+            learn.assemble_model([self.make_result(1, rng)], learn.TrainConfig(), scales)
         with pytest.raises(ValueError):
             me.WeightMatrix(np.ones((4, 1)), np.ones(1), (0,), me.METRIC_NAMES, scales)
 
     def test_model_file_roundtrip(self, tmp_path, rng):
         res = [self.make_result(1, rng), self.make_result(2, rng)]
-        cfg = learn.TrainConfig(scales=(1.0, 2.0, 3.0, 4.0))
-        m = learn.assemble_model(res, cfg)
+        cfg = learn.TrainConfig()
+        m = learn.assemble_model(res, cfg, (1.0, 2.0, 3.0, 4.0))
         path = str(tmp_path / "model.txt")
         learn.write_model(path, m, cfg)
         back, meta = me.read_weights(path)
         assert np.array_equal(back.weights, m.weights)
         assert np.array_equal(back.pairwise, m.pairwise)
         assert back.class_ids == m.class_ids
+        assert back.scales == (1.0, 2.0, 3.0, 4.0)
         assert meta["eta"] == repr(cfg.eta)

@@ -559,10 +559,9 @@ class TestWeightMatrix:
 
     def test_column_lookup(self):
         w = me.WeightMatrix(np.arange(8).reshape(4, 2), np.array([0.5, 1.5]), (0, 2))
-        assert np.array_equal(w.column(2), [1, 3, 5, 7])
-        assert w.pairwise_for(0) == 0.5
+        assert (w.column_index(0), w.column_index(2)) == (0, 1)
         with pytest.raises(ValueError):
-            w.column(1)
+            w.column_index(1)
 
 
 class TestCalibration:

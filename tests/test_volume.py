@@ -63,7 +63,6 @@ class TestContainers:
     def test_mask_classes(self):
         m = SegmentationMask(np.array([[[0, 1], [2, 2]]], dtype=np.uint8))
         assert m.class_ids() == [1, 2]
-        assert m.binary(2).sum() == 2
 
     def test_grid_edge_count(self, vol):
         grid = make_control_grid(vol, 6.0)
