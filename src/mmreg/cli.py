@@ -23,7 +23,6 @@ from .volume import (
     read_settings,
     read_volume,
     warp,
-    warp_mask,
     write_field,
     write_mask,
     write_volume,
@@ -157,7 +156,7 @@ def _check_geometry(what, src, tgt, smask=None, tmask=None):
             f"{src.geometry()} vs {tgt.geometry()}"
         )
     for side, mask, vol in (("source", smask, src), ("target", tmask, tgt)):
-        if mask is not None and not mask.aligned_with(vol):
+        if mask is not None and mask.geometry() != vol.geometry():
             raise FormatError(f"{what}: {side} mask geometry {mask.geometry()} differs "
                               f"from its volume's {vol.geometry()}")
 
@@ -202,14 +201,8 @@ def cmd_register(args):
     os.makedirs(os.path.dirname(os.path.abspath(args.out_warped)) or ".", exist_ok=True)
     write_field(args.out_field, fld)
     write_volume(args.out_warped, warped)
-    diag_path = args.out_diagnostics or (args.out_field + ".log")
-    with open(diag_path, "w") as f:
+    with open(args.out_field + ".log", "w") as f:
         f.write(diag.to_text())
-    if args.out_overlays:
-        warped_mask = warp_mask(smask, fld) if smask is not None else None
-        if smask is not None:
-            ev.emit_overlays("registered", tgt, warped_mask,
-                             {"OUT": (warped, warped_mask)}, args.out_overlays)
     if args.dump_config:
         dump_config(cfg, out_dir)
     return 0
@@ -321,8 +314,6 @@ def build_parser():
     p.add_argument("--weights", required=True)
     p.add_argument("--out-field", required=True)
     p.add_argument("--out-warped", required=True)
-    p.add_argument("--out-overlays")
-    p.add_argument("--out-diagnostics")
     common(p)
     p.set_defaults(func=cmd_register)
 

@@ -1,11 +1,10 @@
-"""Per-organ Dice evaluation of registration methods and image emission.
+"""Per-organ Dice evaluation of registration methods.
 
 run_benchmark registers every test pair once per method tag (the four
 single-metric baselines plus the learned multi-weight model), warps the
 source masks and reports exact voxel-wise Dice per organ before and after.
 """
 
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -145,64 +144,3 @@ def write_summary_csv(path, report):
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
-
-# ---------------------------------------------------------------------------
-# overlay / difference images (netpbm, dependency-free)
-# ---------------------------------------------------------------------------
-
-def _write_pgm(path, img):
-    img = np.asarray(img, dtype=np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
-        f.write(img.tobytes())
-
-
-def _write_ppm(path, img):
-    img = np.asarray(img, dtype=np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P6\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
-        f.write(img.tobytes())
-
-
-_VIEWS = ("axial", "coronal", "sagittal")
-
-
-def _mid_slice(arr, view):
-    if view == "axial":
-        return arr[:, :, arr.shape[2] // 2]
-    if view == "coronal":
-        return arr[:, arr.shape[1] // 2, :]
-    return arr[arr.shape[0] // 2, :, :]
-
-
-def emit_overlays(pair_id, tgt_vol, tgt_mask, warped_by_method, out_dir):
-    """Write mid-slice overlay (PPM) and intensity-difference (PGM) images.
-
-    Overlays paint the target mask red and the warped source mask green, so
-    agreement shows as yellow. Filenames are deterministic:
-    {pair}_{method}_{view}_overlay.ppm and {pair}_{method}_{view}_diff.pgm.
-
-    Args:
-        warped_by_method: {method: (warped_vol, warped_mask)}.
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-    for method in sorted(warped_by_method):
-        warped_vol, warped_mask = warped_by_method[method]
-        diff = np.abs(warped_vol.data.astype(np.float64) - tgt_vol.data.astype(np.float64))
-        dmax = diff.max()
-        for view in _VIEWS:
-            red = (_mid_slice(tgt_mask.labels, view) > 0)
-            green = (_mid_slice(warped_mask.labels, view) > 0)
-            h, w = red.shape
-            rgb = np.zeros((h, w, 3), dtype=np.uint8)
-            rgb[..., 0] = np.where(red, 255, 0)
-            rgb[..., 1] = np.where(green, 255, 0)
-            p1 = os.path.join(out_dir, f"{pair_id}_{method}_{view}_overlay.ppm")
-            _write_ppm(p1, rgb)
-            d = _mid_slice(diff, view)
-            scaled = np.zeros_like(d) if dmax == 0 else d / dmax * 255.0
-            p2 = os.path.join(out_dir, f"{pair_id}_{method}_{view}_diff.pgm")
-            _write_pgm(p2, np.rint(scaled).astype(np.uint8))
-            written.extend([p1, p2])
-    return written

@@ -125,24 +125,23 @@ def initialize_label_space(config, spacing_at_level_mm):
 
     k^3 = labels_per_level displacements with per-axis values uniformly
     spaced in [-bound*spacing, +bound*spacing]; k is odd, so the zero
-    vector is included (and listed first).
+    vector is included (and listed first). `spacing_at_level_mm` holds
+    the three per-axis control spacings.
     """
     k = round(config.labels_per_level ** (1.0 / 3.0))
-    spacing = np.asarray(spacing_at_level_mm, dtype=np.float64)
-    if spacing.size == 1:
-        spacing = np.full(3, float(spacing))
-    axes = [np.linspace(-config.bound_factor * s, config.bound_factor * s, k) for s in spacing]
+    axes = [np.linspace(-config.bound_factor * s, config.bound_factor * s, k)
+            for s in spacing_at_level_mm]
     dz, dy, dx = np.meshgrid(axes[2], axes[1], axes[0], indexing="ij")
     disp = np.stack([dx.ravel(), dy.ravel(), dz.ravel()], axis=1)
     zero = np.nonzero(np.all(disp == 0.0, axis=1))[0][0]
     order = np.concatenate([[zero], np.delete(np.arange(len(disp)), zero)])
     disp = disp[order]
-    return LabelSpace(disp, float(config.bound_factor * spacing.max()))
+    return LabelSpace(disp)
 
 
 def refine_label_space(label_space, factor):
-    """Shrink every displacement (and the norm bound) by `factor`."""
-    return LabelSpace(label_space.displacements * factor, label_space.max_norm_mm * factor)
+    """Shrink every displacement by `factor`."""
+    return LabelSpace(label_space.displacements * factor)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +172,7 @@ def build_instance(src, tgt, src_mask, wmat, grid, label_space):
 
     if src_mask is None:
         raise ValueError("multi-class weight matrix requires a source mask")
-    if not src_mask.aligned_with(src):
+    if src_mask.geometry() != src.geometry():
         raise ValueError("source mask is not aligned with the source volume")
     max_class = max(wmat.class_ids)
     cls = me.dominant_class_table(src_mask, grid, label_space, max_class)   # (V, L)

@@ -274,10 +274,7 @@ def solve_qp(working_sets, imputed_psis, w0_full, C, alpha):
     sidx = np.array([r[0] for r in rows])
 
     def objective(z):
-        w = z[:nw]
-        xi = z[nw:]
-        dw = w - w0_full
-        return 0.5 * w @ w + alpha * (dw @ dw) + (C / N) * xi.sum()
+        return _outer_objective(z[:nw], z[nw:], w0_full, C, alpha)
 
     def grad(z):
         w = z[:nw]
@@ -295,12 +292,6 @@ def solve_qp(working_sets, imputed_psis, w0_full, C, alpha):
         "jac": lambda z: A_full,
     }
     bounds = [(None, None)] * (nw - 1) + [(0.0, None)] * (N + 1)
-    x0 = np.concatenate([w0_full, np.zeros(N)])
-    viol = b - A @ w0_full
-    for i in range(N):
-        m = sidx == i
-        if m.any():
-            x0[nw + i] = max(0.0, float(viol[m].max()))
 
     def slacks_for(w):
         out = np.zeros(N)
@@ -311,10 +302,12 @@ def solve_qp(working_sets, imputed_psis, w0_full, C, alpha):
                 out[i] = max(0.0, float(margins[m].max()))
         return out
 
+    x0 = np.concatenate([w0_full, slacks_for(w0_full)])
+
     def feasible_objective(z):
         w = z[:nw].copy()
         w[-1] = max(w[-1], 0.0)
-        return objective(np.concatenate([w, slacks_for(w)])), w
+        return _outer_objective(w, slacks_for(w), w0_full, C, alpha), w
 
     res = minimize(
         objective, x0, jac=grad, bounds=bounds, constraints=[cons],

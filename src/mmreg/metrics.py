@@ -295,8 +295,6 @@ def feature_table(src, tgt, grid, label_space, scales=None):
     nonzero magnitudes span more than about 2^26), and the band equals the
     per-patch block sum bit for bit.
     """
-    if not (np.all(np.isfinite(src.data)) and np.all(np.isfinite(tgt.data))):
-        raise ValueError("volume data contains NaN or inf")
     radius = np.asarray(patch_radius(grid.spacing_mm, src.spacing), dtype=np.int64)
     dims = np.asarray(src.dims)
     V = grid.n_nodes
@@ -425,7 +423,7 @@ def calibrate_scales(pairs, grid_spacing_mm):
     the 95th percentile per metric over all pooled nodes. Metrics whose
     percentile is zero keep scale 1.
     """
-    zero_ls = LabelSpace(np.zeros((1, 3)), 0.0)
+    zero_ls = LabelSpace(np.zeros((1, 3)))
     pooled = []
     for src, tgt in pairs:
         grid = make_control_grid(src, grid_spacing_mm)

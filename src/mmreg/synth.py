@@ -74,7 +74,6 @@ class SynthPair:
     target: Volume
     source_mask: SegmentationMask
     target_mask: SegmentationMask
-    gt_field: DeformationField
 
 
 def _positions_mm(spec):
@@ -111,7 +110,7 @@ def _make_source(spec, rng):
     return vol, SegmentationMask(labels, spec.spacing_mm)
 
 
-def _make_gt_field(spec, vol, rng):
+def _make_deformation(spec, vol, rng):
     dims = vol.dims
     if spec.gt_mode == "identity":
         dense = np.zeros(dims + (3,), dtype=np.float64)
@@ -154,9 +153,9 @@ def synth_dataset(spec, seed):
     for idx in range(spec.n_pairs):
         rng = np.random.default_rng([int(seed), idx])
         src, src_mask = _make_source(spec, rng)
-        gt = _make_gt_field(spec, src, rng)
+        gt = _make_deformation(spec, src, rng)
         tgt, tgt_mask = _make_target(spec, src, src_mask, gt, rng)
-        pairs.append(SynthPair(f"pair{idx:03d}", src, tgt, src_mask, tgt_mask, gt))
+        pairs.append(SynthPair(f"pair{idx:03d}", src, tgt, src_mask, tgt_mask))
     return pairs
 
 

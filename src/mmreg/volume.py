@@ -94,39 +94,39 @@ def _as_triple(v):
     return t
 
 
-@dataclass(frozen=True)
-class Volume:
-    """Dense scalar volume with physical spacing.
-
-    Attributes:
-        data: float32 array of shape (nx, ny, nz), indexed [x, y, z].
-        spacing: mm per voxel along each axis, all > 0.
-        origin: physical position (mm) of voxel (0, 0, 0).
-    """
-    data: np.ndarray
-    spacing: tuple = (1.0, 1.0, 1.0)
-    origin: tuple = (0.0, 0.0, 0.0)
+class _Grid:
+    """An array on a voxel grid: `spacing` (mm per voxel along each axis,
+    finite and > 0) and `origin` (the finite position in mm of voxel
+    (0, 0, 0)). Every invariant is checked once, at construction; each
+    record names its array field, dtype and per-voxel trailing shape.
+    A float array must hold finite values only."""
+    _array = _dtype = None
+    _trailing = ()
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.data, dtype=np.float32)
-        if arr.ndim != 3 or min(arr.shape) < 1:
-            raise ValueError(f"volume data must be 3D with dims >= 1, got shape {arr.shape}")
+        arr = np.ascontiguousarray(getattr(self, self._array), dtype=self._dtype)
+        if (arr.ndim != 3 + len(self._trailing) or arr.shape[3:] != self._trailing
+                or min(arr.shape[:3]) < 1):
+            raise ValueError(f"{self._array} must have shape (nx, ny, nz) + {self._trailing} "
+                             f"with dims >= 1, got {arr.shape}")
+        spacing, origin = _as_triple(self.spacing), _as_triple(self.origin)
+        if not (all(math.isfinite(s) and s > 0 for s in spacing)
+                and all(math.isfinite(o) for o in origin)):
+            raise ValueError(f"spacing must be finite and > 0 and origin finite, "
+                             f"got {spacing} and {origin}")
+        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+            raise ValueError(f"{self._array} contains NaN or inf")
         arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "spacing", _as_triple(self.spacing))
-        object.__setattr__(self, "origin", _as_triple(self.origin))
-        if min(self.spacing) <= 0:
-            raise ValueError(f"spacing components must be > 0, got {self.spacing}")
+        object.__setattr__(self, self._array, arr)
+        object.__setattr__(self, "spacing", spacing)
+        object.__setattr__(self, "origin", origin)
 
     @property
     def dims(self):
-        return self.data.shape
+        return getattr(self, self._array).shape[:3]
 
-    def extent_mm(self):
-        """Physical range of voxel centers: (low, high) corners in mm."""
-        lo = np.asarray(self.origin, dtype=np.float64)
-        hi = lo + (np.asarray(self.dims) - 1) * np.asarray(self.spacing)
-        return lo, hi
+    def geometry(self):
+        return self.dims, self.spacing, self.origin
 
     def voxel_centers_mm(self):
         """Per-axis arrays of voxel-center coordinates in mm."""
@@ -135,43 +135,32 @@ class Volume:
             for a in range(3)
         )
 
-    def geometry(self):
-        return self.dims, self.spacing, self.origin
+
+@dataclass(frozen=True)
+class Volume(_Grid):
+    """Dense scalar volume: float32 `data` of shape (nx, ny, nz), indexed
+    [x, y, z]."""
+    data: np.ndarray
+    spacing: tuple = (1.0, 1.0, 1.0)
+    origin: tuple = (0.0, 0.0, 0.0)
+    _array, _dtype = "data", np.float32
 
 
 @dataclass(frozen=True)
-class SegmentationMask:
-    """Dense grid of class labels aligned with a Volume.
+class SegmentationMask(_Grid):
+    """Dense grid of class `labels` (uint8) aligned with a Volume.
 
     Label 0 is background; classes are positive integers.
     """
     labels: np.ndarray
     spacing: tuple = (1.0, 1.0, 1.0)
     origin: tuple = (0.0, 0.0, 0.0)
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.labels, dtype=np.uint8)
-        if arr.ndim != 3 or min(arr.shape) < 1:
-            raise ValueError(f"mask labels must be 3D with dims >= 1, got shape {arr.shape}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "labels", arr)
-        object.__setattr__(self, "spacing", _as_triple(self.spacing))
-        object.__setattr__(self, "origin", _as_triple(self.origin))
-
-    @property
-    def dims(self):
-        return self.labels.shape
+    _array, _dtype = "labels", np.uint8
 
     def class_ids(self):
         """Sorted nonzero class ids present in the mask."""
         ids = np.unique(self.labels)
         return [int(c) for c in ids if c != 0]
-
-    def aligned_with(self, vol):
-        return self.dims == vol.dims and self.spacing == vol.spacing and self.origin == vol.origin
-
-    def geometry(self):
-        return self.dims, self.spacing, self.origin
 
 
 @dataclass(frozen=True)
@@ -234,14 +223,12 @@ def make_control_grid(vol, spacing_mm):
     voxel center of the volume.
     """
     spacing_mm = _as_triple(spacing_mm) if np.iterable(spacing_mm) else (float(spacing_mm),) * 3
-    lo, hi = vol.extent_mm()
     dims = []
     origin = []
-    for a in range(3):
-        extent = hi[a] - lo[a]
-        n = int(np.floor(extent / spacing_mm[a])) + 4
+    for a, c in enumerate(vol.voxel_centers_mm()):
+        n = int(np.floor((c[-1] - c[0]) / spacing_mm[a])) + 4
         dims.append(n)
-        origin.append(lo[a] - spacing_mm[a])
+        origin.append(c[0] - spacing_mm[a])
     return ControlGrid(tuple(dims), spacing_mm, tuple(origin))
 
 
@@ -252,7 +239,6 @@ class LabelSpace:
     displacements[0] is always the zero vector.
     """
     displacements: np.ndarray
-    max_norm_mm: float
 
     def __post_init__(self):
         d = np.ascontiguousarray(self.displacements, dtype=np.float64)
@@ -269,25 +255,13 @@ class LabelSpace:
 
 
 @dataclass(frozen=True)
-class DeformationField:
+class DeformationField(_Grid):
     """Per-voxel displacements in mm on the grid of the volume they were
-    sampled on: dense has shape (nx, ny, nz, 3)."""
+    sampled on: `dense` has shape (nx, ny, nz, 3)."""
     dense: np.ndarray
     spacing: tuple
     origin: tuple
-
-    def __post_init__(self):
-        d = np.ascontiguousarray(self.dense, dtype=np.float64)
-        if d.ndim != 4 or d.shape[3] != 3:
-            raise ValueError("dense field must have shape (nx, ny, nz, 3)")
-        d.setflags(write=False)
-        object.__setattr__(self, "dense", d)
-        object.__setattr__(self, "spacing", _as_triple(self.spacing))
-        object.__setattr__(self, "origin", _as_triple(self.origin))
-
-    @property
-    def dims(self):
-        return self.dense.shape[:3]
+    _array, _dtype, _trailing = "dense", np.float64, (3,)
 
 
 # ---------------------------------------------------------------------------
@@ -447,14 +421,12 @@ def interpolate_dense(grid, sparse, like):
             f"sparse field length {sparse.shape[0] if sparse.ndim else 0} does not match "
             f"grid with {grid.n_nodes} nodes"
         )
-    dims, spacing, origin = like.geometry()
     gx, gy, gz = grid.grid_dims
     ctrl = sparse.reshape(gx, gy, gz, 3, order="F")
 
     cells = []
     weights = []
-    for a in range(3):
-        coords = origin[a] + np.arange(dims[a], dtype=np.float64) * spacing[a]
+    for a, coords in enumerate(like.voxel_centers_mm()):
         cell, w = _spline_coords(grid, coords, a)
         cells.append(cell)
         weights.append(w)
@@ -466,7 +438,7 @@ def interpolate_dense(grid, sparse, like):
     tmp = np.einsum("ma,nmakc->nmkc", weights[1], tmp[:, idx_y])    # (nx, ny, gz, 3)
     idx_z = cells[2][:, None] - 1 + np.arange(4)[None, :]
     dense = np.einsum("pa,nmpac->nmpc", weights[2], tmp[:, :, idx_z])
-    return DeformationField(dense, spacing, origin)
+    return DeformationField(dense, like.spacing, like.origin)
 
 
 def _trilinear(values, coords):
@@ -515,15 +487,12 @@ def _sample_coords(vol_like, fld):
     if fld.dims != dims:
         raise ValueError(f"field dims {fld.dims} do not match volume dims {dims}")
     coords = []
-    for a in range(3):
-        x = np.arange(dims[a], dtype=np.float64) * vol_like.spacing[a] + vol_like.origin[a]
+    for a, x in enumerate(vol_like.voxel_centers_mm()):
         shape = [1, 1, 1]
         shape[a] = dims[a]
-        coords.append(x.reshape(shape))
-    cx = (coords[0] + fld.dense[..., 0] - vol_like.origin[0]) / vol_like.spacing[0]
-    cy = (coords[1] + fld.dense[..., 1] - vol_like.origin[1]) / vol_like.spacing[1]
-    cz = (coords[2] + fld.dense[..., 2] - vol_like.origin[2]) / vol_like.spacing[2]
-    return cx, cy, cz
+        coords.append((x.reshape(shape) + fld.dense[..., a] - vol_like.origin[a])
+                      / vol_like.spacing[a])
+    return coords
 
 
 def warp(vol, fld, fill_value=0.0):
@@ -579,13 +548,11 @@ def tile_edges(grid, like):
     node (ix, iy, iz) owns voxels [bounds[0][ix], bounds[0][ix+1]) x ... .
     Tiles of padding nodes outside the volume are empty.
     """
-    dims, spacing, origin = like.geometry()
     bounds = []
-    for a in range(3):
+    for a, pos in enumerate(like.voxel_centers_mm()):
         g = grid.grid_dims[a]
         # voxel v belongs to node argmin |pos(v) - node|; boundary between
         # nodes n and n+1 sits at the midpoint
-        pos = origin[a] + np.arange(dims[a], dtype=np.float64) * spacing[a]
         t = (pos - grid.origin_mm[a]) / grid.spacing_mm[a]
         owner = np.clip(np.floor(t + 0.5).astype(np.int64), 0, g - 1)
         b = np.searchsorted(owner, np.arange(g + 1), side="left")
@@ -646,16 +613,18 @@ def _write_raw(path, like, dtype, payload, components=1):
     payload.tofile(os.path.join(os.path.dirname(path), raw_name))
 
 
-def _read_raw(path, kind, dtypes, components):
-    """Check a header file and load its payload.
+def _read_raw(path, record, dtypes):
+    """Check a header file, load its payload and build `record` from both.
 
-    Returns the payload as a (components, nx, ny, nz) array with the header's
-    spacing and origin. Any malformed or out-of-range header raises FormatError.
+    A malformed header, a payload that does not match it, or a value the
+    record refuses (spacing, origin, non-finite data) raises FormatError
+    naming the file.
     """
     header = {key: value for _, key, value in read_settings(path, ":", FormatError)}
     for key in ("dims", "spacing", "origin", "dtype", "data"):
         if key not in header:
             raise FormatError(f"{path}: missing header key '{key}'")
+    components = math.prod(record._trailing)
     try:
         dims = tuple(int(x) for x in header["dims"].split())
         spacing = tuple(float(x) for x in header["spacing"].split())
@@ -663,15 +632,12 @@ def _read_raw(path, kind, dtypes, components):
         n_comp = int(header.get("components", "1"))
     except ValueError as e:
         raise FormatError(f"{path}: bad header value: {e}") from e
-    if len(dims) != 3 or len(spacing) != 3 or len(origin) != 3:
-        raise FormatError(f"{path}: dims/spacing/origin must each have 3 entries")
-    if (min(dims) < 1 or not all(math.isfinite(s) and s > 0 for s in spacing)
-            or not all(math.isfinite(o) for o in origin)):
-        raise FormatError(f"{path}: dims must be >= 1, spacing finite and > 0 and origin "
-                          f"finite, got {dims}, {spacing}, {origin}")
+    if len(dims) != 3 or min(dims) < 1:
+        raise FormatError(f"{path}: dims must be 3 entries >= 1, got {dims}")
     if header["dtype"] not in dtypes or n_comp != components:
-        raise FormatError(f"{path}: {kind} files must have dtype {' or '.join(dtypes)} and "
-                          f"components={components}, got {header['dtype']} and {n_comp}")
+        raise FormatError(f"{path}: {record.__name__} files must have dtype "
+                          f"{' or '.join(dtypes)} and components={components}, "
+                          f"got {header['dtype']} and {n_comp}")
     name = header["data"]
     # _write_raw names the payload by a plain file name next to the header;
     # anything else could point outside the header's directory
@@ -688,7 +654,12 @@ def _read_raw(path, kind, dtypes, components):
         raise FormatError(
             f"{raw_path}: payload has {payload.size} elements, expected {math.prod(shape)}"
         )
-    return payload.reshape(shape, order="F"), spacing, origin
+    # components vary fastest within a voxel, then x over voxels
+    data = np.moveaxis(payload.reshape(shape, order="F"), 0, 3).reshape(dims + record._trailing)
+    try:
+        return record(data, spacing, origin)
+    except ValueError as e:
+        raise FormatError(f"{path}: {e}") from e
 
 
 def write_volume(path, vol):
@@ -708,15 +679,12 @@ def write_field(path, fld):
 
 
 def read_volume(path):
-    data, spacing, origin = _read_raw(path, "volume", ("f32", "u8"), 1)
-    return Volume(data[0], spacing, origin)
+    return _read_raw(path, Volume, ("f32", "u8"))
 
 
 def read_mask(path):
-    data, spacing, origin = _read_raw(path, "mask", ("u8",), 1)
-    return SegmentationMask(data[0], spacing, origin)
+    return _read_raw(path, SegmentationMask, ("u8",))
 
 
 def read_field(path):
-    data, spacing, origin = _read_raw(path, "field", ("f32",), 3)
-    return DeformationField(np.moveaxis(data, 0, 3).astype(np.float64), spacing, origin)
+    return _read_raw(path, DeformationField, ("f32",))

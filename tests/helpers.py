@@ -29,7 +29,7 @@ def grid_edges_2d(nx, ny):
 def seeded_instance(seed, n_nodes=6, n_labels=4, wp_range=(0.0, 1.0)):
     rng = np.random.default_rng(seed)
     disp = np.vstack([[0.0, 0.0, 0.0], rng.uniform(-8, 8, (n_labels - 1, 3))])
-    ls = LabelSpace(disp, 8.0)
+    ls = LabelSpace(disp)
     table = gr.pairwise_l1_table(ls)
     base = rng.uniform(-8, 8, 3)
     unaries = np.zeros((n_nodes, n_labels))
@@ -46,7 +46,7 @@ def build_toy_sample(seed, V=6, L=4):
     rng = np.random.default_rng(seed)
     edges = grid_edges_2d(2, 3)
     disp = np.vstack([[0.0, 0.0, 0.0], rng.uniform(-5, 5, (L - 1, 3))])
-    ls = LabelSpace(disp, 5.0)
+    ls = LabelSpace(disp)
     base = rng.uniform(-5, 5, 3)
     feats = np.zeros((V, L, me.N_METRICS))
     for i in range(V):

@@ -179,7 +179,7 @@ class TestCriterion5TranslationRecovery:
         )
         fld, _ = gr.register(p.source, p.target, p.source_mask, w, gr.PyramidConfig())
         fg = p.target_mask.labels > 0
-        err = float(np.linalg.norm(fld.dense - p.gt_field.dense, axis=3)[fg].mean())
+        err = float(np.linalg.norm(fld.dense - spec.gt_translate_mm, axis=3)[fg].mean())
         warped = warp_mask(p.source_mask, fld)
         after = ev.exact_dice(warped.labels == 1, p.target_mask.labels == 1)
         verdict(

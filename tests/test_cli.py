@@ -1,10 +1,12 @@
 import os
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mmreg import cli
+from mmreg import graphreg as gr
 from mmreg.graphreg import PyramidConfig
 from mmreg import learn
 from mmreg import metrics as me
@@ -196,8 +198,8 @@ class TestSynthCommand:
         rc = cli.main(["synth", "--spec", spec, "--seed", "7", "--out-dir", str(tmp_path / "b")])
         assert rc == 0
         for name in sorted(os.listdir(tmp_path / "a")):
-            b1 = open(tmp_path / "a" / name, "rb").read()
-            b2 = open(tmp_path / "b" / name, "rb").read()
+            b1 = (tmp_path / "a" / name).read_bytes()
+            b2 = (tmp_path / "b" / name).read_bytes()
             assert b1 == b2, name
 
     def test_spec_reads_every_field(self, tmp_path):
@@ -448,6 +450,47 @@ def _mismatched_dataset(tmp_path, case):
     return manifest, wpath
 
 
+class TestNonFiniteVoxels:
+    """A NaN or inf voxel is a format error of its file (exit 2), found when
+    the file is read: no pyramid, feature table or scale calibration runs
+    and nothing is written."""
+
+    @pytest.fixture
+    def no_compute(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("compute started on a non-finite volume")
+
+        for module, name in ((gr, "build_pyramid"), (me, "feature_table"),
+                             (me, "calibrate_scales")):
+            monkeypatch.setattr(module, name, refuse)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("side", ["src", "tgt"])
+    @pytest.mark.parametrize("command", ["register", "train", "evaluate"])
+    def test_exits_2_before_compute(self, workspace, no_compute, capsys, command, side, value):
+        tmp, cfg, data = workspace
+        header = os.path.join(data, f"pair000_{side}.vol")
+        payload = np.fromfile(header + ".raw", dtype="<f4")
+        payload[len(payload) // 2] = value
+        payload.tofile(header + ".raw")
+        wpath = str(tmp / "w.txt")
+        me.write_weights(wpath, me.WeightMatrix(
+            np.array([[0.1], [10.0], [10.0], [10.0]]), np.array([0.3]), (0,)
+        ))
+        out = tmp / "out"
+        manifest = os.path.join(data, "manifest.csv")
+        argv = {"register": ["register", "--source", os.path.join(data, "pair000_src.vol"),
+                             "--target", os.path.join(data, "pair000_tgt.vol"),
+                             "--weights", wpath, "--out-field", str(out / "f.fld"),
+                             "--out-warped", str(out / "w.vol")],
+                "train": ["train", "--dataset", manifest, "--out-model", str(out / "m.txt")],
+                "evaluate": ["evaluate", "--dataset", manifest, "--model", wpath,
+                             "--out-report", str(out / "r.csv")]}[command]
+        assert cli.main(argv + ["--config", cfg]) == 2
+        assert f"{header}: data contains NaN or inf" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTrainEvaluateCommands:
     @pytest.mark.parametrize("case", ["target", "source_mask"])
     @pytest.mark.parametrize("command", ["train", "evaluate"])
@@ -471,14 +514,14 @@ class TestTrainEvaluateCommands:
         wmat, meta = me.read_weights(model)
         assert "eta" in meta and "scales" not in meta   # scales live in the header
         assert meta["mi_bins"] == str(me.MI_BINS)
-        log = open(model + ".log").read()
+        log = Path(model + ".log").read_text()
         assert log.startswith("class cccp_iter outer_objective")
 
         report = str(tmp / "report.csv")
         rc = cli.main(["evaluate", "--dataset", os.path.join(data, "manifest.csv"),
                        "--model", model, "--config", cfg, "--out-report", report])
         assert rc == 0
-        lines = open(report).read().strip().splitlines()
+        lines = Path(report).read_text().strip().splitlines()
         assert lines[0] == "pair,organ,method,dice_before,dice_after,runtime_s"
         assert len(lines) == 1 + 2 * 1 * 5      # pairs x organs x methods
         assert os.path.exists(report + ".summary.csv")
@@ -517,6 +560,18 @@ class TestTrainEvaluateCommands:
         want = me.calibrate_scales(pairs, 12.0) if normalize else None
         assert me.read_weights(model)[0].scales == want
 
+    def test_cccp_cap_exits_4_and_writes_outputs(self, workspace, capsys):
+        tmp, cfg, data = workspace
+        model = str(tmp / "out" / "model.txt")
+        rc = cli.main(["train", "--dataset", os.path.join(data, "manifest.csv"),
+                       "--config", cfg, "--set", "max_cccp=1", "--out-model", model])
+        assert rc == 4
+        assert "warning: class 1: CCCP iteration cap reached" in capsys.readouterr().err
+        me.read_weights(model)
+        log = Path(model + ".log").read_text().splitlines()
+        assert log[0] == "class cccp_iter outer_objective slacks working_set_sizes"
+        assert log[-1] == "# class 1: CCCP iteration cap reached"
+
     def test_malformed_manifest_row(self, workspace):
         tmp, cfg, data = workspace
         bad = write_text(tmp / "bad.csv", "source,target,source_mask,target_mask\na,b,c\n")
@@ -532,7 +587,7 @@ class TestTrainEvaluateCommands:
         assert rc in (0, 4)
         resolved = os.path.join(os.path.dirname(model), "config.resolved.txt")
         assert os.path.exists(resolved)
-        text = open(resolved).read()
+        text = Path(resolved).read_text()
         assert "levels=1" in text and "train_labels=27" in text
 
     def test_train_determinism(self, workspace):
@@ -543,4 +598,4 @@ class TestTrainEvaluateCommands:
             rc = cli.main(["train", "--dataset", os.path.join(data, "manifest.csv"),
                            "--config", cfg, "--out-model", m])
             assert rc in (0, 4)
-        assert open(m1, "rb").read() == open(m2, "rb").read()
+        assert Path(m1).read_bytes() == Path(m2).read_bytes()

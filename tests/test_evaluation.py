@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,8 +123,8 @@ class TestReports:
         p2 = os.path.join(tmp_path, "r2.csv")
         ev.write_report_csv(p1, report)
         ev.write_report_csv(p2, report)
-        b1 = open(p1, "rb").read()
-        assert b1 == open(p2, "rb").read()
+        b1 = Path(p1).read_bytes()
+        assert b1 == Path(p2).read_bytes()
         lines = b1.decode().strip().splitlines()
         assert lines[0] == "pair,organ,method,dice_before,dice_after,runtime_s"
         assert len(lines) == 1 + len(report.rows)
@@ -134,48 +135,14 @@ class TestReports:
         report = ev.run_benchmark(tiny_dataset, tiny_model, tiny_config)
         p = os.path.join(tmp_path, "rt.csv")
         ev.write_report_csv(p, report, timings=True)
-        lines = open(p).read().strip().splitlines()
+        lines = Path(p).read_text().strip().splitlines()
         assert all(float(ln.split(",")[-1]) >= 0 for ln in lines[1:])
 
     def test_summary_csv(self, tmp_path, tiny_dataset, tiny_config, tiny_model):
         report = ev.run_benchmark(tiny_dataset, tiny_model, tiny_config)
         p = os.path.join(tmp_path, "s.csv")
         ev.write_summary_csv(p, report)
-        lines = open(p).read().strip().splitlines()
+        lines = Path(p).read_text().strip().splitlines()
         assert lines[0] == "organ,method,n,mean_before,mean_after,median_after"
         assert len(lines) == 1 + len(report.summary())
 
-
-class TestOverlays:
-    def test_identity_overlay_all_yellow_and_zero_diff(self, tmp_path, tiny_dataset):
-        pid, src, tgt, smask, tmask = tiny_dataset[0]
-        files = ev.emit_overlays(pid, tgt, tmask, {"ID": (tgt, tmask)}, str(tmp_path))
-        assert len(files) == 6        # 3 views x (overlay + diff)
-        overlay = [f for f in files if f.endswith("axial_overlay.ppm")][0]
-        raw = open(overlay, "rb").read()
-        header, body = raw.split(b"\n255\n", 1)
-        img = np.frombuffer(body, dtype=np.uint8).reshape(-1, 3)
-        fg = img[:, 0] > 0
-        assert np.array_equal(img[fg, 0], img[fg, 1])     # red == green: yellow
-        diff = [f for f in files if f.endswith("axial_diff.pgm")][0]
-        raw = open(diff, "rb").read()
-        body = raw.split(b"\n255\n", 1)[1]
-        assert np.all(np.frombuffer(body, dtype=np.uint8) == 0)
-
-    def test_determinism(self, tmp_path, tiny_dataset):
-        pid, src, tgt, smask, tmask = tiny_dataset[0]
-        d1 = os.path.join(tmp_path, "a")
-        d2 = os.path.join(tmp_path, "b")
-        f1 = ev.emit_overlays(pid, tgt, tmask, {"M": (src, smask)}, d1)
-        f2 = ev.emit_overlays(pid, tgt, tmask, {"M": (src, smask)}, d2)
-        for a, b in zip(f1, f2):
-            assert open(a, "rb").read() == open(b, "rb").read()
-
-    def test_file_count_scales_with_methods(self, tmp_path, tiny_dataset):
-        pid, src, tgt, smask, tmask = tiny_dataset[0]
-        files = ev.emit_overlays(
-            pid, tgt, tmask,
-            {"A": (src, smask), "B": (src, smask), "C": (src, smask)},
-            str(tmp_path),
-        )
-        assert len(files) == 3 * 3 * 2

@@ -31,7 +31,7 @@ def registration_like_instance(seed, n_nodes=6, n_labels=4, edges=None,
     per-node preferred displacement, pairwise is the L1 label metric."""
     rng = np.random.default_rng(seed)
     disp = np.vstack([[0.0, 0.0, 0.0], rng.uniform(-8, 8, (n_labels - 1, 3))])
-    ls = LabelSpace(disp, 8.0)
+    ls = LabelSpace(disp)
     table = gr.pairwise_l1_table(ls)
     base = rng.uniform(-8, 8, 3)
     unaries = np.zeros((n_nodes, n_labels))
@@ -96,7 +96,6 @@ class TestLabelSpaces:
         ls = gr.initialize_label_space(cfg, (25.0,) * 3)
         ref = gr.refine_label_space(ls, 0.7)
         assert np.allclose(np.unique(ref.displacements[:, 0]), [-7.0, -3.5, 0.0, 3.5, 7.0])
-        assert ref.max_norm_mm == pytest.approx(0.7 * ls.max_norm_mm)
         five = ls
         for _ in range(5):
             five = gr.refine_label_space(five, 0.7)
@@ -106,7 +105,7 @@ class TestLabelSpaces:
         for seed in range(10):
             rng = np.random.default_rng(seed)
             disp = np.vstack([[0, 0, 0], rng.uniform(-10, 10, (7, 3))])
-            table = gr.pairwise_l1_table(LabelSpace(disp, 10.0))
+            table = gr.pairwise_l1_table(LabelSpace(disp))
             assert np.allclose(table, table.T)
             assert np.all(np.diag(table) == 0.0)
             n = len(table)
@@ -256,7 +255,7 @@ class TestBuildInstance:
     def test_single_label_energy_is_unary_sum(self, small_pair):
         p = small_pair
         grid = make_control_grid(p.source, 12.0)
-        ls = LabelSpace(np.zeros((1, 3)), 0.0)
+        ls = LabelSpace(np.zeros((1, 3)))
         w = me.single_metric_weights("SAD", 1.0, 0.5)
         inst = gr.build_instance(p.source, p.target, None, w, grid, ls)
         lab = np.zeros(grid.n_nodes, dtype=int)
@@ -265,10 +264,13 @@ class TestBuildInstance:
     def test_multiclass_requires_mask(self, small_pair):
         p = small_pair
         grid = make_control_grid(p.source, 12.0)
-        ls = LabelSpace(np.zeros((1, 3)), 0.0)
+        ls = LabelSpace(np.zeros((1, 3)))
         wmat = me.WeightMatrix(np.ones((4, 2)), np.zeros(2), (0, 1))
         with pytest.raises(ValueError):
             gr.build_instance(p.source, p.target, None, wmat, grid, ls)
+
+
+TRANSLATION_MM = (4.0, 0.0, 0.0)        # the ground-truth field of translated_pair
 
 
 @pytest.fixture(scope="module")
@@ -279,7 +281,7 @@ def translated_pair():
         center_jitter_mm=0.0, radius_jitter_mm=0.0,
         base_levels=(0.25, 0.7), texture_amp=(0.05, 0.08),
         remap_region_x_frac=1.0, noise_sigma=0.01,
-        gt_mode="translate", gt_translate_mm=(4.0, 0.0, 0.0), max_gt_disp_mm=8.0,
+        gt_mode="translate", gt_translate_mm=TRANSLATION_MM, max_gt_disp_mm=8.0,
     )
     return synth_dataset(spec, 1)[0]
 
@@ -302,7 +304,7 @@ class TestRegister:
                                finest_spacing_mm=12.0)
         fld, _ = gr.register(p.source, p.target, p.source_mask, w, cfg)
         fg = p.target_mask.labels > 0
-        err = np.linalg.norm(fld.dense - p.gt_field.dense, axis=3)[fg]
+        err = np.linalg.norm(fld.dense - TRANSLATION_MM, axis=3)[fg]
         assert err.mean() <= 2.4      # half of one initial label step
 
     def test_diffeomorphism_bound_per_step(self, small_pair):

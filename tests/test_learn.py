@@ -95,7 +95,7 @@ class TestLossIncrements:
     def test_zero_shift_matches_overlap(self, small_grid):
         vol, grid = small_grid
         a = box_mask(vol.dims, (3, 3, 3), (9, 9, 9))
-        ls = LabelSpace(np.zeros((1, 3)), 0.0)
+        ls = LabelSpace(np.zeros((1, 3)))
         terms = learn.loss_node_terms(a, a, grid, ls)
         # summed over nodes the zero-label surrogate equals the exact loss (0)
         assert terms[:, 0].sum() == pytest.approx(0.0, abs=1e-12)
@@ -112,7 +112,7 @@ class TestLossIncrements:
         for _ in range(5):
             a = SegmentationMask((rng.random(vol.dims) > 0.7).astype(np.uint8), vol.spacing)
             b = SegmentationMask((rng.random(vol.dims) > 0.7).astype(np.uint8), vol.spacing)
-            ls = LabelSpace(np.array([[0.0, 0, 0], [2.0, 0, 0], [0, -2.0, 0]]), 2.0)
+            ls = LabelSpace(np.array([[0.0, 0, 0], [2.0, 0, 0], [0, -2.0, 0]]))
             terms = learn.loss_node_terms(a, b, grid, ls)
             assert terms[:, 0].sum() == pytest.approx(dice_loss(a, b), abs=1e-12)
 
@@ -127,7 +127,7 @@ class TestLossIncrements:
         tgt[3:5, :2, :2] = 1
         ms = SegmentationMask(src, (1.0, 1.0, 1.0))
         mt = SegmentationMask(tgt, (1.0, 1.0, 1.0))
-        ls = LabelSpace(np.array([[0.0, 0, 0], [1.0, 0.0, 0.0]]), 1.0)
+        ls = LabelSpace(np.array([[0.0, 0, 0], [1.0, 0.0, 0.0]]))
         terms = learn.loss_node_terms(ms, mt, grid, ls)
         d0 = 16                                     # source plus target voxels
         bounds = tile_edges(grid, ms)
@@ -157,7 +157,7 @@ def _count_case(rng, dims, spacing, grid_mm, disp, p_src=0.5, p_tgt=0.5, max_lab
     src = SegmentationMask(_labels(rng, dims, p_src, max_label), spacing)
     tgt = SegmentationMask(_labels(rng, dims, p_tgt, max_label), spacing)
     disp = np.asarray(disp, dtype=np.float64)
-    ls = LabelSpace(disp, float(np.abs(disp).max()))
+    ls = LabelSpace(disp)
     return src, tgt, grid or make_control_grid(vol, grid_mm), ls
 
 
@@ -263,7 +263,7 @@ def toy_sample(rng, V=6, L=4):
     """
     edges = np.array([[0, 1], [2, 3], [4, 5], [0, 2], [2, 4], [1, 3], [3, 5]])
     disp = np.vstack([[0.0, 0.0, 0.0], rng.uniform(-5, 5, (L - 1, 3))])
-    ls = LabelSpace(disp, 5.0)
+    ls = LabelSpace(disp)
     base = rng.uniform(-5, 5, 3)
     feats = np.zeros((V, L, me.N_METRICS))
     for i in range(V):

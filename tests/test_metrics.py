@@ -176,7 +176,7 @@ class TestUnaryFeatures:
         src = Volume(data, (2.0, 2.0, 2.0))
         tgt = Volume(np.roll(data, -1, axis=0), (2.0, 2.0, 2.0))
         grid = make_control_grid(src, 8.0)
-        ls = LabelSpace(np.array([[0.0, 0, 0], [2.0, 0, 0]]), 2.0)
+        ls = LabelSpace(np.array([[0.0, 0, 0], [2.0, 0, 0]]))
         node = grid.node_index(2, 2, 2)
         u = mo.unary_features(src, tgt, grid, ls, node, 1)
         assert u[me.METRIC_NAMES.index("SAD")] == 0.0
@@ -202,7 +202,7 @@ def _shift_labels(xs, ys, zs):
     """Integer voxel shifts (spacing 1 mm) with the zero shift first."""
     d = np.array([[x, y, z] for x in xs for y in ys for z in zs], dtype=np.float64)
     d = d[np.argsort(np.abs(d).sum(axis=1), kind="stable")]
-    return LabelSpace(d, float(np.abs(d).max()))
+    return LabelSpace(d)
 
 
 def _random_pair(rng, dims, spacing=(1.0, 1.0, 1.0)):
@@ -233,7 +233,7 @@ def _side_below_two(rng):
 def _single_row_runs(rng):
     src, tgt = _random_pair(rng, (14, 12, 10))
     # one label, and a sub-voxel one that rounds onto the same center
-    ls = LabelSpace(np.array([[0.0, 0, 0], [0.2, 0, 0]]), 0.2)
+    ls = LabelSpace(np.array([[0.0, 0, 0], [0.2, 0, 0]]))
     return src, tgt, make_control_grid(src, 4.0), ls
 
 
@@ -272,7 +272,7 @@ class TestFeatureTableOracle:
 
     def test_calibration_zero_label_table(self):
         pairs = [_registration_like(None)[:2], _random_pair(np.random.default_rng(3), (20, 18, 16))]
-        zero_ls = LabelSpace(np.zeros((1, 3)), 0.0)
+        zero_ls = LabelSpace(np.zeros((1, 3)))
         pooled = []
         for src, tgt in pairs:
             grid = make_control_grid(src, 10.0)
@@ -321,7 +321,7 @@ class TestDominantClass:
     def test_tie_breaks_to_smaller_id(self):
         vol = Volume(np.zeros((8, 8, 8), dtype=np.float32), (1.0, 1.0, 1.0))
         grid = make_control_grid(vol, 3.0)
-        ls = LabelSpace(np.zeros((1, 3)), 0.0)
+        ls = LabelSpace(np.zeros((1, 3)))
         labels = np.zeros((8, 8, 8), dtype=np.uint8)
         labels[:, :, :4] = 3
         labels[:, :, 4:] = 1      # exact tie inside any full patch
@@ -383,7 +383,7 @@ class TestDominantClass:
             mask = SegmentationMask(arr, (1.0, 1.0, 1.0))
             vol = Volume(np.zeros((5, 5, 2), dtype=np.float32), (1.0, 1.0, 1.0))
             grid = make_control_grid(vol, 4.0)
-            ls = LabelSpace(np.zeros((1, 3)), 0.0)
+            ls = LabelSpace(np.zeros((1, 3)))
             node = int(np.argmin(np.abs(grid.points - [2, 2, 0.5]).sum(axis=1)))
             assert mo.dominant_class(mask, grid, ls, node, 0, 2) == 1
 

@@ -48,6 +48,12 @@ def zero_field(vol):
     )
 
 
+def corners(vol):
+    """First and last voxel centre of `vol` in mm."""
+    c = vol.voxel_centers_mm()
+    return np.array([x[0] for x in c]), np.array([x[-1] for x in c])
+
+
 def constant_field(vol, d):
     dense = np.broadcast_to(np.asarray(d, dtype=np.float64), vol.dims + (3,)).copy()
     return DeformationField(dense=dense, spacing=vol.spacing, origin=vol.origin)
@@ -59,6 +65,43 @@ class TestContainers:
             Volume(np.zeros((4, 4), dtype=np.float32))
         with pytest.raises(ValueError):
             Volume(np.zeros((4, 4, 4), dtype=np.float32), spacing=(1, 0, 1))
+
+    RECORDS = {
+        "volume": lambda spacing, origin: Volume(np.zeros((4, 3, 2)), spacing, origin),
+        "mask": lambda spacing, origin: SegmentationMask(
+            np.zeros((4, 3, 2), np.uint8), spacing, origin),
+        "field": lambda spacing, origin: DeformationField(
+            np.zeros((4, 3, 2, 3)), spacing, origin),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(RECORDS))
+    @pytest.mark.parametrize("spacing, origin", [
+        ((0.0, 1.0, 1.0), (0.0, 0.0, 0.0)), ((1.0, -1.0, 1.0), (0.0, 0.0, 0.0)),
+        ((1.0, 1.0, np.nan), (0.0, 0.0, 0.0)), ((np.inf, 1.0, 1.0), (0.0, 0.0, 0.0)),
+        ((1.0, 1.0, 1.0), (0.0, np.inf, 0.0)), ((1.0, 1.0, 1.0), (np.nan, 0.0, 0.0)),
+    ], ids=["spacing_0", "spacing_negative", "spacing_nan", "spacing_inf", "origin_inf",
+            "origin_nan"])
+    def test_records_reject_bad_geometry(self, kind, spacing, origin):
+        with pytest.raises(ValueError):
+            self.RECORDS[kind](spacing, origin)
+        assert self.RECORDS[kind]((1.0, 2.0, 3.0), (-1.0, 0.0, 1.0)).dims == (4, 3, 2)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_float_records_reject_non_finite_data(self, value):
+        data = np.zeros((4, 3, 2))
+        data[1, 2, 1] = value
+        with pytest.raises(ValueError, match="data contains NaN or inf"):
+            Volume(data)
+        dense = np.zeros((4, 3, 2, 3))
+        dense[3, 0, 1, 2] = value
+        with pytest.raises(ValueError, match="dense contains NaN or inf"):
+            DeformationField(dense, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+
+    def test_records_are_read_only(self, vol):
+        mask = SegmentationMask(np.zeros(vol.dims, np.uint8), vol.spacing)
+        for arr in (vol.data, mask.labels, zero_field(vol).dense):
+            with pytest.raises(ValueError):
+                arr[0, 0, 0] = 1
 
     def test_mask_classes(self):
         m = SegmentationMask(np.array([[[0, 1], [2, 2]]], dtype=np.uint8))
@@ -72,14 +115,14 @@ class TestContainers:
 
     def test_grid_covers_volume(self, vol):
         grid = make_control_grid(vol, 6.0)
-        lo, hi = vol.extent_mm()
+        lo, hi = corners(vol)
         pts = grid.points
         assert np.all(pts.min(axis=0) <= lo)
         assert np.all(pts.max(axis=0) >= hi)
 
     def test_label_space_zero_first(self):
         with pytest.raises(ValueError):
-            LabelSpace(np.array([[1.0, 0, 0], [0, 0, 0]]), 1.0)
+            LabelSpace(np.array([[1.0, 0, 0], [0, 0, 0]]))
 
 
 class TestFfdInterpolation:
@@ -170,7 +213,7 @@ class TestFfdEvaluateBitExact:
         assert out.tobytes() == _ffd_gather_oracle(grid, sparse, pts).tobytes()
 
     def test_random_off_grid_points(self, vol, grid, rng):
-        lo, hi = vol.extent_mm()
+        lo, hi = corners(vol)
         self.check(grid, rng.uniform(lo, hi, (500, 3)), rng)
 
     def test_points_outside_support_are_clamped(self, grid, rng):
@@ -182,7 +225,7 @@ class TestFfdEvaluateBitExact:
         self.check(grid, pts, rng)
 
     def test_crosses_chunk_boundary(self, vol, grid, rng):
-        lo, hi = vol.extent_mm()
+        lo, hi = corners(vol)
         self.check(grid, rng.uniform(lo, hi, ((1 << 16) + 1000, 3)), rng)
 
     def test_non_cubic_grid(self, rng):
@@ -578,6 +621,20 @@ class TestRawFileFormat:
             open(path + ".raw", "w").close()    # a payload that matches the dims
         with pytest.raises(FormatError):
             read(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("kind", ["volume", "field"])
+    def test_non_finite_payload_is_format_error(self, tmp_path, vol, kind, value):
+        path = os.path.join(tmp_path, "x.hdr")
+        if kind == "volume":
+            write_volume(path, vol)
+        else:
+            write_field(path, zero_field(vol))
+        payload = np.fromfile(path + ".raw", dtype="<f4")
+        payload[7] = value
+        payload.tofile(path + ".raw")
+        with pytest.raises(FormatError, match="contains NaN or inf"):
+            {"volume": read_volume, "field": read_field}[kind](path)
 
     @pytest.mark.parametrize("data", ["{abs}", "../vol.raw", "inner/vol.raw", "..", ""])
     def test_payload_outside_header_directory_rejected(self, tmp_path, data):
