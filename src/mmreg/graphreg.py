@@ -157,11 +157,14 @@ def build_instance(src, tgt, src_mask, wmat, grid, label_space):
     comes from the zero-label dominant class; each edge uses the mean of its
     endpoint weights so the pairwise term stays label-pair-separable.
 
-    Features are divided by the weight matrix's normalization scales. With
-    a single-column weight matrix the mask is optional and the lone column
-    applies everywhere.
+    Features are divided by the weight matrix's normalization scales, and
+    only the metrics with a nonzero weight in some column are computed: a
+    skipped metric's feature is 0.0, which its zero weights turn into the
+    same sums. With a single-column weight matrix the mask is optional and
+    the lone column applies everywhere.
     """
-    feats = me.feature_table(src, tgt, grid, label_space, wmat.scales)
+    feats = me.feature_table(src, tgt, grid, label_space, wmat.scales,
+                             np.any(wmat.weights != 0, axis=1))
     V, L, n = feats.shape
     edges = grid.edges
     table = pairwise_l1_table(label_space)

@@ -42,7 +42,8 @@ class WeightMatrix:
     """Per-class metric weights: column w_c per class plus pairwise weight w_p.
 
     class_ids lists the classes covered by the columns, in strictly
-    ascending order; id 0 is the designated background column.
+    ascending order; id 0 is the designated background column, which a
+    matrix of more than one column must have.
     """
     weights: np.ndarray            # (n_metrics, n_classes)
     pairwise: np.ndarray           # (n_classes,)
@@ -60,6 +61,9 @@ class WeightMatrix:
             raise ValueError("class count mismatch between weights, pairwise and class_ids")
         if any(b <= a for a, b in zip(ids, ids[1:])):
             raise ValueError(f"class_ids must be strictly ascending, got {ids}")
+        if len(ids) > 1 and 0 not in ids:
+            # classes without a column of their own fall back to column 0
+            raise ValueError(f"a multi-class weight matrix must cover class 0, got {ids}")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(p))) or np.any(p < 0):
             raise ValueError(f"weights must be finite and pairwise weights >= 0, "
                              f"got {w.tolist()} and {p.tolist()}")
@@ -189,62 +193,76 @@ def _center_table(vol_like, grid, label_space):
     return c_src, in_src, c_tgt, in_tgt
 
 
-def _metric_rows(a, b, ha, hb, bins):
-    """All four metrics of many source patches against one target patch.
+def _metric_rows(a, b, ha, hb, bins, used):
+    """The metrics in `used` of many source patches against one target patch.
 
     a: (rows, n_vox) float64 source patches; b: (n_vox,) float64 target patch.
     ha: (rows, n_h) Haar approximation bands of the source patches and hb:
     (n_h,) the target's, both read from box-summed volumes (see feature_table);
     None when a patch side is < 2, and DWT then equals SAD.
+    used: (n_metrics,) bool mask of the metrics to compute; a skipped
+    metric's column holds 0.0. `a` and `b` may be None when DWT is the only
+    metric used and the Haar bands are given.
     Uses algebraically fused forms of the scalar kernels in
     tests/metric_oracle.py (identical math, reduction order may differ at
     the last few ulps).
     """
-    rows, n_vox = a.shape
-    out = np.empty((rows, N_METRICS), dtype=np.float64)
+    use_sad, use_mi, use_ncc, use_dwt = (bool(u) for u in used)
+    rows = len(ha if a is None else a)
+    out = np.zeros((rows, N_METRICS), dtype=np.float64)
 
-    # SAD
-    d = a - b
-    np.abs(d, out=d)
-    out[:, 0] = d.mean(axis=1)
-    del d
+    if use_sad or (use_dwt and ha is None):
+        d = a - b
+        np.abs(d, out=d)
+        sad = d.mean(axis=1)
+        del d
+        if use_sad:
+            out[:, 0] = sad
 
-    # MI from per-row joint histograms against the shared target binning
-    ai, a_const = _bin_rows(a, bins)
-    bi, _ = _bin_rows(b[None, :], bins)
-    ai *= bins
-    ai += bi
-    ai += (np.arange(rows, dtype=np.int32) * (bins * bins))[:, None]
-    joint = np.bincount(ai.ravel(), minlength=rows * bins * bins)
-    joint = joint.reshape(rows, bins, bins).astype(np.float64)
-    del ai
-    joint /= n_vox
-    pa = joint.sum(axis=2)
-    pb = joint.sum(axis=1)
-    out[:, 1] = np.log(bins) - (
-        _entropy_rows(pa) + _entropy_rows(pb) - _entropy_rows(joint.reshape(rows, -1))
-    )
+    a_const = None
+    if use_mi:
+        # per-row joint histograms against the shared target binning
+        n_vox = a.shape[1]
+        ai, a_const = _bin_rows(a, bins)
+        bi, _ = _bin_rows(b[None, :], bins)
+        ai *= bins
+        ai += bi
+        ai += (np.arange(rows, dtype=np.int32) * (bins * bins))[:, None]
+        joint = np.bincount(ai.ravel(), minlength=rows * bins * bins)
+        joint = joint.reshape(rows, bins, bins).astype(np.float64)
+        del ai
+        joint /= n_vox
+        pa = joint.sum(axis=2)
+        pb = joint.sum(axis=1)
+        out[:, 1] = np.log(bins) - (
+            _entropy_rows(pa) + _entropy_rows(pb) - _entropy_rows(joint.reshape(rows, -1))
+        )
 
-    # NCC: cov(a, b) = E[a * (b - b_mean)] since the b-side is zero-mean
-    b_mean = b.mean()
-    bm = b - b_mean
-    vb = float(np.mean(bm * bm))
-    a_mean = a.mean(axis=1)
-    va = np.einsum("ij,ij->i", a, a) / n_vox - a_mean * a_mean
-    cov = np.einsum("ij,j->i", a, bm) / n_vox
-    # the shifted-moment form cancels badly for near-constant rows; redo those
-    shaky = ~a_const & (va < 1e-12 * (a_mean * a_mean + 1.0))
-    if np.any(shaky):
-        am = a[shaky] - a_mean[shaky, None]
-        va[shaky] = np.mean(am * am, axis=1)
-        cov[shaky] = np.mean(am * bm, axis=1)
-    degenerate = a_const | (vb == 0.0) | (va == 0.0)
-    denom = np.sqrt(np.where(degenerate, 1.0, va * vb))
-    r = np.where(degenerate, 0.0, cov / denom)
-    out[:, 2] = 1.0 - r
+    if use_ncc:
+        # cov(a, b) = E[a * (b - b_mean)] since the b-side is zero-mean
+        n_vox = a.shape[1]
+        if a_const is None:
+            # the constant-row test of _bin_rows: a row's range is 0
+            a_const = a.max(axis=1) == a.min(axis=1)
+        b_mean = b.mean()
+        bm = b - b_mean
+        vb = float(np.mean(bm * bm))
+        a_mean = a.mean(axis=1)
+        va = np.einsum("ij,ij->i", a, a) / n_vox - a_mean * a_mean
+        cov = np.einsum("ij,j->i", a, bm) / n_vox
+        # the shifted-moment form cancels badly for near-constant rows; redo those
+        shaky = ~a_const & (va < 1e-12 * (a_mean * a_mean + 1.0))
+        if np.any(shaky):
+            am = a[shaky] - a_mean[shaky, None]
+            va[shaky] = np.mean(am * am, axis=1)
+            cov[shaky] = np.mean(am * bm, axis=1)
+        degenerate = a_const | (vb == 0.0) | (va == 0.0)
+        denom = np.sqrt(np.where(degenerate, 1.0, va * vb))
+        r = np.where(degenerate, 0.0, cov / denom)
+        out[:, 2] = 1.0 - r
 
-    # DWT
-    out[:, 3] = out[:, 0] if ha is None else np.mean(np.abs(ha - hb), axis=1)
+    if use_dwt:
+        out[:, 3] = sad if ha is None else np.mean(np.abs(ha - hb), axis=1)
     return out
 
 
@@ -278,7 +296,7 @@ def _box_sums(v):
     return ((p[:-1, :-1] + p[:-1, 1:]) + p[1:, :-1]) + p[1:, 1:]
 
 
-def feature_table(src, tgt, grid, label_space, scales=None):
+def feature_table(src, tgt, grid, label_space, scales=None, metrics=None):
     """All unary feature vectors: (|V|, |L|, n_metrics).
 
     Entry (i, l) compares the source patch at the displaced control point
@@ -288,6 +306,12 @@ def feature_table(src, tgt, grid, label_space, scales=None):
     tests/metric_oracle.py define every value. Pairs whose source or target
     patch is empty get EMPTY_COST in every metric slot, unscaled.
 
+    `metrics` is an (n_metrics,) bool mask of the metrics to compute, all
+    of them when None. A skipped metric's column holds 0.0 in every
+    non-empty pair; the computed columns equal those of the full table bit
+    for bit. A registration passes the metrics its weight matrix weighs, so
+    a zero weight costs no kernel.
+
     Rows are evaluated per node and crop shape, each run of source patches
     gathered against the node's one target patch. DWT reads every patch's
     Haar band from one 2x2x2 box-summed volume per side. Volume data is
@@ -295,6 +319,7 @@ def feature_table(src, tgt, grid, label_space, scales=None):
     nonzero magnitudes span more than about 2^26), and the band equals the
     per-patch block sum bit for bit.
     """
+    used = np.ones(N_METRICS, dtype=bool) if metrics is None else np.asarray(metrics, dtype=bool)
     radius = np.asarray(patch_radius(grid.spacing_mm, src.spacing), dtype=np.int64)
     dims = np.asarray(src.dims)
     V = grid.n_nodes
@@ -321,7 +346,7 @@ def feature_table(src, tgt, grid, label_space, scales=None):
     )
     u_src = cs[first_idx] - left[first_idx]      # crop low corners
     u_tgt = ct[first_idx] - left[first_idx]
-    u_vals = np.empty((len(first_idx), N_METRICS), dtype=np.float64)
+    u_vals = np.zeros((len(first_idx), N_METRICS), dtype=np.float64)
 
     # group rows by patch shape, then by node so each target patch is
     # processed once per run of rows that share it
@@ -334,13 +359,20 @@ def feature_table(src, tgt, grid, label_space, scales=None):
 
     src_data = src.data.astype(np.float64)
     tgt_data = tgt.data.astype(np.float64)
-    src_box = _box_sums(src_data)
-    tgt_box = _box_sums(tgt_data)
+    if used[3]:
+        src_box = _box_sums(src_data)
+        tgt_box = _box_sums(tgt_data)
     for g in groups:
         shape = tuple(int(x) for x in sig[g[0], :3] + sig[g[0], 3:] + 1)
-        src_view = sliding_window_view(src_data, shape)
-        tgt_view = sliding_window_view(tgt_data, shape)
-        haar = min(shape) >= 2
+        haar = used[3] and min(shape) >= 2
+        # SAD, MI and NCC read the full-resolution patches, and so does DWT
+        # where a side < 2 makes it fall back to SAD
+        gather = used[:3].any() or (used[3] and not haar)
+        if not (gather or haar):
+            continue
+        if gather:
+            src_view = sliding_window_view(src_data, shape)
+            tgt_view = sliding_window_view(tgt_data, shape)
         if haar:
             band = tuple(2 * (s // 2) - 1 for s in shape)
             src_band = sliding_window_view(src_box, band)[..., ::2, ::2, ::2]
@@ -349,13 +381,15 @@ def feature_table(src, tgt, grid, label_space, scales=None):
         for run in np.split(g, runs):
             c = tuple(u_src[run].T)
             t = tuple(u_tgt[run[0]])
-            a = src_view[c].reshape(len(run), -1)
-            b = tgt_view[t].reshape(-1)
+            # the previous run's patches stay alive until the new ones are
+            # gathered: releasing them first measured slower
+            a = src_view[c].reshape(len(run), -1) if gather else None
+            b = tgt_view[t].reshape(-1) if gather else None
             ha = hb = None
             if haar:
                 ha = src_band[c].reshape(len(run), -1) * _INV_SQRT8
                 hb = tgt_band[t].reshape(-1) * _INV_SQRT8
-            u_vals[run] = _metric_rows(a, b, ha, hb, MI_BINS)
+            u_vals[run] = _metric_rows(a, b, ha, hb, MI_BINS, used)
 
     out[vi, li] = u_vals[inverse] / np.asarray(
         (1.0,) * N_METRICS if scales is None else scales, dtype=np.float64)

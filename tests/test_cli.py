@@ -385,6 +385,29 @@ class TestRegisterCommand:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["register", "evaluate"])
+    def test_multiclass_weights_without_class_zero_exit_2(self, workspace, monkeypatch, command):
+        # a class without a column falls back to column 0, so the file is
+        # refused when it is read, before any volume
+        tmp, cfg, data = workspace
+        wpath = write_text(tmp / "w12.txt", "metrics=SAD,MI,NCC,DWT classes=1,2\n"
+                                            "0.2 5 10 10 0.4\n0.05 10 15 5 0.4\n")
+
+        def no_read(path):
+            raise AssertionError(f"volume {path} read before the weights were checked")
+
+        monkeypatch.setattr(cli, "read_volume", no_read)
+        argv = {"register": ["register", "--source", os.path.join(data, "pair000_src.vol"),
+                             "--target", os.path.join(data, "pair000_tgt.vol"),
+                             "--source-mask", os.path.join(data, "pair000_srcmask.msk"),
+                             "--weights", wpath,
+                             "--out-field", str(tmp / "out" / "f.fld"),
+                             "--out-warped", str(tmp / "out" / "wv.vol")],
+                "evaluate": ["evaluate", "--dataset", os.path.join(data, "manifest.csv"),
+                             "--model", wpath, "--out-report", str(tmp / "out" / "r.csv")]}
+        assert cli.main(argv[command] + ["--config", cfg]) == 2
+        assert not os.path.exists(tmp / "out")
+
     @pytest.mark.parametrize("dims, spacing, origin", [
         ((20, 22, 20), (2.0, 2.0, 2.0), (0.0, 0.0, 0.0)),
         ((20, 20, 20), (2.5, 2.0, 2.0), (0.0, 0.0, 0.0)),

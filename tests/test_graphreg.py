@@ -3,6 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from mmreg import evaluation as ev
 from mmreg import graphreg as gr
 from mmreg import metrics as me
 from mmreg.volume import LabelSpace, SegmentationMask, Volume, make_control_grid, warp_mask
@@ -268,6 +269,65 @@ class TestBuildInstance:
         wmat = me.WeightMatrix(np.ones((4, 2)), np.zeros(2), (0, 1))
         with pytest.raises(ValueError):
             gr.build_instance(p.source, p.target, None, wmat, grid, ls)
+
+
+@pytest.fixture(scope="module")
+def two_organ_pair():
+    spec = SynthSpec(dims=(32, 30, 28), spacing_mm=(2.0, 2.0, 2.0), organ_radii_mm=(8.0, 7.0))
+    return synth_dataset(spec, 5)[0]
+
+
+class TestWeighedMetricsOnly:
+    """A registration computes only the metrics its weight matrix weighs,
+    and its MRF equals the one built from the full four-metric table."""
+
+    SCALES = (0.5, 2.0, 0.25, 3.0)
+    MATRICES = {
+        "3-column": np.array([[0.1, 0.2, 0.05], [10.0, 5.0, 10.0],
+                              [10.0, 10.0, 15.0], [10.0, 10.0, 5.0]]),
+        "3-column-no-MI": np.array([[0.1, 0.2, 0.05], [0.0, 0.0, 0.0],
+                                    [10.0, 10.0, 15.0], [0.0, 10.0, 5.0]]),
+    }
+
+    def weights(self, method):
+        if method in ev.SINGLE_METHODS:
+            return ev.baseline_weights(method, self.SCALES, ev.BASELINE_WP_SCALE)
+        return me.WeightMatrix(self.MATRICES[method], np.array([0.4, 0.3, 0.5]), (0, 1, 2),
+                               scales=self.SCALES)
+
+    @pytest.mark.parametrize("method", ev.SINGLE_METHODS + tuple(MATRICES))
+    def test_instance_equals_full_table_instance(self, two_organ_pair, monkeypatch, method):
+        p = two_organ_pair
+        grid = make_control_grid(p.source, 12.0)
+        ls = gr.initialize_label_space(
+            gr.PyramidConfig(levels=1, steps_per_level=1, labels_per_level=27), grid.spacing_mm)
+        wmat = self.weights(method)
+        got = gr.build_instance(p.source, p.target, p.source_mask, wmat, grid, ls)
+        feature_table = me.feature_table
+        monkeypatch.setattr(me, "feature_table", lambda src, tgt, grid, ls, scales, metrics:
+                            feature_table(src, tgt, grid, ls, scales))
+        want = gr.build_instance(p.source, p.target, p.source_mask, wmat, grid, ls)
+        assert got.unaries.tobytes() == want.unaries.tobytes()
+        assert got.edge_weights.tobytes() == want.edge_weights.tobytes()
+
+    def test_sad_only_registration_never_bins_for_mi(self, small_pair, monkeypatch):
+        calls = []
+        bin_rows = me._bin_rows
+
+        def counted(x, bins):
+            calls.append(len(x))
+            return bin_rows(x, bins)
+
+        monkeypatch.setattr(me, "_bin_rows", counted)
+        cfg = gr.PyramidConfig(levels=2, steps_per_level=2, labels_per_level=27,
+                               finest_spacing_mm=12.0)
+        p = small_pair
+        for method in ("SAD", "NCC", "DWT"):
+            gr.register(p.source, p.target, None, ev.baseline_weights(method, None, 0.02), cfg)
+        assert calls == []
+        # the counter sees the binning of a registration that weighs MI
+        gr.register(p.source, p.target, None, ev.baseline_weights("MI", None, 0.02), cfg)
+        assert calls
 
 
 TRANSLATION_MM = (4.0, 0.0, 0.0)        # the ground-truth field of translated_pair

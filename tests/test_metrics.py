@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -269,6 +271,56 @@ class TestFeatureTableOracle:
         want = feature_oracle.feature_table_oracle(src, tgt, grid, ls, scales)
         assert not np.all(me.empty_feature_rows(got))
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("build", [
+        _registration_like, _half_size_one, _side_below_two, _single_row_runs,
+        _constant_and_shaky, _one_dim_of_one,
+    ])
+    def test_metric_subsets_bit_exact(self, build):
+        # every subset of the metrics, the one-metric masks of the baselines
+        # among them: each computed column is the full table's bit for bit,
+        # a skipped one holds 0.0 and empty pairs stay EMPTY_COST throughout
+        src, tgt, grid, ls = build(np.random.default_rng(17))
+        scales = (2.0, 0.5, 3.0, 0.25)
+        full = me.feature_table(src, tgt, grid, ls, scales)
+        empty = me.empty_feature_rows(full)
+        assert not np.all(empty)
+        for bits in itertools.product((False, True), repeat=me.N_METRICS):
+            used = np.array(bits)
+            got = me.feature_table(src, tgt, grid, ls, scales, used)
+            assert got[..., used].tobytes() == full[..., used].tobytes()
+            assert np.all(got[empty] == me.EMPTY_COST)
+            assert np.all(got[~empty][:, ~used] == 0.0)
+
+    def test_ncc_constant_rows_without_mi(self):
+        # float64 rows whose mean is inexact leave the shifted moments a
+        # little off zero; only the constant-row flag keeps NCC at r = 0
+        rng = np.random.default_rng(5)
+        a = np.vstack([np.full(27, 0.1), np.full(27, 1e-3 / 3), rng.random((3, 27))])
+        b = rng.random(27)
+        full = me._metric_rows(a, b, None, None, me.MI_BINS, (True,) * 4)
+        ncc = me._metric_rows(a, b, None, None, me.MI_BINS, (False, False, True, False))
+        assert np.all(full[:2, 2] == 1.0)
+        assert ncc[:, 2].tobytes() == full[:, 2].tobytes()
+
+    @pytest.mark.parametrize("build, falls_back", [
+        (_registration_like, False), (_half_size_one, False), (_side_below_two, True),
+    ])
+    def test_dwt_alone_gathers_full_resolution_only_for_sad_fallback(
+            self, monkeypatch, build, falls_back):
+        src, tgt, grid, ls = build(np.random.default_rng(17))
+        calls = []
+        metric_rows = me._metric_rows
+
+        def recorded(a, b, ha, hb, bins, used):
+            calls.append((a is None, ha is None))
+            return metric_rows(a, b, ha, hb, bins, used)
+
+        monkeypatch.setattr(me, "_metric_rows", recorded)
+        me.feature_table(src, tgt, grid, ls, None, (False, False, False, True))
+        # a run reads full-resolution patches exactly when it has no Haar band
+        assert calls and all(no_a != no_band for no_a, no_band in calls)
+        assert any(no_band for _, no_band in calls) == falls_back
 
     def test_calibration_zero_label_table(self):
         pairs = [_registration_like(None)[:2], _random_pair(np.random.default_rng(3), (20, 18, 16))]
@@ -556,6 +608,19 @@ class TestWeightMatrix:
         # a repeated id would leave every column after its first unreachable
         with pytest.raises(ValueError, match="strictly ascending"):
             me.WeightMatrix(np.ones((4, len(ids))), np.ones(len(ids)), ids)
+
+    @pytest.mark.parametrize("ids", [(1, 2), (1, 2, 3), (2, 5)])
+    def test_multiclass_without_class_zero_rejected(self, tmp_path, ids):
+        # classes without a column fall back to column 0, so a matrix of
+        # several columns must have it; a lone column may be any class
+        with pytest.raises(ValueError, match="must cover class 0"):
+            me.WeightMatrix(np.ones((4, len(ids))), np.ones(len(ids)), ids)
+        path = tmp_path / "w.txt"
+        path.write_text(f"metrics=SAD,MI,NCC,DWT classes={','.join(map(str, ids))}\n"
+                        + "1 1 1 1 0.3\n" * len(ids))
+        with pytest.raises(FormatError, match="must cover class 0"):
+            me.read_weights(str(path))
+        assert me.WeightMatrix(np.ones((4, 1)), np.ones(1), ids[:1]).class_ids == ids[:1]
 
     def test_column_lookup(self):
         w = me.WeightMatrix(np.arange(8).reshape(4, 2), np.array([0.5, 1.5]), (0, 2))
