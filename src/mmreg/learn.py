@@ -8,8 +8,9 @@ are the same MRF solve with different unary potentials.
 
 The Dice loss enters inference through a node-decomposable surrogate: tile
 overlap counts accumulate per node with the denominator frozen at its
-zero-displacement value. Exact warped-mask losses are recomputed whenever a
-constraint is stored, so the QP always sees true loss values.
+zero-displacement value. The exact warped-mask loss of each labeling the
+oracle returns is computed once per sample and cached (`warped_loss`), and
+constraints store it, so the QP always sees true loss values.
 """
 
 from dataclasses import dataclass, field
@@ -243,6 +244,10 @@ def most_violated(sample, w):
 # quadratic program
 # ---------------------------------------------------------------------------
 
+QP_GAP_TOL = 1e-8       # relative duality gap above which a QP counts as unsolved
+_QP_MAX_ITER = 500
+
+
 def solve_qp(working_sets, imputed_psis, w0_full, C, alpha):
     """Solve the margin-rescaled SSVM QP over the stored constraints.
 
@@ -250,84 +255,79 @@ def solve_qp(working_sets, imputed_psis, w0_full, C, alpha):
     s.t.     w'psi_hat_i <= w'psi_bar - loss + xi_i   for stored (psi_bar, loss)
              xi_i >= 0, w_p >= 0
 
+    Primal active-set method (Nocedal & Wright, Alg. 16.3) on z = (w, xi),
+    from the unconstrained minimiser of the w terms (w_p clipped at 0, xi at
+    its slacks), on weight columns scaled to unit largest entry. A sample's
+    working multipliers sum to C/N > 0, so it keeps a working row and the
+    reduced Hessian stays positive definite.
+
     Returns:
-        (w, xi, converged): slacks are recomputed from the constraints at
-        the returned w, so every stored inequality holds exactly.
+        (w, xi, gap): xi is recomputed at w, so every stored inequality holds
+        exactly. gap is the primal-dual gap relative to max(1, objective); the
+        dual point is the final multipliers clipped at 0, each sample's scaled
+        down to its C/N cap, with the best multiplier of w_p >= 0 for them.
     """
-    from scipy.optimize import LinearConstraint, minimize   # only training needs scipy.optimize
-
     w0_full = np.asarray(w0_full, dtype=np.float64)
-    nw = len(w0_full)
-    N = len(working_sets)
-    rows = []       # (sample index, a = psi_bar - psi_hat, b = loss)
-    for i, ws in enumerate(working_sets):
-        for (_, psi_bar, loss) in ws:
-            rows.append((i, np.asarray(psi_bar) - np.asarray(imputed_psis[i]), float(loss)))
+    nw, N = len(w0_full), len(working_sets)
+    n, k = nw + N, 1.0 + 2.0 * alpha
+    sidx = np.array([i for i, ws in enumerate(working_sets) for _ in ws], dtype=np.int64)
+    A = np.array([np.asarray(psi_bar) - np.asarray(imputed_psis[i])
+                  for i, ws in enumerate(working_sets) for (_, psi_bar, _) in ws]).reshape(-1, nw)
+    b = np.array([float(loss) for ws in working_sets for (_, _, loss) in ws])
+    R = len(b)
+    d = 1.0 / np.where(np.any(A, axis=0), np.abs(A).max(axis=0, initial=0.0), 1.0)
+    # constraints M z >= rhs on z = (w / d, xi): stored rows, xi >= 0, w_p >= 0
+    M = np.block([[A * d, np.eye(N)[sidx]], [np.zeros((N, nw)), np.eye(N)],
+                  [np.eye(1, nw, nw - 1), np.zeros((1, N))]])
+    rhs = np.concatenate([b, np.zeros(N + 1)])
+    hess = np.concatenate([k * d * d, np.zeros(N)])
+    lin = np.concatenate([-2.0 * alpha * d * w0_full, np.full(N, C / N)])
 
-    if not rows:
-        w = (2.0 * alpha / (1.0 + 2.0 * alpha)) * w0_full if alpha > 0 else np.zeros(nw)
-        w[-1] = max(w[-1], 0.0)
-        return w, np.zeros(N), True
+    def slacks(w):
+        xi = np.zeros(N)
+        np.maximum.at(xi, sidx, b - A @ w)
+        return xi
 
-    A = np.stack([r[1] for r in rows])
-    b = np.array([r[2] for r in rows])
-    sidx = np.array([r[0] for r in rows])
+    w = (2.0 * alpha / k) * w0_full
+    w[-1] = max(w[-1], 0.0)
+    xi = slacks(w)
+    work = [R + i if xi[i] == 0.0 else int(np.flatnonzero((sidx == i) & (b - A @ w == xi[i]))[0])
+            for i in range(N)] + ([R + N] if w[-1] == 0.0 else [])
+    z = np.concatenate([w / d, xi])
+    for _ in range(_QP_MAX_ITER):
+        Mw = M[work]
+        kkt = np.block([[np.diag(hess), Mw.T], [Mw, np.zeros((len(work), len(work)))]])
+        sol = np.linalg.solve(kkt, np.concatenate([-(hess * z + lin), np.zeros(len(work))]))
+        p = sol[:n]
+        lam = np.zeros(len(M))
+        lam[work] = -sol[n:]
+        # rows at 0 along p up to rounding (copies of working rows) do not block
+        mp = M @ p
+        blocking = mp < -1e-12 * (np.abs(M) @ np.abs(p))
+        blocking[work] = False
+        cand = np.flatnonzero(blocking)
+        ratios = np.maximum(M[cand] @ z - rhs[cand], 0.0) / -mp[cand]
+        if len(cand) and ratios.min() < 1.0:
+            z += ratios.min() * p
+            work.append(int(cand[np.argmin(ratios)]))
+            continue
+        # a full step ends at the working set's minimiser; lam holds its multipliers
+        z += p
+        j = int(np.argmin(lam[work]))
+        if lam[work[j]] >= 0.0:
+            break
+        del work[j]
 
-    def objective(z):
-        return _outer_objective(z[:nw], z[nw:], w0_full, C, alpha)
-
-    def grad(z):
-        w = z[:nw]
-        g = np.empty_like(z)
-        g[:nw] = w + 2.0 * alpha * (w - w0_full)
-        g[nw:] = C / N
-        return g
-
-    A_full = np.concatenate(
-        [A, (sidx[:, None] == np.arange(N)[None, :]).astype(float)], axis=1
-    )
-    cons = {
-        "type": "ineq",
-        "fun": lambda z: A_full @ z - b,
-        "jac": lambda z: A_full,
-    }
-    bounds = [(None, None)] * (nw - 1) + [(0.0, None)] * (N + 1)
-
-    def slacks_for(w):
-        out = np.zeros(N)
-        margins = b - A @ w
-        for i in range(N):
-            m = sidx == i
-            if m.any():
-                out[i] = max(0.0, float(margins[m].max()))
-        return out
-
-    x0 = np.concatenate([w0_full, slacks_for(w0_full)])
-
-    def feasible_objective(z):
-        w = z[:nw].copy()
-        w[-1] = max(w[-1], 0.0)
-        return _outer_objective(w, slacks_for(w), w0_full, C, alpha), w
-
-    res = minimize(
-        objective, x0, jac=grad, bounds=bounds, constraints=[cons],
-        method="SLSQP", options={"ftol": 1e-12, "maxiter": 500},
-    )
-    best_obj, best_w = feasible_objective(res.x)
-    converged = bool(res.success)
-    if not converged:
-        # SLSQP occasionally stalls in its line search; the interior-point
-        # solver is slower but dependable on these tiny problems
-        res2 = minimize(
-            objective, x0, jac=grad, bounds=bounds,
-            constraints=[LinearConstraint(A_full, b, np.inf)],
-            method="trust-constr", options={"gtol": 1e-10, "xtol": 1e-13, "maxiter": 3000},
-        )
-        obj2, w2 = feasible_objective(res2.x)
-        if obj2 < best_obj:
-            best_obj, best_w = obj2, w2
-        converged = bool(res.success or res2.success)
-    return best_w, slacks_for(best_w), converged
+    w = d * z[:nw]
+    w[-1] = max(w[-1], 0.0)
+    xi = slacks(w)
+    primal = _outer_objective(w, xi, w0_full, C, alpha)
+    lam_rows = np.maximum(lam[:R], 0.0)
+    lam_rows *= ((C / N) / np.maximum(np.bincount(sidx, lam_rows, minlength=N), C / N))[sidx]
+    q = 2.0 * alpha * w0_full + A.T @ lam_rows
+    q[-1] = max(q[-1], 0.0)       # adds the best multiplier of w_p >= 0, max(0, -q_p)
+    dual = b @ lam_rows + alpha * (w0_full @ w0_full) - (q @ q) / (2.0 * k)
+    return w, xi, (primal - dual) / max(1.0, primal)
 
 
 def _outer_objective(w, xi, w0_full, C, alpha):
@@ -393,9 +393,9 @@ def train_class(samples, config=None):
                     grew = True
             if not grew:
                 break
-            w, xi, qp_ok = solve_qp(wsets, psis_hat, w0_full, config.C, config.alpha)
-            if not qp_ok:
-                warning = "QP did not converge"
+            w, xi, gap = solve_qp(wsets, psis_hat, w0_full, config.C, config.alpha)
+            if gap > QP_GAP_TOL:
+                warning = f"QP did not converge (relative duality gap {gap:.3g} > {QP_GAP_TOL:g})"
         else:
             warning = warning or "cutting-plane iteration cap reached"
 

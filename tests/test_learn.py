@@ -18,6 +18,7 @@ from mmreg.volume import (
 from mmreg.synth import SynthSpec, synth_dataset
 
 import count_oracle
+import qp_oracle
 from solve_oracle import solve_bruteforce
 
 
@@ -365,25 +366,25 @@ class TestEnergyLinearity:
 
 class TestSolveQp:
     def test_empty_sets_alpha_zero(self):
-        w, xi, ok = learn.solve_qp([[]], [None], np.array([0.1, 10, 10, 10, 1.0]), 10.0, 0.0)
-        assert ok and np.all(w == 0.0) and np.all(xi == 0.0)
+        w, xi, gap = learn.solve_qp([[]], [None], np.array([0.1, 10, 10, 10, 1.0]), 10.0, 0.0)
+        assert gap <= learn.QP_GAP_TOL and np.all(w == 0.0) and np.all(xi == 0.0)
 
     def test_empty_sets_alpha_positive(self):
         w0 = np.array([0.1, 10, 10, 10, 1.0])
-        w, xi, ok = learn.solve_qp([[]], [None], w0, 10.0, 0.5)
+        w, xi, gap = learn.solve_qp([[]], [None], w0, 10.0, 0.5)
         assert np.allclose(w, (1.0 / 2.0) * w0, atol=1e-12)
 
     def test_two_variable_kkt_hard_margin_regime(self):
         psi_hat = np.array([1.0, 1.0])
         wsets = [[(np.array([1]), np.array([3.0, 2.0]), 1.0)]]
-        w, xi, ok = learn.solve_qp(wsets, [psi_hat], np.zeros(2), C=1.0, alpha=0.0)
+        w, xi, gap = learn.solve_qp(wsets, [psi_hat], np.zeros(2), C=1.0, alpha=0.0)
         assert np.allclose(w, [0.4, 0.2], atol=1e-6)
         assert xi[0] == pytest.approx(0.0, abs=1e-6)
 
     def test_two_variable_kkt_slack_regime(self):
         psi_hat = np.array([1.0, 1.0])
         wsets = [[(np.array([1]), np.array([3.0, 2.0]), 1.0)]]
-        w, xi, ok = learn.solve_qp(wsets, [psi_hat], np.zeros(2), C=0.05, alpha=0.0)
+        w, xi, gap = learn.solve_qp(wsets, [psi_hat], np.zeros(2), C=0.05, alpha=0.0)
         assert np.allclose(w, [0.1, 0.05], atol=1e-6)
         assert xi[0] == pytest.approx(0.75, abs=1e-6)
 
@@ -399,13 +400,48 @@ class TestSolveQp:
                     psi_bar = psis_hat[i] + rng.normal(0, 5, nw)
                     ws.append((None, psi_bar, float(rng.uniform(0, 1))))
                 wsets.append(ws)
-            w, xi, ok = learn.solve_qp(wsets, psis_hat, w0, 10.0, 0.1)
+            w, xi, gap = learn.solve_qp(wsets, psis_hat, w0, 10.0, 0.1)
             assert w[-1] >= 0.0
             for i, ws in enumerate(wsets):
                 for (_, psi_bar, loss) in ws:
                     lhs = float(w @ psis_hat[i])
                     rhs = float(w @ psi_bar) - loss + xi[i]
                     assert lhs <= rhs + 1e-6
+
+    def test_ill_conditioned_rows_solved_to_certified_gap(self):
+        """Rows scaled like the trainer's unnormalised ones; SLSQP and its
+        trust-constr fallback report failure on 43 of these 200 QPs."""
+        w0 = np.array([0.1, 10, 10, 10, 0.1])
+        for k, (wsets, psis_hat) in enumerate(ill_conditioned_qps(200)):
+            w, xi, gap = learn.solve_qp(wsets, psis_hat, w0, 10.0, 0.1)
+            assert gap <= learn.QP_GAP_TOL
+            assert w[-1] >= 0.0 and np.all(xi >= 0.0)
+            for i, ws in enumerate(wsets):
+                for (_, psi_bar, loss) in ws:
+                    lhs = float(w @ psis_hat[i])
+                    assert lhs <= float(w @ psi_bar) - loss + xi[i] + 1e-12 * max(1.0, abs(lhs))
+            # the reference takes up to seconds per QP, so every 40th is compared
+            if k % 40 == 0:
+                ref_w, ref_xi, _ = qp_oracle.solve_qp(wsets, psis_hat, w0, 10.0, 0.1)
+                ref = qp_oracle._outer_objective(ref_w, ref_xi, w0, 10.0, 0.1)
+                assert qp_oracle._outer_objective(w, xi, w0, 10.0, 0.1) <= ref + 1e-9 * abs(ref)
+
+
+def ill_conditioned_qps(n):
+    """`n` seeded two-sample QPs whose rows psi_bar - psi_hat spread along
+    one direction with the trainer's column scales (1e4 metric sums, a
+    smaller pairwise sum), so their singular values span about 1e3."""
+    rng = np.random.default_rng(0)
+    for _ in range(n):
+        base = rng.normal(0, 1, 5) * np.array([5e4, 5e4, 5e4, 5e4, 8e3])
+        psis_hat, wsets = [], []
+        for _ in range(2):
+            psi_hat = rng.normal(0, 1e4, 5)
+            wsets.append([(None, psi_hat + base * rng.uniform(-0.1, 1) + rng.normal(0, 30, 5),
+                           float(rng.uniform(0, 0.6)))
+                          for _ in range(rng.integers(4, 14))])
+            psis_hat.append(psi_hat)
+        yield wsets, psis_hat
 
 
 @pytest.fixture(scope="module")
