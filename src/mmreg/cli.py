@@ -39,7 +39,7 @@ class RunConfig:
     normalize_metrics: bool = True      # train: calibrate metric scales first
     baseline_wp_scale: float = ev.BASELINE_WP_SCALE
     seed: int = 0                       # train: echoed into the model file
-    threads: int = 1                    # evaluate: worker threads
+    threads: int = 1                    # evaluate: processes, the caller included
     timings: bool = False               # evaluate: report runtimes
 
     def __post_init__(self):

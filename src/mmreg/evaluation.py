@@ -73,6 +73,51 @@ def baseline_weights(method, scales, wp_scale):
     return me.single_metric_weights(method, mag, wp_scale * mag, scales)
 
 
+def _run_job(job):
+    """Register one (pair, method) job and return its per-organ Dice rows.
+
+    `job` is (pair_id, src, tgt, src_mask, tgt_mask, method, weights,
+    config), a picklable tuple, so a worker process can run it."""
+    pair_id, src, tgt, smask, tmask, method, wmat, config = job
+    t0 = time.perf_counter()
+    fld, _ = register(src, tgt, smask, wmat, config)
+    runtime = time.perf_counter() - t0
+    warped_mask = warp_mask(smask, fld)
+    organs = sorted(set(smask.class_ids()) | set(tmask.class_ids()))
+    return [
+        EvalRow(
+            pair=pair_id, organ=organ, method=method,
+            dice_before=exact_dice(smask.labels == organ, tmask.labels == organ),
+            dice_after=exact_dice(warped_mask.labels == organ, tmask.labels == organ),
+            runtime_s=runtime,
+        )
+        for organ in organs
+    ]
+
+
+def _run_pooled(jobs, workers):
+    """Results of `jobs`, in order, from `workers` forked processes plus
+    this one: it runs the first job, then takes back and runs every job no
+    worker has started yet, then collects the workers' results."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork: workers start with mmreg imported and the inputs in memory. A
+    # fork-context pool forks all its workers at the first submit, before it
+    # starts a thread of its own.
+    ex = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [ex.submit(_run_job, job) for job in jobs[1:]]
+        mine = {0: _run_job(jobs[0])}
+        for i, fut in enumerate(futures, 1):
+            if fut.cancel():
+                mine[i] = _run_job(jobs[i])
+        return [mine[i] if i in mine else futures[i - 1].result() for i in range(len(jobs))]
+    finally:
+        # after a failure, jobs no worker has started are dropped
+        ex.shutdown(cancel_futures=True)
+
+
 def run_benchmark(dataset, model, config=None, wp_scale=BASELINE_WP_SCALE, threads=1):
     """Register every (source, target, source mask, target mask) pair with
     each method of ALL_METHODS and evaluate per-organ Dice.
@@ -82,43 +127,26 @@ def run_benchmark(dataset, model, config=None, wp_scale=BASELINE_WP_SCALE, threa
         model: learned WeightMatrix used for the MW method (its recorded
             normalization scales also feed the single-metric baselines).
         config: PyramidConfig.
-        threads: worker threads across (pair, method) jobs; results are
-            deterministic and independent of the thread count.
+        threads: number of processes running the (pair, method) jobs, this
+            one included. With threads > 1, min(threads, jobs) - 1 worker
+            processes are forked (the fork start method: Linux or another
+            POSIX system, and a caller running no other threads) and jobs
+            are dispatched longest first: MW jobs, which compute every
+            metric kernel, before the baselines. The report does not
+            depend on the count.
 
     Returns:
         EvalReport with one row per (pair, organ, method).
     """
     config = config or PyramidConfig()
-    report = EvalReport()
-    jobs = [(*entry, method) for entry in dataset for method in ALL_METHODS]
-
-    def run_one(job):
-        pair_id, src, tgt, smask, tmask, method = job
-        wmat = model if method == MW_METHOD else baseline_weights(method, model.scales, wp_scale)
-        t0 = time.perf_counter()
-        fld, _ = register(src, tgt, smask, wmat, config)
-        runtime = time.perf_counter() - t0
-        warped_mask = warp_mask(smask, fld)
-        organs = sorted(set(smask.class_ids()) | set(tmask.class_ids()))
-        rows = []
-        for organ in organs:
-            rows.append(EvalRow(
-                pair=pair_id, organ=organ, method=method,
-                dice_before=exact_dice(smask.labels == organ, tmask.labels == organ),
-                dice_after=exact_dice(warped_mask.labels == organ, tmask.labels == organ),
-                runtime_s=runtime,
-            ))
-        return rows
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(run_one, jobs))
-    else:
-        results = [run_one(j) for j in jobs]
-    for rows in results:
-        report.rows.extend(rows)
+    weights = {m: baseline_weights(m, model.scales, wp_scale) for m in SINGLE_METHODS}
+    weights[MW_METHOD] = model
+    # longest first: MW runs every metric kernel, a baseline only its own
+    jobs = [(*entry, method, weights[method], config)
+            for method in (MW_METHOD,) + SINGLE_METHODS for entry in dataset]
+    workers = min(threads, len(jobs)) - 1
+    results = _run_pooled(jobs, workers) if workers > 0 else [_run_job(j) for j in jobs]
+    report = EvalReport(rows=[row for rows in results for row in rows])
     report.rows.sort(key=lambda r: (r.pair, r.organ, ALL_METHODS.index(r.method)))
     return report
 

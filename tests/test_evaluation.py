@@ -1,4 +1,8 @@
+import concurrent.futures
+import itertools
+import multiprocessing
 import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +90,44 @@ def tiny_model():
     )
 
 
+@pytest.fixture(scope="module")
+def moving_dataset():
+    """Two pairs under a random FFD, two organs: the methods reach different Dice."""
+    spec = SynthSpec(
+        dims=(24, 22, 20), spacing_mm=(2.0, 2.0, 2.0), n_pairs=2,
+        organ_radii_mm=(7.0, 5.0), organ_centers_frac=((0.4, 0.5, 0.5), (0.7, 0.5, 0.5)),
+    )
+    pairs = synth_dataset(spec, 5)
+    return [(p.pair_id, p.source, p.target, p.source_mask, p.target_mask) for p in pairs]
+
+
+class JobFailed(Exception):
+    """Raised inside a job by the failure tests."""
+
+
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records its arguments and starts
+    nothing. Submitted jobs stay queued, so run_benchmark takes each one
+    back and runs it itself."""
+
+    created = []
+
+    def __init__(self, max_workers, mp_context):
+        self.created.append((max_workers, mp_context.get_start_method()))
+
+    def submit(self, fn, *args):
+        return concurrent.futures.Future()
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def report_bytes(report, tmp_path):
+    ev.write_report_csv(tmp_path / "r.csv", report)
+    ev.write_summary_csv(tmp_path / "s.csv", report)
+    return (tmp_path / "r.csv").read_bytes(), (tmp_path / "s.csv").read_bytes()
+
+
 class TestRunBenchmark:
     def test_identity_pairs_all_methods_perfect(self, tiny_dataset, tiny_config, tiny_model):
         report = ev.run_benchmark(tiny_dataset, tiny_model, tiny_config)
@@ -108,12 +150,60 @@ class TestRunBenchmark:
             assert abs(s["mean_after"] - np.mean(rows)) < 1e-12
             assert s["n"] == len(rows)
 
-    def test_threaded_equals_serial(self, tiny_dataset, tiny_config, tiny_model):
-        r1 = ev.run_benchmark(tiny_dataset, tiny_model, tiny_config, threads=1)
-        r2 = ev.run_benchmark(tiny_dataset, tiny_model, tiny_config, threads=3)
-        assert [(r.pair, r.organ, r.method, r.dice_after) for r in r1.rows] == [
-            (r.pair, r.organ, r.method, r.dice_after) for r in r2.rows
-        ]
+    def test_threaded_equals_serial(self, tmp_path, moving_dataset, tiny_config, tiny_model):
+        outputs = []
+        for threads in (1, 2, 3):
+            report = ev.run_benchmark(moving_dataset, tiny_model, tiny_config, threads=threads)
+            outputs.append(report_bytes(report, tmp_path))
+            assert multiprocessing.active_children() == []
+        # the registrations move the masks, and differently per method
+        assert len({r.dice_after for r in report.rows}) > 2
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_worker_count_capped_at_jobs_minus_one(
+            self, tmp_path, monkeypatch, tiny_dataset, tiny_config, tiny_model):
+        monkeypatch.setattr(RecordingExecutor, "created", [])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        n_jobs = len(tiny_dataset) * len(ev.ALL_METHODS)
+        serial = report_bytes(ev.run_benchmark(tiny_dataset, tiny_model, tiny_config), tmp_path)
+        for threads in (2, n_jobs, 10 * n_jobs):
+            report = ev.run_benchmark(tiny_dataset, tiny_model, tiny_config, threads=threads)
+            assert report_bytes(report, tmp_path) == serial
+        assert RecordingExecutor.created == [
+            (1, "fork"), (n_jobs - 1, "fork"), (n_jobs - 1, "fork")]
+        # no jobs, no pool
+        assert ev.run_benchmark([], tiny_model, tiny_config, threads=8).rows == []
+        assert len(RecordingExecutor.created) == 3
+
+    @pytest.mark.parametrize("where", ["caller", "worker"])
+    def test_job_error_reaches_caller(
+            self, tmp_path, monkeypatch, where, tiny_dataset, tiny_config, tiny_model):
+        caller = os.getpid()
+        register = ev.register
+        count = itertools.count()
+
+        def register_or_fail(*args):
+            if os.getpid() == caller:
+                if where == "caller":
+                    raise JobFailed("caller")
+                # leave a job to the worker before finishing the caller's own
+                deadline = time.monotonic() + 30.0
+                while not any(tmp_path.iterdir()) and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                return register(*args)
+            (tmp_path / f"worker-{os.getpid()}-{next(count)}").touch()
+            if where == "worker":
+                raise JobFailed("worker")
+            return register(*args)
+
+        monkeypatch.setattr(ev, "register", register_or_fail)
+        with pytest.raises(JobFailed, match=f"^{where}$"):
+            ev.run_benchmark(tiny_dataset, tiny_model, tiny_config, threads=2)
+        assert multiprocessing.active_children() == []
+        if where == "caller":
+            # the jobs no worker had started were cancelled
+            started = len(list(tmp_path.iterdir()))
+            assert started < len(tiny_dataset) * len(ev.ALL_METHODS) - 1
 
 
 class TestReports:

@@ -9,8 +9,10 @@ three rules:
 * every public method or property of a library class must be read as an
   attribute by library or benchmark code.
 
-A last check keeps `scipy.optimize` out of training: its QP solver is numpy
-only.
+Two last checks keep imports off paths that do not need them: `scipy.optimize`
+stays out of training, whose QP solver is numpy only, and the process pool
+stays out of `import mmreg.cli`, which every command pays for; only
+`evaluate` with `threads` > 1 loads it.
 
 `__init__.py` is skipped by all three, since its imports are the package's
 re-exports and do not count as uses.
@@ -155,3 +157,11 @@ print(len(calls) > 0, 'scipy.optimize' in sys.modules)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)), check=True)
     assert out.stdout.split() == ["True", "False"]
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    code = ("import sys, mmreg.cli\n"
+            "print('multiprocessing' in sys.modules, 'concurrent.futures.process' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(SRC.parent)), check=True)
+    assert out.stdout.split() == ["False", "False"]
