@@ -11,8 +11,11 @@ when its outcome is already known: when the labeling has not changed since
 the label's last move (the same inputs give the same rejected cut), or when
 a dual lower bound certifies that no move to the label can lower the energy
 (each edge's energy change is split between its endpoints, and every node's
-share plus its unary change is non-negative). The cuts that remain run on
-one flow network per instance whose capacities are rewritten per move.
+share plus its unary change is non-negative). The split is searched for in
+two stages: a few local transfer rounds per label, then one max-flow over
+small regional networks of all the labels the rounds left open. The cuts
+that remain run on one flow network per instance whose capacities are
+rewritten per move.
 """
 
 import time
@@ -210,6 +213,17 @@ _TRANSFER_ROUNDS = 4
 # absorbs rounding, so a donor never ends below zero
 _TRANSFER_KEEP = 1.0 - 1e-6
 
+# (label, edge) entries the first certificate stage works on at once, which
+# keeps its temporaries to a few MB
+_CHUNK_ENTRIES = 1 << 15
+
+# hops around a label's deficit nodes that its regional flow network spans
+_REGION_HOPS = 3
+
+# bound on the sum of all capacities of one batched regional network, so that
+# no capacity, node total or flow that scipy forms in int32 can overflow
+_FLOW_SUM_MAX = (1 << 31) - 2
+
 
 class _ExpansionNetwork:
     """The flow network of one MRF instance, built once per solve.
@@ -236,10 +250,17 @@ class _ExpansionNetwork:
         keys, slot = np.unique(tails * n + heads, return_inverse=True)
         self.slot = slot[: len(self.i) + 2 * V]   # the arcs that carry capacity
         self.tail = keys // n
+        # int32 throughout, the type maximum_flow works in, so it does not
+        # convert the network on every call
         self.graph = csr_matrix(
-            (np.zeros(len(keys), dtype=np.int64), keys % n,
-             np.searchsorted(self.tail, np.arange(n + 1))),
+            (np.zeros(len(keys), dtype=np.int32), (keys % n).astype(np.int32),
+             np.searchsorted(self.tail, np.arange(n + 1)).astype(np.int32)),
             shape=(n, n),
+        )
+        ends = np.concatenate([self.i, self.j])
+        self.adjacency = csr_matrix(
+            (np.ones(len(ends), dtype=np.float32), (ends, np.concatenate([self.j, self.i]))),
+            shape=(V, V),
         )
 
     def relabel(self, labeling):
@@ -273,7 +294,7 @@ class _ExpansionNetwork:
             return np.zeros(V, dtype=bool)
 
         graph = self.graph
-        graph.data = np.bincount(self.slot, ivals, len(graph.data)).astype(np.int64)
+        graph.data = np.bincount(self.slot, ivals, len(graph.data)).astype(np.int32)
         res = maximum_flow(graph, V, V + 1)
         # with every reverse arc present, the flow comes back on the graph's
         # own structure. The moved nodes are those not reachable from s
@@ -290,41 +311,147 @@ class _ExpansionNetwork:
         moved[reach] = False
         return moved[:V]
 
-    def certify(self, alpha):
-        """True when no alpha-expansion move can lower the energy, shown by
-        a dual lower bound without a cut.
+    def certify(self, alphas):
+        """First stage of the skip certificate for the labels `alphas`: a
+        dual lower bound on every expansion move, found without a flow.
 
-        Each edge's energy change is split between its endpoints so that,
-        for every move set S, the change is at least the sum over S of the
-        node margins m_i; when all m_i >= 0 no move improves. Transfer
-        rounds let a node with m_i < 0 draw on its neighbours' surplus,
-        along each edge as far as that edge's split allows.
+        Each edge's energy change is split between its endpoints, a_i to i
+        and a_j to j, within the edge's bounds: a_i <= d10 (only i moves),
+        a_j <= d01 (only j moves) and a_i + a_j = d11 (both move). Then, for
+        every move set S, the change is at least the sum over S of the node
+        margins m_i (unary change plus edge shares); when all m_i >= 0 no
+        move improves. The split starts from halving d11; transfer rounds
+        then let a node with m_i < 0 draw on its neighbours' surplus, along
+        each edge as far as that edge's split allows. Each label is worked
+        on alone, in one row of (len(alphas), .) arrays.
+
+        Returns the (len(alphas),) mask of the labels the bound certifies
+        and, for the others in order, their final margins m (k, |V|) and
+        edge slacks d10 - a_i and d01 - a_j (k, |E|): how much more of each
+        edge's change its i or j end can still take, which the second stage
+        of `certify_batch` routes.
         """
-        V = len(self.u0)
-        i, j, w, t, t0 = self.i, self.j, self.w, self.table, self.t0
-        d10 = w * (t[alpha][self.lj] - t0)        # only i moves
-        d01 = w * (t[:, alpha][self.li] - t0)     # only j moves
-        d11 = w * (t[alpha, alpha] - t0)          # both move
+        alphas = np.asarray(alphas, dtype=np.int64)
+        n, V = len(alphas), len(self.u0)
+        i, j, w, t0 = self.i, self.j, self.w, self.t0
+        d10 = w * (self.table[alphas][:, self.lj] - t0)           # only i moves
+        d01 = w * (self.table.T[alphas][:, self.li] - t0)         # only j moves
+        d11 = w * (self.table[alphas, alphas][:, None] - t0)      # both move
         half = 0.5 * d11
         ai = np.minimum(d10, np.maximum(half, d11 - d01))
         aj = np.minimum(d01, np.maximum(half, d11 - d10))
-        d = self.unaries[:, alpha] - self.u0
+        d = self.unaries[:, alphas].T - self.u0
+        # row r's nodes are bins r*V .. r*V + V-1 of one flat bincount
+        at_i = i + V * np.arange(n)[:, None]
+        at_j = j + V * np.arange(n)[:, None]
+
+        def margins(k):
+            return (d + np.bincount(at_i[:k].ravel(), ai.ravel(), k * V).reshape(k, V)
+                    + np.bincount(at_j[:k].ravel(), aj.ravel(), k * V).reshape(k, V))
+
+        row = np.arange(n)          # the labels still open
+        m = margins(n)
         for _ in range(_TRANSFER_ROUNDS):
-            m = d + np.bincount(i, ai, V) + np.bincount(j, aj, V)
-            if m.min() >= 0:
-                return True
+            open_ = m.min(axis=1) < 0
+            if not open_.all():
+                row, m, d, d10, d01, ai, aj = (x[open_] for x in (row, m, d, d10, d01, ai, aj))
+            k = len(row)
+            if not k:
+                break
             surplus = np.maximum(m, 0.0)
             need = m < 0
-            to_i = np.minimum(d10 - ai, surplus[j]) * need[i]
-            to_j = np.minimum(d01 - aj, surplus[i]) * need[j]
-            asked = np.bincount(j, to_i, V) + np.bincount(i, to_j, V)
+            # only the edges next to a node in need transfer anything
+            r, e = np.nonzero(need[:, i] | need[:, j])
+            ei, ej = i[e], j[e]
+            to_i = np.minimum(d10[r, e] - ai[r, e], surplus[r, ej]) * need[r, ei]
+            to_j = np.minimum(d01[r, e] - aj[r, e], surplus[r, ei]) * need[r, ej]
+            asked = (np.bincount(r * V + ej, to_i, k * V)
+                     + np.bincount(r * V + ei, to_j, k * V)).reshape(k, V)
             share = np.minimum(1.0, _TRANSFER_KEEP * surplus / np.where(asked > 0, asked, 1.0))
-            to_i *= share[j]
-            to_j *= share[i]
-            ai = ai + to_i - to_j
-            aj = aj + to_j - to_i
-        m = d + np.bincount(i, ai, V) + np.bincount(j, aj, V)
-        return m.min() >= 0
+            to_i *= share[r, ej]
+            to_j *= share[r, ei]
+            ai[r, e] = ai[r, e] + to_i - to_j
+            aj[r, e] = aj[r, e] + to_j - to_i
+            m = margins(k)
+        open_ = m.min(axis=1) < 0
+        held = np.ones(n, dtype=bool)
+        held[row[open_]] = False
+        return held, m[open_], (d10 - ai)[open_], (d01 - aj)[open_]
+
+    def certify_batch(self, alphas):
+        """True for each label of `alphas` (distinct labels) for which no
+        expansion move to it can lower the energy, shown without a cut.
+
+        The first stage is `certify`, on chunks of about _CHUNK_ENTRIES
+        (label, edge) entries. The labels it leaves open share one
+        maximum_flow call: each gets its own copy of the nodes within
+        _REGION_HOPS edges of its deficit nodes (m_i < 0), with arcs j->i of
+        capacity d10 - a_i and i->j of capacity d01 - a_j on the edges inside
+        the region, s->i of capacity m_i where m_i > 0 and i->t of capacity
+        -m_i where m_i < 0; all copies share s and t. A flow that fills a
+        copy's t-arcs, added to the split, is another split within every
+        edge's bounds with all margins >= 0, so the label is certified.
+        Capacities are rounded so the rounded network never allows more than
+        the real one (s- and edge arcs down, t-arcs up), and each copy is
+        scaled on its own, so a label's answer does not depend on the batch.
+        """
+        alphas = np.asarray(alphas, dtype=np.int64)
+        step = max(1, _CHUNK_ENTRIES // len(self.i))
+        parts = [self.certify(alphas[lo:lo + step]) for lo in range(0, len(alphas), step)]
+        safe, m, up_i, up_j = (np.concatenate(x) for x in zip(*parts))
+        if not safe.all():
+            safe[~safe] = self._certify_flow(m, up_i, up_j)
+        return safe
+
+    def _certify_flow(self, m, up_i, up_j):
+        """Second stage of `certify_batch` for the (n, |V|) margins and
+        (n, |E|) edge slacks of n distinct labels; returns (n,) booleans.
+        The capacities of each copy sum to at most _FLOW_SUM_MAX // |L|."""
+        n, V = m.shape
+        i, j = self.i, self.j
+        deficit = m < 0
+        region = deficit
+        for _ in range(_REGION_HOPS):
+            region = region | (self.adjacency @ region.T.astype(np.float32)).T.astype(bool)
+        total = -np.where(deficit, m, 0.0).sum(axis=1)
+
+        # arcs j->i and i->j of the edges inside each region, s->i, i->t.
+        # An acyclic maximum flow carries at most the total deficit on any
+        # arc, so capping every arc at twice that (an arc that must carry
+        # all of it still can after rounding down) keeps large surpluses and
+        # slacks from taking the resolution
+        ec, ee = np.nonzero(region[:, i] & region[:, j])
+        sc, sv = np.nonzero(region & (m > 0))
+        dc, dv = np.nonzero(deficit)
+        copy = np.concatenate([ec, ec, sc, dc])
+        caps = np.concatenate([up_i[ec, ee], up_j[ec, ee], m[sc, sv], -m[dc, dv]])
+        caps = np.minimum(np.maximum(caps, 0.0), 2.0 * total[copy])
+        # t-arcs round up, by less than one unit each
+        room = _FLOW_SUM_MAX // max(self.unaries.shape[1], n) - deficit.sum(axis=1)
+        scale = room / np.maximum(np.bincount(copy, caps, n), 1e-300 * room)
+        caps *= scale[copy]
+        n_up = len(caps) - len(dc)
+        caps[:n_up] = np.floor(caps[:n_up])
+        caps[n_up:] = np.ceil(caps[n_up:])
+        t_caps = caps[n_up:]
+
+        # nodes: the region of copy 0, of copy 1, ..., then s and t
+        s = np.count_nonzero(region)
+        t = s + 1
+        node = np.full((n, V), -1, dtype=np.int64)
+        node[region] = np.arange(s)
+        tails = np.concatenate([node[ec, j[ee]], node[ec, i[ee]], np.full(len(sc), s),
+                                node[dc, dv]])
+        heads = np.concatenate([node[ec, i[ee]], node[ec, j[ee]], node[sc, sv],
+                                np.full(len(dc), t)])
+        graph = csr_matrix((caps.astype(np.int32), (tails, heads)), shape=(t + 1, t + 1))
+        flow = maximum_flow(graph, s, t).flow
+        # the flow is antisymmetric: row t holds minus each node's flow into t
+        into_t = slice(flow.indptr[t], flow.indptr[t + 1])
+        copy_of = np.repeat(np.arange(n), region.sum(axis=1))
+        got = np.bincount(copy_of[flow.indices[into_t]], -flow.data[into_t].astype(np.float64), n)
+        # a deficit rounded to nothing would go unchecked
+        return (got == np.bincount(dc, t_caps, n)) & (np.bincount(dc, t_caps < 1, n) == 0)
 
 
 def _neighbor_table(instance):
@@ -391,9 +518,14 @@ def solve(instance):
     A move is skipped without a cut when its outcome is already known: when
     the labeling has not changed since the label's last move (the same cut
     would be rejected again), or when a dual bound certifies that no move to
-    the label can lower the energy (see `_ExpansionNetwork.certify`). Both
-    skip only moves that would be rejected, so the result is the labeling
-    a cut for every label would give.
+    the label can lower the energy (`_ExpansionNetwork.certify_batch`). The
+    first label of a labeling version whose status is unknown certifies
+    itself and every later label of the sweep not yet tried at that version
+    in one batch: the transfer bound per label, then one regional max-flow
+    for those it leaves open. An accepted move starts a new version, so the
+    statuses of the later labels are computed again when the sweep reaches
+    them. Every skip is of a move that would be rejected, so the result is
+    the labeling a cut for every label would give.
     """
     V = instance.n_nodes
     L = instance.n_labels
@@ -408,13 +540,19 @@ def solve(instance):
     energy = instance.energy(labeling)
     version = 0                           # bumped on every accepted move
     tried = np.full(L, -1)                # labeling version at alpha's last move
+    known = np.full(L, -1)                # labeling version of alpha's certificate
+    safe = np.zeros(L, dtype=bool)        # certified at version known[alpha]
     for _ in range(20):
         improved = False
         for alpha in range(L):
             if tried[alpha] == version:
                 continue
+            if known[alpha] != version:
+                batch = alpha + np.flatnonzero(tried[alpha:] != version)
+                safe[batch] = net.certify_batch(batch)
+                known[batch] = version
             tried[alpha] = version
-            if net.certify(alpha):
+            if safe[alpha]:
                 continue
             move = net.cut(alpha)
             if not move.any():

@@ -490,10 +490,9 @@ class TestSkipCertificate:
         for x in (solved, perturbed, np.zeros_like(solved),
                   rng.integers(0, inst.n_labels, inst.n_nodes)):
             net.relabel(x)
-            for alpha in range(inst.n_labels):
-                if net.certify(alpha):
-                    skipped += 1
-                    assert move_energy_changes(inst, x, alpha).min() >= -1e-9
+            for alpha in np.flatnonzero(net.certify_batch(np.arange(inst.n_labels))):
+                skipped += 1
+                assert move_energy_changes(inst, x, alpha).min() >= -1e-9
         return skipped
 
     def test_uniform_weights(self):
@@ -525,7 +524,8 @@ class TestSkipCertificate:
         net = gr._ExpansionNetwork(hand)
         net.relabel(np.zeros(2, dtype=np.int64))
         # moving both nodes costs 1 - 1.6 < 0 though each alone costs 4.2
-        assert not net.certify(1)
+        assert not net.certify([1])[0][0]
+        assert not net.certify_batch([1])[0]
         skipped = 0
         for seed in range(30):
             rng = np.random.default_rng(200 + seed)
@@ -536,6 +536,169 @@ class TestSkipCertificate:
             inst = gr.MrfInstance(unaries, rng.uniform(0.2, 2.0), table, edges)
             skipped += self._check(inst, rng)
         assert skipped > 50
+
+
+class TestFlowCertificate:
+    """The second certificate stage: the labels the transfer rounds leave
+    open share one max-flow over regional networks, which certifies a label
+    only when no move to it lowers the energy."""
+
+    LIMIT = (1 << 31) - 1
+
+    @staticmethod
+    def chain(margins, weights=1.0):
+        """Chain 0-1-2-... at label 0; moving node k to label 1 changes its
+        unary by margins[k]. The labels are at L1 distance 1, so every edge
+        may take up to its weight more of its change at either end."""
+        margins = np.asarray(margins, dtype=np.float64)
+        n = len(margins)
+        inst = gr.MrfInstance(np.stack([np.zeros(n), margins], axis=1), weights,
+                              np.array([[0.0, 1.0], [1.0, 0.0]]),
+                              np.stack([np.arange(n - 1), np.arange(1, n)], axis=1))
+        net = gr._ExpansionNetwork(inst)
+        net.relabel(np.zeros(n, dtype=np.int64))
+        return inst, net
+
+    def test_deficit_two_edges_away(self):
+        # one edge away, either end of it, a transfer round covers the deficit
+        for margins in ([-0.5, 1.0], [1.0, -0.5]):
+            assert self.chain(margins)[1].certify([1])[0].tolist() == [True]
+        # two edges away, it must travel from node 2 through node 1, which
+        # has no surplus to hand on, so the transfer rounds move nothing
+        inst, net = self.chain([-0.5, 0.0, 1.0])
+        held, m, up_i, up_j = net.certify([1])
+        assert held.tolist() == [False] and m.tolist() == [[-0.5, 0.0, 1.0]]
+        assert up_i.tolist() == [[1.0, 1.0]] and up_j.tolist() == [[1.0, 1.0]]
+        assert net.certify_batch([1]).tolist() == [True]
+        assert move_energy_changes(inst, np.zeros(3, dtype=np.int64), 1).min() >= 0
+
+    def test_improving_move_never_certified(self):
+        # moving the whole chain lowers the energy whenever node 2's loss is
+        # below node 0's gain
+        for far in (0.0, 0.1, 0.3, 0.49, 0.4999999, np.nextafter(0.5, 0.0)):
+            inst, net = self.chain([-0.5, 0.0, far])
+            assert move_energy_changes(inst, np.zeros(3, dtype=np.int64), 1).min() < 0
+            assert not net.certify_batch([1])[0], far
+        # node 3's deficit is too small to survive scaling next to node 0's,
+        # and no edge can bring it anything
+        inst, net = self.chain([-1e10, 0.0, 2e10, -5e-324], [2e10, 2e10, 0.0])
+        assert move_energy_changes(inst, np.zeros(4, dtype=np.int64), 1).min() < 0
+        assert not net.certify_batch([1])[0]
+        # random chains: a certified label never has an improving move
+        rng = np.random.default_rng(7)
+        by_flow = improving = 0
+        for _ in range(300):
+            n = int(rng.integers(3, 10))
+            margins = rng.uniform(-1.0, 1.0, n) * (rng.random(n) < 0.7)
+            inst, net = self.chain(margins, rng.uniform(0.0, 1.5, n - 1))
+            best = move_energy_changes(inst, np.zeros(n, dtype=np.int64), 1).min()
+            certified = net.certify_batch([1])[0]
+            assert not (certified and best < -1e-12), margins
+            improving += best < 0
+            by_flow += certified and not net.certify([1])[0][0]
+        assert by_flow > 10 and improving > 50
+
+    def test_batch_equals_one_label_at_a_time(self, monkeypatch):
+        """Same answers, and the batched network is the disjoint union of
+        the networks of the labels alone, capacity for capacity."""
+        caps = []
+        real_max_flow = gr.maximum_flow
+
+        def recording(graph, s, t):
+            caps.append(np.sort(graph.data))
+            return real_max_flow(graph, s, t)
+
+        monkeypatch.setattr(gr, "maximum_flow", recording)
+        edges = lattice_edges_3d(4, 3, 2)
+        by_flow = 0
+        for seed in range(12):
+            rng = np.random.default_rng(600 + seed)
+            inst = registration_like_instance(seed, n_nodes=24, n_labels=27, edges=edges,
+                                              wp_range=(0.02, 0.5))
+            net = gr._ExpansionNetwork(inst)
+            L = inst.n_labels
+            for x in (np.zeros(inst.n_nodes, dtype=np.int64), gr.solve(inst),
+                      rng.integers(0, L, inst.n_nodes)):
+                net.relabel(x)
+                caps.clear()
+                batch = net.certify_batch(np.arange(L))
+                assert batch.tolist() == [net.certify_batch([a])[0] for a in range(L)]
+                if caps:
+                    assert np.array_equal(caps[0], np.sort(np.concatenate(caps[1:])))
+                some = rng.permutation(L)[: L // 2]
+                assert net.certify_batch(some).tolist() == batch[some].tolist()
+                # the first stage in chunks of three labels
+                with monkeypatch.context() as m:
+                    m.setattr(gr, "_CHUNK_ENTRIES", 3 * len(edges))
+                    assert net.certify_batch(np.arange(L)).tolist() == batch.tolist()
+                by_flow += np.count_nonzero(batch & ~net.certify(np.arange(L))[0])
+        assert by_flow > 15
+
+    def test_capacities_stay_in_int32_over_wide_margins(self, monkeypatch):
+        """125 labels whose margins span 1e-9 to 1e9: no capacity, node total
+        or flow through the network reaches 2^31 - 1, and every certified
+        label passes the brute-force check."""
+        networks = []
+        real_max_flow = gr.maximum_flow
+
+        def recording(graph, s, t):
+            networks.append(graph.copy())
+            return real_max_flow(graph, s, t)
+
+        monkeypatch.setattr(gr, "maximum_flow", recording)
+        edges = grid_edges_2d(2, 4)
+        V, L = 8, 125
+        by_flow = 0
+        for seed in range(6):
+            rng = np.random.default_rng(700 + seed)
+
+            def magnitude(*shape):
+                return 10.0 ** rng.uniform(-9.0, 9.0, shape)
+
+            disp = np.vstack([np.zeros(3), rng.uniform(-1.0, 1.0, (L - 1, 3))])
+            unaries = np.zeros((V, L))
+            for a in range(1, L):
+                # one deficit node with no surplus next to it, drawn two
+                # edges away
+                u = magnitude(V)
+                k = int(rng.integers(V))
+                u[edges[edges[:, 0] == k, 1]] = 0.0
+                u[edges[edges[:, 1] == k, 0]] = 0.0
+                u[k] = -(u[(k + 2) % V] or magnitude(1)[0]) * rng.uniform(0.3, 1.5)
+                unaries[:, a] = u
+            inst = gr.MrfInstance(unaries, magnitude(len(edges)),
+                                  gr.pairwise_l1_table(LabelSpace(disp)), edges)
+            net = gr._ExpansionNetwork(inst)
+            x = np.zeros(V, dtype=np.int64)
+            net.relabel(x)
+            networks.clear()
+            safe = net.certify_batch(np.arange(L))
+            assert len(networks) == 1
+            graph = networks[0]
+            assert graph.dtype == np.int32
+            caps = graph.data.astype(np.int64)
+            assert caps.min() >= 0 and caps.max() < self.LIMIT
+            tails = np.repeat(np.arange(graph.shape[0]), np.diff(graph.indptr))
+            totals = np.bincount(tails, caps, graph.shape[0]) + np.bincount(
+                graph.indices, caps, graph.shape[0])
+            assert totals.max() < self.LIMIT              # s's total bounds the flow
+            for a in np.flatnonzero(safe):
+                scale = (np.abs(unaries[:, a]).max()
+                         + (inst.edge_weights * inst.pairwise_table[a].max()).max())
+                assert move_energy_changes(inst, x, a).min() >= -1e-12 * scale, (seed, a)
+            by_flow += np.count_nonzero(safe & ~net.certify(np.arange(L))[0])
+        # capping arcs at twice the deficit keeps small deficits resolvable
+        # next to large surpluses and slacks
+        assert by_flow > 300
+
+    def test_cut_network_is_int32(self):
+        inst = registration_like_instance(0, n_nodes=24, n_labels=9,
+                                          edges=lattice_edges_3d(4, 3, 2))
+        net = gr._ExpansionNetwork(inst)
+        net.relabel(np.zeros(inst.n_nodes, dtype=np.int64))
+        net.cut(3)
+        for a in (net.graph.data, net.graph.indices, net.graph.indptr):
+            assert a.dtype == np.int32
 
 
 class TestSolverOracle:
