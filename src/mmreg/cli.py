@@ -142,7 +142,7 @@ def read_manifest(path):
                 if len(row) != 4:
                     raise FormatError(f"{path}: row {ln} has {len(row)} fields, expected 4")
                 rows.append(tuple(os.path.join(base, p.strip()) for p in row))
-    except OSError as e:
+    except (OSError, UnicodeDecodeError, csv.Error) as e:
         raise FormatError(f"cannot read manifest {path}: {e}") from e
     return rows
 
@@ -179,10 +179,7 @@ def _load_pairs(manifest_rows):
 
 def cmd_register(args):
     cfg = load_config(args.config, args.set or ())
-    try:
-        wmat, _ = me.read_weights(args.weights)
-    except OSError as e:
-        raise FormatError(f"cannot read weights {args.weights}: {e}") from e
+    wmat, _ = me.read_weights(args.weights)
     if wmat.n_classes > 1 and args.source_mask is None:
         raise ConfigError(
             "weights file has multiple class columns; --source-mask is required "

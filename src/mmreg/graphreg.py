@@ -11,11 +11,11 @@ when its outcome is already known: when the labeling has not changed since
 the label's last move (the same inputs give the same rejected cut), or when
 a dual lower bound certifies that no move to the label can lower the energy
 (each edge's energy change is split between its endpoints, and every node's
-share plus its unary change is non-negative). The split is searched for in
-two stages: a few local transfer rounds per label, then one max-flow over
-small regional networks of all the labels the rounds left open. The cuts
-that remain run on one flow network per instance whose capacities are
-rewritten per move.
+share plus its unary change is non-negative). The split starts from halving
+each edge's change. For the labels where that leaves some node short, one
+max-flow looks for a better split, over a small network per label: the
+short nodes and their neighbours. The cuts that remain run on one flow
+network per instance whose capacities are rewritten per move.
 """
 
 import time
@@ -205,20 +205,9 @@ def build_instance(src, tgt, src_mask, wmat, grid, label_space):
 # for int64 graphs, so float costs are quantized to stay below 2^31
 _FLOW_CAP_MAX = (1 << 31) - 64
 
-# transfer rounds of the skip certificate; past four, further rounds
-# certified almost no more moves on the registration and training MRFs
-_TRANSFER_ROUNDS = 4
-
-# share of a node's surplus it may hand on in a transfer round; the rest
-# absorbs rounding, so a donor never ends below zero
-_TRANSFER_KEEP = 1.0 - 1e-6
-
-# (label, edge) entries the first certificate stage works on at once, which
-# keeps its temporaries to a few MB
+# (label, edge) entries the half split of the skip certificate works on at
+# once, which keeps its temporaries to a few MB
 _CHUNK_ENTRIES = 1 << 15
-
-# hops around a label's deficit nodes that its regional flow network spans
-_REGION_HOPS = 3
 
 # bound on the sum of all capacities of one batched regional network, so that
 # no capacity, node total or flow that scipy forms in int32 can overflow
@@ -256,11 +245,6 @@ class _ExpansionNetwork:
             (np.zeros(len(keys), dtype=np.int32), (keys % n).astype(np.int32),
              np.searchsorted(self.tail, np.arange(n + 1)).astype(np.int32)),
             shape=(n, n),
-        )
-        ends = np.concatenate([self.i, self.j])
-        self.adjacency = csr_matrix(
-            (np.ones(len(ends), dtype=np.float32), (ends, np.concatenate([self.j, self.i]))),
-            shape=(V, V),
         )
 
     def relabel(self, labeling):
@@ -312,26 +296,33 @@ class _ExpansionNetwork:
         return moved[:V]
 
     def certify(self, alphas):
-        """First stage of the skip certificate for the labels `alphas`: a
-        dual lower bound on every expansion move, found without a flow.
+        """True for each label of `alphas` (distinct labels) for which no
+        expansion move to it can lower the energy, shown without a cut.
 
         Each edge's energy change is split between its endpoints, a_i to i
         and a_j to j, within the edge's bounds: a_i <= d10 (only i moves),
         a_j <= d01 (only j moves) and a_i + a_j = d11 (both move). Then, for
         every move set S, the change is at least the sum over S of the node
         margins m_i (unary change plus edge shares); when all m_i >= 0 no
-        move improves. The split starts from halving d11; transfer rounds
-        then let a node with m_i < 0 draw on its neighbours' surplus, along
-        each edge as far as that edge's split allows. Each label is worked
-        on alone, in one row of (len(alphas), .) arrays.
-
-        Returns the (len(alphas),) mask of the labels the bound certifies
-        and, for the others in order, their final margins m (k, |V|) and
-        edge slacks d10 - a_i and d01 - a_j (k, |E|): how much more of each
-        edge's change its i or j end can still take, which the second stage
-        of `certify_batch` routes.
+        move improves. `_half_split` gives each label its margins, on chunks
+        of about _CHUNK_ENTRIES (label, edge) entries, and the labels with a
+        negative margin share one `_certify_flow`.
         """
         alphas = np.asarray(alphas, dtype=np.int64)
+        step = max(1, _CHUNK_ENTRIES // len(self.i))
+        parts = [self._half_split(alphas[lo:lo + step]) for lo in range(0, len(alphas), step)]
+        m, up_i, up_j = (np.concatenate(x) for x in zip(*parts))
+        safe = m.min(axis=1) >= 0
+        if not safe.all():
+            safe[~safe] = self._certify_flow(m[~safe], up_i[~safe], up_j[~safe])
+        return safe
+
+    def _half_split(self, alphas):
+        """The split of `certify` that halves d11 and keeps each share
+        within its bound, for the labels `alphas`, one row per label.
+        Returns the margins m (k, |V|) and the edge slacks d10 - a_i and
+        d01 - a_j (k, |E|): how much more of each edge's change its i or j
+        end can still take."""
         n, V = len(alphas), len(self.u0)
         i, j, w, t0 = self.i, self.j, self.w, self.t0
         d10 = w * (self.table[alphas][:, self.lj] - t0)           # only i moves
@@ -340,79 +331,35 @@ class _ExpansionNetwork:
         half = 0.5 * d11
         ai = np.minimum(d10, np.maximum(half, d11 - d01))
         aj = np.minimum(d01, np.maximum(half, d11 - d10))
-        d = self.unaries[:, alphas].T - self.u0
         # row r's nodes are bins r*V .. r*V + V-1 of one flat bincount
-        at_i = i + V * np.arange(n)[:, None]
-        at_j = j + V * np.arange(n)[:, None]
-
-        def margins(k):
-            return (d + np.bincount(at_i[:k].ravel(), ai.ravel(), k * V).reshape(k, V)
-                    + np.bincount(at_j[:k].ravel(), aj.ravel(), k * V).reshape(k, V))
-
-        row = np.arange(n)          # the labels still open
-        m = margins(n)
-        for _ in range(_TRANSFER_ROUNDS):
-            open_ = m.min(axis=1) < 0
-            if not open_.all():
-                row, m, d, d10, d01, ai, aj = (x[open_] for x in (row, m, d, d10, d01, ai, aj))
-            k = len(row)
-            if not k:
-                break
-            surplus = np.maximum(m, 0.0)
-            need = m < 0
-            # only the edges next to a node in need transfer anything
-            r, e = np.nonzero(need[:, i] | need[:, j])
-            ei, ej = i[e], j[e]
-            to_i = np.minimum(d10[r, e] - ai[r, e], surplus[r, ej]) * need[r, ei]
-            to_j = np.minimum(d01[r, e] - aj[r, e], surplus[r, ei]) * need[r, ej]
-            asked = (np.bincount(r * V + ej, to_i, k * V)
-                     + np.bincount(r * V + ei, to_j, k * V)).reshape(k, V)
-            share = np.minimum(1.0, _TRANSFER_KEEP * surplus / np.where(asked > 0, asked, 1.0))
-            to_i *= share[r, ej]
-            to_j *= share[r, ei]
-            ai[r, e] = ai[r, e] + to_i - to_j
-            aj[r, e] = aj[r, e] + to_j - to_i
-            m = margins(k)
-        open_ = m.min(axis=1) < 0
-        held = np.ones(n, dtype=bool)
-        held[row[open_]] = False
-        return held, m[open_], (d10 - ai)[open_], (d01 - aj)[open_]
-
-    def certify_batch(self, alphas):
-        """True for each label of `alphas` (distinct labels) for which no
-        expansion move to it can lower the energy, shown without a cut.
-
-        The first stage is `certify`, on chunks of about _CHUNK_ENTRIES
-        (label, edge) entries. The labels it leaves open share one
-        maximum_flow call: each gets its own copy of the nodes within
-        _REGION_HOPS edges of its deficit nodes (m_i < 0), with arcs j->i of
-        capacity d10 - a_i and i->j of capacity d01 - a_j on the edges inside
-        the region, s->i of capacity m_i where m_i > 0 and i->t of capacity
-        -m_i where m_i < 0; all copies share s and t. A flow that fills a
-        copy's t-arcs, added to the split, is another split within every
-        edge's bounds with all margins >= 0, so the label is certified.
-        Capacities are rounded so the rounded network never allows more than
-        the real one (s- and edge arcs down, t-arcs up), and each copy is
-        scaled on its own, so a label's answer does not depend on the batch.
-        """
-        alphas = np.asarray(alphas, dtype=np.int64)
-        step = max(1, _CHUNK_ENTRIES // len(self.i))
-        parts = [self.certify(alphas[lo:lo + step]) for lo in range(0, len(alphas), step)]
-        safe, m, up_i, up_j = (np.concatenate(x) for x in zip(*parts))
-        if not safe.all():
-            safe[~safe] = self._certify_flow(m, up_i, up_j)
-        return safe
+        row = V * np.arange(n)[:, None]
+        m = (self.unaries[:, alphas].T - self.u0
+             + np.bincount((i + row).ravel(), ai.ravel(), n * V).reshape(n, V)
+             + np.bincount((j + row).ravel(), aj.ravel(), n * V).reshape(n, V))
+        return m, d10 - ai, d01 - aj
 
     def _certify_flow(self, m, up_i, up_j):
-        """Second stage of `certify_batch` for the (n, |V|) margins and
-        (n, |E|) edge slacks of n distinct labels; returns (n,) booleans.
-        The capacities of each copy sum to at most _FLOW_SUM_MAX // |L|."""
+        """(n,) booleans for the (n, |V|) margins and (n, |E|) edge slacks
+        of n distinct labels: True where one maximum_flow call finds another
+        split with all margins >= 0.
+
+        Each label gets its own copy of its deficit nodes (m_i < 0) and
+        their neighbours, with arcs j->i of capacity d10 - a_i and i->j of
+        capacity d01 - a_j on the edges inside that region, s->i of capacity
+        m_i where m_i > 0 and i->t of capacity -m_i where m_i < 0; all copies
+        share s and t. A flow that fills a copy's t-arcs, added to the split,
+        is such a split. Capacities are rounded so the rounded network never
+        allows more than the real one (s- and edge arcs down, t-arcs up), and
+        each copy is scaled on its own so its capacities sum to at most
+        _FLOW_SUM_MAX // |L|: a label's answer does not depend on the batch.
+        """
         n, V = m.shape
         i, j = self.i, self.j
         deficit = m < 0
-        region = deficit
-        for _ in range(_REGION_HOPS):
-            region = region | (self.adjacency @ region.T.astype(np.float32)).T.astype(bool)
+        region = deficit.copy()
+        near, e = np.nonzero(deficit[:, i] | deficit[:, j])
+        region[near, i[e]] = True
+        region[near, j[e]] = True
         total = -np.where(deficit, m, 0.0).sum(axis=1)
 
         # arcs j->i and i->j of the edges inside each region, s->i, i->t.
@@ -515,17 +462,17 @@ def solve(instance):
     zero-labeling energy and is locally optimal under single-node changes;
     with zero pairwise weight it equals the per-node argmin exactly.
 
-    A move is skipped without a cut when its outcome is already known: when
-    the labeling has not changed since the label's last move (the same cut
-    would be rejected again), or when a dual bound certifies that no move to
-    the label can lower the energy (`_ExpansionNetwork.certify_batch`). The
-    first label of a labeling version whose status is unknown certifies
-    itself and every later label of the sweep not yet tried at that version
-    in one batch: the transfer bound per label, then one regional max-flow
-    for those it leaves open. An accepted move starts a new version, so the
-    statuses of the later labels are computed again when the sweep reaches
-    them. Every skip is of a move that would be rejected, so the result is
-    the labeling a cut for every label would give.
+    A move is skipped without a cut when its outcome is known. Three checks
+    run in order: a label already tried at this labeling version is skipped
+    (the same cut would be rejected again); a label the dual bound certifies
+    (`_ExpansionNetwork.certify`) is skipped; any other label gets the full
+    cut. The first label of a labeling version whose status is unknown
+    certifies itself and every later label of the sweep not yet tried at
+    that version in one batch: the half split per label, then one regional
+    max-flow for those it leaves open. An accepted move starts a new
+    version, so the statuses of the later labels are computed again when the
+    sweep reaches them. Every skip is of a move that would be rejected, so
+    the result is the labeling a cut for every label would give.
     """
     V = instance.n_nodes
     L = instance.n_labels
@@ -549,7 +496,7 @@ def solve(instance):
                 continue
             if known[alpha] != version:
                 batch = alpha + np.flatnonzero(tried[alpha:] != version)
-                safe[batch] = net.certify_batch(batch)
+                safe[batch] = net.certify(batch)
                 known[batch] = version
             tried[alpha] = version
             if safe[alpha]:

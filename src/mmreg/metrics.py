@@ -123,8 +123,11 @@ def read_weights(path):
     The metrics= header may list SAD, MI, NCC and DWT in any order; weight
     rows and scales are permuted into METRIC_NAMES order.
     """
-    with open(path) as f:
-        lines = [ln for ln in f.read().splitlines() if ln.strip()]
+    try:
+        with open(path) as f:
+            lines = [ln for ln in f.read().splitlines() if ln.strip()]
+    except (OSError, UnicodeDecodeError) as e:
+        raise FormatError(f"cannot read weights {path}: {e}") from e
     if not lines:
         raise FormatError(f"{path}: empty weights file")
     header = {}

@@ -31,13 +31,13 @@ def read_settings(path, sep, error):
     """(location, key, value) for every `key<sep>value` line of a text file.
 
     Blank lines and lines starting with '#' are skipped; location is
-    "path:line". An unreadable file raises FormatError, a line without
-    `sep` raises `error`.
+    "path:line". A file that cannot be read or decoded as UTF-8 raises
+    FormatError, a line without `sep` raises `error`.
     """
     try:
         with open(path) as f:
             lines = f.read().splitlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise FormatError(f"cannot read {path}: {e}") from e
     out = []
     for ln, line in enumerate(lines, 1):

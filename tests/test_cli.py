@@ -514,6 +514,58 @@ class TestNonFiniteVoxels:
         assert not out.exists()
 
 
+class TestUndecodableFiles:
+    """A text input that is not UTF-8, or a manifest that csv cannot parse,
+    is a format error naming its file (exit 2), not a configuration error
+    or a crash."""
+
+    @staticmethod
+    def spoil(path):
+        Path(path).write_bytes(b"# \xff\n" + Path(path).read_bytes())
+        return str(path)
+
+    @staticmethod
+    def register_argv(tmp, data, wpath):
+        return ["register", "--source", os.path.join(data, "pair000_src.vol"),
+                "--target", os.path.join(data, "pair000_tgt.vol"), "--weights", wpath,
+                "--out-field", str(tmp / "out" / "f.fld"),
+                "--out-warped", str(tmp / "out" / "w.vol")]
+
+    @staticmethod
+    def weights(tmp):
+        wpath = str(tmp / "w.txt")
+        me.write_weights(wpath, me.WeightMatrix(
+            np.array([[0.1], [10.0], [10.0], [10.0]]), np.array([0.3]), (0,)
+        ))
+        return wpath
+
+    @pytest.mark.parametrize("which", ["header", "config"])
+    def test_settings_file(self, workspace, capsys, which):
+        tmp, cfg, data = workspace
+        bad = self.spoil(os.path.join(data, "pair000_src.vol") if which == "header" else cfg)
+        argv = self.register_argv(tmp, data, self.weights(tmp)) + ["--config", cfg]
+        assert cli.main(argv) == 2
+        assert f"cannot read {bad}" in capsys.readouterr().err
+        assert not (tmp / "out").exists()
+
+    def test_weights_file(self, workspace, capsys):
+        tmp, cfg, data = workspace
+        wpath = self.spoil(self.weights(tmp))
+        assert cli.main(self.register_argv(tmp, data, wpath) + ["--config", cfg]) == 2
+        assert f"cannot read weights {wpath}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", [b"a,b,c,\xff\n", b"a,b,c," + b"d" * 131_073 + b"\n"],
+                             ids=["not_utf8", "field_over_csv_limit"])
+    def test_manifest(self, workspace, capsys, row):
+        tmp, cfg, data = workspace
+        bad = tmp / "bad.csv"
+        bad.write_bytes(b"source,target,source_mask,target_mask\n" + row)
+        rc = cli.main(["train", "--dataset", str(bad), "--config", cfg,
+                       "--out-model", str(tmp / "out" / "m.txt")])
+        assert rc == 2
+        assert f"cannot read manifest {bad}" in capsys.readouterr().err
+
+
 class TestTrainEvaluateCommands:
     @pytest.mark.parametrize("case", ["target", "source_mask"])
     @pytest.mark.parametrize("command", ["train", "evaluate"])

@@ -490,7 +490,7 @@ class TestSkipCertificate:
         for x in (solved, perturbed, np.zeros_like(solved),
                   rng.integers(0, inst.n_labels, inst.n_nodes)):
             net.relabel(x)
-            for alpha in np.flatnonzero(net.certify_batch(np.arange(inst.n_labels))):
+            for alpha in np.flatnonzero(net.certify(np.arange(inst.n_labels))):
                 skipped += 1
                 assert move_energy_changes(inst, x, alpha).min() >= -1e-9
         return skipped
@@ -524,8 +524,7 @@ class TestSkipCertificate:
         net = gr._ExpansionNetwork(hand)
         net.relabel(np.zeros(2, dtype=np.int64))
         # moving both nodes costs 1 - 1.6 < 0 though each alone costs 4.2
-        assert not net.certify([1])[0][0]
-        assert not net.certify_batch([1])[0]
+        assert not net.certify([1])[0]
         skipped = 0
         for seed in range(30):
             rng = np.random.default_rng(200 + seed)
@@ -539,9 +538,9 @@ class TestSkipCertificate:
 
 
 class TestFlowCertificate:
-    """The second certificate stage: the labels the transfer rounds leave
-    open share one max-flow over regional networks, which certifies a label
-    only when no move to it lowers the energy."""
+    """The labels the half split leaves open share one max-flow over
+    regional networks (each label's deficit nodes and their neighbours),
+    which certifies a label only when no move to it lowers the energy."""
 
     LIMIT = (1 << 31) - 1
 
@@ -559,31 +558,50 @@ class TestFlowCertificate:
         net.relabel(np.zeros(n, dtype=np.int64))
         return inst, net
 
-    def test_deficit_two_edges_away(self):
-        # one edge away, either end of it, a transfer round covers the deficit
+    @staticmethod
+    def half_split_holds(net, alphas):
+        """The labels the half split alone certifies."""
+        return net._half_split(np.asarray(alphas))[0].min(axis=1) >= 0
+
+    def test_deficit_two_edges_away(self, monkeypatch):
+        # one edge away, either end of it: the half split leaves the deficit
+        # and the edge's slack, and the flow covers it
         for margins in ([-0.5, 1.0], [1.0, -0.5]):
-            assert self.chain(margins)[1].certify([1])[0].tolist() == [True]
-        # two edges away, it must travel from node 2 through node 1, which
-        # has no surplus to hand on, so the transfer rounds move nothing
+            _, net = self.chain(margins)
+            m, up_i, up_j = net._half_split(np.array([1]))
+            assert m.tolist() == [margins] and up_i.tolist() == up_j.tolist() == [[1.0]]
+            assert net.certify([1]).tolist() == [True]
+        # two edges away, node 2's surplus lies outside the region of node
+        # 0, so the label is left to the full cut, which rejects the move
         inst, net = self.chain([-0.5, 0.0, 1.0])
-        held, m, up_i, up_j = net.certify([1])
-        assert held.tolist() == [False] and m.tolist() == [[-0.5, 0.0, 1.0]]
-        assert up_i.tolist() == [[1.0, 1.0]] and up_j.tolist() == [[1.0, 1.0]]
-        assert net.certify_batch([1]).tolist() == [True]
+        assert net.certify([1]).tolist() == [False]
         assert move_energy_changes(inst, np.zeros(3, dtype=np.int64), 1).min() >= 0
+        cuts = []
+        real_cut = gr._ExpansionNetwork.cut
+
+        def counting(self, alpha):
+            move = real_cut(self, alpha)
+            cuts.append(move.any())
+            return move
+
+        monkeypatch.setattr(gr._ExpansionNetwork, "cut", counting)
+        assert gr.solve(inst).tolist() == solve_oracle.solve_oracle(inst).tolist()
+        assert cuts == [False]
 
     def test_improving_move_never_certified(self):
-        # moving the whole chain lowers the energy whenever node 2's loss is
-        # below node 0's gain
+        # moving the whole chain lowers the energy whenever the last node's
+        # loss is below node 0's gain; one edge away, the flow decides
         for far in (0.0, 0.1, 0.3, 0.49, 0.4999999, np.nextafter(0.5, 0.0)):
-            inst, net = self.chain([-0.5, 0.0, far])
-            assert move_energy_changes(inst, np.zeros(3, dtype=np.int64), 1).min() < 0
-            assert not net.certify_batch([1])[0], far
+            for margins in ([-0.5, far], [-0.5, 0.0, far]):
+                inst, net = self.chain(margins)
+                n = len(margins)
+                assert move_energy_changes(inst, np.zeros(n, dtype=np.int64), 1).min() < 0
+                assert not net.certify([1])[0], margins
         # node 3's deficit is too small to survive scaling next to node 0's,
         # and no edge can bring it anything
         inst, net = self.chain([-1e10, 0.0, 2e10, -5e-324], [2e10, 2e10, 0.0])
         assert move_energy_changes(inst, np.zeros(4, dtype=np.int64), 1).min() < 0
-        assert not net.certify_batch([1])[0]
+        assert not net.certify([1])[0]
         # random chains: a certified label never has an improving move
         rng = np.random.default_rng(7)
         by_flow = improving = 0
@@ -592,10 +610,10 @@ class TestFlowCertificate:
             margins = rng.uniform(-1.0, 1.0, n) * (rng.random(n) < 0.7)
             inst, net = self.chain(margins, rng.uniform(0.0, 1.5, n - 1))
             best = move_energy_changes(inst, np.zeros(n, dtype=np.int64), 1).min()
-            certified = net.certify_batch([1])[0]
+            certified = net.certify([1])[0]
             assert not (certified and best < -1e-12), margins
             improving += best < 0
-            by_flow += certified and not net.certify([1])[0][0]
+            by_flow += certified and not self.half_split_holds(net, [1])[0]
         assert by_flow > 10 and improving > 50
 
     def test_batch_equals_one_label_at_a_time(self, monkeypatch):
@@ -621,17 +639,17 @@ class TestFlowCertificate:
                       rng.integers(0, L, inst.n_nodes)):
                 net.relabel(x)
                 caps.clear()
-                batch = net.certify_batch(np.arange(L))
-                assert batch.tolist() == [net.certify_batch([a])[0] for a in range(L)]
+                batch = net.certify(np.arange(L))
+                assert batch.tolist() == [net.certify([a])[0] for a in range(L)]
                 if caps:
                     assert np.array_equal(caps[0], np.sort(np.concatenate(caps[1:])))
                 some = rng.permutation(L)[: L // 2]
-                assert net.certify_batch(some).tolist() == batch[some].tolist()
+                assert net.certify(some).tolist() == batch[some].tolist()
                 # the first stage in chunks of three labels
                 with monkeypatch.context() as m:
                     m.setattr(gr, "_CHUNK_ENTRIES", 3 * len(edges))
-                    assert net.certify_batch(np.arange(L)).tolist() == batch.tolist()
-                by_flow += np.count_nonzero(batch & ~net.certify(np.arange(L))[0])
+                    assert net.certify(np.arange(L)).tolist() == batch.tolist()
+                by_flow += np.count_nonzero(batch & ~self.half_split_holds(net, np.arange(L)))
         assert by_flow > 15
 
     def test_capacities_stay_in_int32_over_wide_margins(self, monkeypatch):
@@ -658,13 +676,12 @@ class TestFlowCertificate:
             disp = np.vstack([np.zeros(3), rng.uniform(-1.0, 1.0, (L - 1, 3))])
             unaries = np.zeros((V, L))
             for a in range(1, L):
-                # one deficit node with no surplus next to it, drawn two
-                # edges away
+                # one deficit node, drawn against the surplus of one of its
+                # neighbours; the half split leaves it short at label 0
                 u = magnitude(V)
                 k = int(rng.integers(V))
-                u[edges[edges[:, 0] == k, 1]] = 0.0
-                u[edges[edges[:, 1] == k, 0]] = 0.0
-                u[k] = -(u[(k + 2) % V] or magnitude(1)[0]) * rng.uniform(0.3, 1.5)
+                near = np.concatenate([edges[edges[:, 0] == k, 1], edges[edges[:, 1] == k, 0]])
+                u[k] = -u[rng.choice(near)] * rng.uniform(0.3, 1.5)
                 unaries[:, a] = u
             inst = gr.MrfInstance(unaries, magnitude(len(edges)),
                                   gr.pairwise_l1_table(LabelSpace(disp)), edges)
@@ -672,7 +689,7 @@ class TestFlowCertificate:
             x = np.zeros(V, dtype=np.int64)
             net.relabel(x)
             networks.clear()
-            safe = net.certify_batch(np.arange(L))
+            safe = net.certify(np.arange(L))
             assert len(networks) == 1
             graph = networks[0]
             assert graph.dtype == np.int32
@@ -686,7 +703,7 @@ class TestFlowCertificate:
                 scale = (np.abs(unaries[:, a]).max()
                          + (inst.edge_weights * inst.pairwise_table[a].max()).max())
                 assert move_energy_changes(inst, x, a).min() >= -1e-12 * scale, (seed, a)
-            by_flow += np.count_nonzero(safe & ~net.certify(np.arange(L))[0])
+            by_flow += np.count_nonzero(safe & ~self.half_split_holds(net, np.arange(L)))
         # capping arcs at twice the deficit keeps small deficits resolvable
         # next to large surpluses and slacks
         assert by_flow > 300

@@ -1,21 +1,24 @@
 """Dead-code checks for the library, on the standard library's `ast`.
 
 No linter ships with the project's dependencies, so these tests stand in for
-three rules:
+four rules:
 
 * every name a library module imports must be used in that module;
 * every public top-level function or class of a library module must be
   referenced by other library code or by the benchmark (`bench/`);
 * every public method or property of a library class must be read as an
-  attribute by library or benchmark code.
+  attribute by library or benchmark code;
+* every private top-level function, class or constant of a library module,
+  and every private method of its classes, must be read in that module
+  (dunders such as `__init__` or `__version__` are exempt).
 
 Two last checks keep imports off paths that do not need them: `scipy.optimize`
 stays out of training, whose QP solver is numpy only, and the process pool
 stays out of `import mmreg.cli`, which every command pays for; only
 `evaluate` with `threads` > 1 loads it.
 
-`__init__.py` is skipped by all three, since its imports are the package's
-re-exports and do not count as uses.
+`__init__.py` is skipped by the first three, since its imports are the
+package's re-exports and do not count as uses.
 """
 
 import ast
@@ -87,6 +90,57 @@ def unreferenced_members(library, users):
                 if reads[member.name] == own:
                     dead.append((module, f"{cls.name}.{member.name}"))
     return sorted(dead)
+
+
+def _reads(node):
+    """How often each name is read under `node`, as a name or an attribute."""
+    return collections.Counter(
+        n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def unread_private_names(source):
+    """Each private top-level function, class or constant of `source`, and
+    each private method of its top-level classes ("Class.name"), that the
+    module reads nowhere outside the definition itself (recursion does not
+    count)."""
+    tree = ast.parse(source)
+    defined = []                  # (label, name, defining statement)
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            defined.append((stmt.name, stmt.name, stmt))
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            for target in stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]:
+                defined += [(n.id, n.id, stmt) for n in ast.walk(target)
+                            if isinstance(n, ast.Name)]
+        if isinstance(stmt, ast.ClassDef):
+            defined += [(f"{stmt.name}.{m.name}", m.name, m) for m in stmt.body
+                        if isinstance(m, ast.FunctionDef)]
+    reads = _reads(tree)
+    return sorted(label for label, name, node in defined
+                  if _private(name) and reads[name] == _reads(node)[name])
+
+
+@pytest.mark.parametrize("path", MODULES + ["__init__.py"])
+def test_every_private_name_is_read(path):
+    assert unread_private_names((SRC / path).read_text()) == []
+
+
+def test_check_finds_an_unread_private_name():
+    source = ("__version__ = '1'\n_USED, _LEFTOVER = 1, 2\n_ALONE: int = 3\n\n"
+              "def _helper(n):\n    return _helper(n - 1) + _USED\n\n"
+              "def _dead(n):\n    return _dead(n - 1)\n\n"
+              "class _Net:\n    def __init__(self):\n        self._x = 0\n\n"
+              "    def _half(self):\n        return self._x\n\n"
+              "    def _stale(self):\n        return self._stale()\n\n"
+              "    def run(self):\n        return self._half()\n\n"
+              "def solve():\n    return _Net().run(), _helper(1)\n")
+    assert unread_private_names(source) == [
+        "_ALONE", "_LEFTOVER", "_Net._stale", "_dead"]
 
 
 @pytest.mark.parametrize("path", MODULES)
