@@ -144,6 +144,8 @@ def read_manifest(path):
                 rows.append(tuple(os.path.join(base, p.strip()) for p in row))
     except (OSError, UnicodeDecodeError, csv.Error) as e:
         raise FormatError(f"cannot read manifest {path}: {e}") from e
+    if not rows:
+        raise FormatError(f"{path}: manifest lists no pairs")
     return rows
 
 

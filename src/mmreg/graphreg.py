@@ -14,11 +14,10 @@ a dual lower bound certifies that no move to the label can lower the energy
 share plus its unary change is non-negative). The split starts from halving
 each edge's change. For the labels where that leaves some node short, one
 max-flow looks for a better split, over a small network per label: the
-short nodes and their neighbours. The cuts that remain run on one flow
-network per instance whose capacities are rewritten per move.
+short nodes and their neighbours. Each cut that remains builds its flow
+network from the instance's arc lists, with that move's capacities.
 """
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,10 +216,11 @@ _FLOW_SUM_MAX = (1 << 31) - 2
 class _ExpansionNetwork:
     """The flow network of one MRF instance, built once per solve.
 
-    Arcs are the edges i->j, the terminal arcs s->i and i->t of every node,
-    and an explicit reverse arc of each, in one fixed CSR structure; each
-    expansion move only writes capacities into it. The network also checks
-    the dual bound that lets a move be skipped without a cut.
+    Its arcs are listed once, as tails and heads: the edges i->j, then the
+    terminal arcs s->i and i->t of every node. Each expansion move builds a
+    CSR network from these lists and its own capacities, as `_certify_flow`
+    does. The network also checks the dual bound that lets a move be skipped
+    without a cut.
     """
 
     def __init__(self, instance):
@@ -230,22 +230,9 @@ class _ExpansionNetwork:
         self.i = instance.edges[:, 0]
         self.j = instance.edges[:, 1]
         self.w = instance.edge_weights
-
-        s, t = V, V + 1
-        n = V + 2
         nodes = np.arange(V)
-        tails = np.concatenate([self.i, np.full(V, s), nodes, self.j, nodes, np.full(V, t)])
-        heads = np.concatenate([self.j, nodes, np.full(V, t), self.i, np.full(V, s), nodes])
-        keys, slot = np.unique(tails * n + heads, return_inverse=True)
-        self.slot = slot[: len(self.i) + 2 * V]   # the arcs that carry capacity
-        self.tail = keys // n
-        # int32 throughout, the type maximum_flow works in, so it does not
-        # convert the network on every call
-        self.graph = csr_matrix(
-            (np.zeros(len(keys), dtype=np.int32), (keys % n).astype(np.int32),
-             np.searchsorted(self.tail, np.arange(n + 1)).astype(np.int32)),
-            shape=(n, n),
-        )
+        self.tails = np.concatenate([self.i, np.full(V, V), nodes])
+        self.heads = np.concatenate([self.j, nodes, np.full(V, V + 1)])
 
     def relabel(self, labeling):
         """Set the labeling that the following moves start from."""
@@ -277,19 +264,16 @@ class _ExpansionNetwork:
         if not ivals.any():
             return np.zeros(V, dtype=bool)
 
-        graph = self.graph
-        graph.data = np.bincount(self.slot, ivals, len(graph.data)).astype(np.int32)
-        res = maximum_flow(graph, V, V + 1)
-        # with every reverse arc present, the flow comes back on the graph's
-        # own structure. The moved nodes are those not reachable from s
-        # through arcs with residual capacity: the source side of the
-        # minimal min-cut, which is the same for every maximum flow
-        open_arc = graph.data - res.flow.data > 0
-        heads = graph.indices[open_arc]
-        indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(self.tail[open_arc], minlength=V + 2))])
-        residual = csr_matrix((np.ones(len(heads), dtype=np.int8), heads, indptr),
-                              shape=graph.shape)
+        graph = csr_matrix((ivals.astype(np.int32), (self.tails, self.heads)),
+                           shape=(V + 2, V + 2))
+        # the flow is antisymmetric, so graph - flow holds the residual
+        # capacity of every arc and of its reverse; breadth_first_order
+        # follows stored zeros too, so none may stay. The moved nodes are
+        # those not reachable from s through arcs with residual capacity:
+        # the source side of the minimal min-cut, which is the same for
+        # every maximum flow
+        residual = graph - maximum_flow(graph, V, V + 1).flow
+        residual.eliminate_zeros()
         reach = breadth_first_order(residual, V, directed=True, return_predecessors=False)
         moved = np.ones(V + 2, dtype=bool)
         moved[reach] = False
@@ -535,7 +519,6 @@ class StepRecord:
     energy_accepted: float
     max_sparse_component_mm: float
     bound_mm: float
-    runtime_s: float
     moved_nodes: int          # nodes with a nonzero label; not in to_text
 
 
@@ -591,7 +574,6 @@ def register(src, tgt, src_mask, wmat, config=None):
         warped = None
 
         for step in range(config.steps_per_level):
-            t0 = time.perf_counter()
             if warped is None:
                 if level == 0:
                     lvl_disp = acc.reshape(dims + (3,))
@@ -625,7 +607,6 @@ def register(src, tgt, src_mask, wmat, config=None):
                 label_max_norm_mm=float(np.abs(ls.displacements).max()),
                 energy_zero=e_zero, energy_accepted=e_acc,
                 max_sparse_component_mm=max_comp, bound_mm=bound,
-                runtime_s=time.perf_counter() - t0,
                 moved_nodes=int(np.count_nonzero(labeling)),
             )
             diag.steps.append(record)

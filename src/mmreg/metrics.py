@@ -43,7 +43,8 @@ class WeightMatrix:
 
     class_ids lists the classes covered by the columns, in strictly
     ascending order; id 0 is the designated background column, which a
-    matrix of more than one column must have.
+    matrix of more than one column must have. metric_names must be
+    METRIC_NAMES: every consumer reads the weight rows in that order.
     """
     weights: np.ndarray            # (n_metrics, n_classes)
     pairwise: np.ndarray           # (n_classes,)
@@ -55,7 +56,10 @@ class WeightMatrix:
         w = np.ascontiguousarray(self.weights, dtype=np.float64)
         p = np.ascontiguousarray(self.pairwise, dtype=np.float64)
         ids = tuple(int(c) for c in self.class_ids)
-        if w.ndim != 2 or w.shape[0] != len(self.metric_names):
+        if tuple(self.metric_names) != METRIC_NAMES:
+            raise ValueError(f"metric_names must be {METRIC_NAMES}, "
+                             f"got {tuple(self.metric_names)}")
+        if w.ndim != 2 or w.shape[0] != N_METRICS:
             raise ValueError(f"weights must be (n_metrics, n_classes), got {w.shape}")
         if w.shape[1] != len(ids) or p.shape != (len(ids),):
             raise ValueError("class count mismatch between weights, pairwise and class_ids")

@@ -647,6 +647,20 @@ class TestTrainEvaluateCommands:
         assert log[0] == "class cccp_iter outer_objective slacks working_set_sizes"
         assert log[-1] == "# class 1: CCCP iteration cap reached"
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_manifest_without_pairs_exits_2(self, tmp_path, capsys, command):
+        manifest = write_text(tmp_path / "manifest.csv",
+                              "source,target,source_mask,target_mask\n\n")
+        model = str(tmp_path / "w.txt")
+        me.write_weights(model, me.WeightMatrix(np.ones((4, 1)), np.array([0.3]), (0,)))
+        out = str(tmp_path / "out" / "result")
+        argv = {"train": ["train", "--dataset", manifest, "--out-model", out],
+                "evaluate": ["evaluate", "--dataset", manifest, "--model", model,
+                             "--out-report", out]}[command]
+        assert cli.main(argv) == 2
+        assert f"{manifest}: manifest lists no pairs" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
     def test_malformed_manifest_row(self, workspace):
         tmp, cfg, data = workspace
         bad = write_text(tmp / "bad.csv", "source,target,source_mask,target_mask\na,b,c\n")

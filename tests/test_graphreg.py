@@ -708,13 +708,24 @@ class TestFlowCertificate:
         # next to large surpluses and slacks
         assert by_flow > 300
 
-    def test_cut_network_is_int32(self):
+    def test_cut_network_is_int32(self, monkeypatch):
+        # int32 throughout, the type maximum_flow works in, so it does not
+        # convert the network on every cut
+        networks = []
+        real_max_flow = gr.maximum_flow
+
+        def recording(graph, s, t):
+            networks.append(graph)
+            return real_max_flow(graph, s, t)
+
+        monkeypatch.setattr(gr, "maximum_flow", recording)
         inst = registration_like_instance(0, n_nodes=24, n_labels=9,
                                           edges=lattice_edges_3d(4, 3, 2))
         net = gr._ExpansionNetwork(inst)
         net.relabel(np.zeros(inst.n_nodes, dtype=np.int64))
         net.cut(3)
-        for a in (net.graph.data, net.graph.indices, net.graph.indptr):
+        assert len(networks) == 1
+        for a in (networks[0].data, networks[0].indices, networks[0].indptr):
             assert a.dtype == np.int32
 
 

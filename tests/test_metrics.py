@@ -622,6 +622,15 @@ class TestWeightMatrix:
             me.read_weights(str(path))
         assert me.WeightMatrix(np.ones((4, 1)), np.ones(1), ids[:1]).class_ids == ids[:1]
 
+    @pytest.mark.parametrize("names", [("MI", "SAD", "NCC", "DWT"), ("A", "B", "C", "D")])
+    def test_metric_names_other_than_metric_names_rejected(self, names):
+        # every consumer reads the weight rows in METRIC_NAMES order, so a
+        # matrix naming them otherwise would weigh a row as another metric
+        with pytest.raises(ValueError, match="metric_names must be"):
+            me.WeightMatrix(np.ones((4, 1)), np.ones(1), (0,), names)
+        w = me.WeightMatrix(np.ones((4, 1)), np.ones(1), (0,), list(me.METRIC_NAMES))
+        assert w.metric_names == me.METRIC_NAMES
+
     def test_column_lookup(self):
         w = me.WeightMatrix(np.arange(8).reshape(4, 2), np.array([0.5, 1.5]), (0, 2))
         assert (w.column_index(0), w.column_index(2)) == (0, 1)
