@@ -77,7 +77,7 @@ def _run_job(job):
     """Register one (pair, method) job and return its per-organ Dice rows.
 
     `job` is (pair_id, src, tgt, src_mask, tgt_mask, method, weights,
-    config), a picklable tuple, so a worker process can run it."""
+    config)."""
     pair_id, src, tgt, smask, tmask, method, wmat, config = job
     t0 = time.perf_counter()
     fld, _ = register(src, tgt, smask, wmat, config)
@@ -95,27 +95,89 @@ def _run_job(job):
     ]
 
 
+def _claim(counter):
+    """Index of the next unclaimed job; the job count or more once none is left."""
+    with counter.get_lock():
+        counter.value += 1
+        return counter.value - 1
+
+
+def _work(jobs, counter, results):
+    """Worker process: claim a job only when idle, run it and send
+    (index, rows), or send (index, exception) and stop."""
+    while (i := _claim(counter)) < len(jobs):
+        try:
+            rows = _run_job(jobs[i])
+        except Exception as e:
+            results.put((i, e))
+            return
+        # the queue's feeder thread writes to the pipe, so a result larger
+        # than the pipe buffer does not hold this process while the caller
+        # is busy
+        results.put((i, rows))
+
+
+def _outcomes(results, procs):
+    """Yield each (index, rows or exception) the workers send, and
+    (None, RuntimeError) for each worker that exits with a nonzero code,
+    until every worker has exited."""
+    from multiprocessing.connection import wait
+
+    # a worker's messages are in the pipe before it exits, and waiting
+    # messages are read first, so an exit comes after all its messages
+    reader = results._reader          # what ProcessPoolExecutor waits on, too
+    alive = {p.sentinel: p for p in procs}
+    while alive:
+        ready = wait([reader, *alive])
+        if reader in ready:
+            yield results.get()
+            continue
+        for s in ready:
+            p = alive.pop(s)
+            p.join()
+            if p.exitcode:
+                yield None, RuntimeError(
+                    f"evaluate worker {p.pid} exited with code {p.exitcode}")
+
+
 def _run_pooled(jobs, workers):
     """Results of `jobs`, in order, from `workers` forked processes plus
-    this one: it runs the first job, then takes back and runs every job no
-    worker has started yet, then collects the workers' results."""
+    this one. Every process claims the next job from one shared counter
+    only when it is idle, so no job waits behind a busy process; the
+    caller collects the workers' results once no job is left to claim."""
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
 
-    # fork: workers start with mmreg imported and the inputs in memory. A
-    # fork-context pool forks all its workers at the first submit, before it
-    # starts a thread of its own.
-    ex = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
+    # fork: workers start with mmreg imported and the inputs in memory.
+    # The caller holds job 0 before any worker exists.
+    ctx = multiprocessing.get_context("fork")
+    counter = ctx.Value("q", 1)
+    results = ctx.Queue()
+    procs = []
+    out = {}
     try:
-        futures = [ex.submit(_run_job, job) for job in jobs[1:]]
-        mine = {0: _run_job(jobs[0])}
-        for i, fut in enumerate(futures, 1):
-            if fut.cancel():
-                mine[i] = _run_job(jobs[i])
-        return [mine[i] if i in mine else futures[i - 1].result() for i in range(len(jobs))]
+        for _ in range(workers):
+            p = ctx.Process(target=_work, args=(jobs, counter, results), daemon=True)
+            p.start()
+            procs.append(p)
+        i = 0
+        while i < len(jobs):
+            out[i] = _run_job(jobs[i])
+            i = _claim(counter)
+        for i, outcome in _outcomes(results, procs):
+            if isinstance(outcome, Exception):
+                raise outcome
+            out[i] = outcome
+        if len(out) < len(jobs):
+            raise RuntimeError(f"evaluate workers exited with {len(jobs) - len(out)} "
+                               "jobs unreported")
+        return [out[i] for i in range(len(jobs))]
     finally:
-        # after a failure, jobs no worker has started are dropped
-        ex.shutdown(cancel_futures=True)
+        # after a failure no process starts another job; running ones
+        # finish, and their messages are read so none blocks on the pipe
+        with counter.get_lock():
+            counter.value = len(jobs)
+        for _ in _outcomes(results, procs):
+            pass
 
 
 def run_benchmark(dataset, model, config=None, wp_scale=BASELINE_WP_SCALE, threads=1):
@@ -130,10 +192,12 @@ def run_benchmark(dataset, model, config=None, wp_scale=BASELINE_WP_SCALE, threa
         threads: number of processes running the (pair, method) jobs, this
             one included. With threads > 1, min(threads, jobs) - 1 worker
             processes are forked (the fork start method: Linux or another
-            POSIX system, and a caller running no other threads) and jobs
-            are dispatched longest first: MW jobs, which compute every
-            metric kernel, before the baselines. The report does not
-            depend on the count.
+            POSIX system, and a caller running no other threads). Jobs go
+            longest first, MW jobs, which compute every metric kernel,
+            before the baselines, and each process claims the next one
+            from a shared counter only when it is idle; this process
+            claims the first before forking and collects the workers' rows
+            once none is left. The report does not depend on the count.
 
     Returns:
         EvalReport with one row per (pair, organ, method).

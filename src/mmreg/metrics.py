@@ -20,6 +20,9 @@ _INV_SQRT8 = 1.0 / (2.0 * np.sqrt(2.0))
 
 # joint-histogram bins per axis for mutual information
 MI_BINS = 16
+# a power of two, so dividing a row's range by it is exact and _bin_rows
+# divides once: t / (range / bins) == (t / range) * bins bit for bit
+assert MI_BINS & (MI_BINS - 1) == 0, "MI_BINS must be a power of two"
 # dissimilarity of every metric when either patch is empty; a sentinel that
 # normalization scales leave as it is
 EMPTY_COST = 1e3
@@ -280,8 +283,7 @@ def _bin_rows(x, bins):
     rng = x.max(axis=1, keepdims=True) - lo
     const = rng[:, 0] == 0.0
     t = x - lo
-    t /= np.where(const[:, None], 1.0, rng)
-    t *= bins
+    t /= np.where(const[:, None], 1.0, rng) / bins
     idx = t.astype(np.int32)
     return np.minimum(idx, bins - 1, out=idx), const
 
@@ -346,11 +348,10 @@ def feature_table(src, tgt, grid, label_space, scales=None, metrics=None):
     left = np.minimum(np.minimum(cs, ct), radius)
     right = np.minimum(np.minimum(dims - 1 - cs, dims - 1 - ct), radius)
 
-    # deduplicate identical evaluations (same node, same rounded source center)
-    key = np.stack([vi, cs[:, 0], cs[:, 1], cs[:, 2]], axis=1)
-    uniq, first_idx, inverse = np.unique(
-        key, axis=0, return_index=True, return_inverse=True
-    )
+    # deduplicate identical evaluations (same node, same rounded source
+    # center) on one flat key, ordered as the (node, x, y, z) rows it encodes
+    key = vi * int(np.prod(dims)) + np.ravel_multi_index(cs.T, src.dims)
+    _, first_idx, inverse = np.unique(key, return_index=True, return_inverse=True)
     u_src = cs[first_idx] - left[first_idx]      # crop low corners
     u_tgt = ct[first_idx] - left[first_idx]
     u_vals = np.zeros((len(first_idx), N_METRICS), dtype=np.float64)

@@ -10,13 +10,13 @@ remapped half, which correlation/information metrics handle.
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .volume import (
     DeformationField,
     SegmentationMask,
     Volume,
     check_fields,
+    gaussian_smooth,
     interpolate_dense,
     make_control_grid,
     parse_value,
@@ -63,6 +63,7 @@ class SynthSpec:
             "3 dims >= 1": len(self.dims) == 3 and min(self.dims) >= 1,
             "3 spacing_mm > 0": len(self.spacing_mm) == 3 and min(self.spacing_mm) > 0,
             "noise_sigma >= 0": self.noise_sigma >= 0,
+            "texture_sigma_vox >= 0": self.texture_sigma_vox >= 0,
             "one organ center per radius": len(self.organ_radii_mm) == len(self.organ_centers_frac),
         })
 
@@ -104,7 +105,7 @@ def _make_source(spec, rng):
         dist2 = (px - center[0]) ** 2 + (py - center[1]) ** 2 + (pz - center[2]) ** 2
         inside = (dist2 <= radius * radius) & (labels == 0)
         base[inside] = level
-    tex = gaussian_filter(rng.standard_normal(spec.dims), spec.texture_sigma_vox)
+    tex = gaussian_smooth(rng.standard_normal(spec.dims), spec.texture_sigma_vox, "reflect")
     tex /= max(tex.std(), 1e-12)
     vol = Volume((base + amp * tex).astype(np.float32), spec.spacing_mm)
     return vol, SegmentationMask(labels, spec.spacing_mm)

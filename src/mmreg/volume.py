@@ -20,7 +20,6 @@ import typing
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 
 class FormatError(Exception):
@@ -564,9 +563,42 @@ def tile_edges(grid, like):
 # multi-resolution pyramid
 # ---------------------------------------------------------------------------
 
+_PAD_MODES = {"nearest": "edge", "reflect": "symmetric"}
+
+
+def gaussian_smooth(data, sigma, mode):
+    """Separable Gaussian smoothing of an array, axis 0 first, in float64.
+
+    The values are those of scipy.ndimage.gaussian_filter(data, sigma,
+    mode=mode) bit for bit: the kernel exp(-x^2 / 2 sigma^2) divided by its
+    sum, radius int(4 sigma + 0.5), and on each axis the centre tap first,
+    then (left + right) pairs from the outermost inward, as scipy's
+    correlation of a symmetric kernel sums them. Beyond the edge, "nearest"
+    repeats the edge voxel and "reflect" mirrors the data, edge included.
+    A sigma of 1e-15 or less leaves the data as it is.
+    """
+    out = np.array(data, dtype=np.float64)
+    if sigma <= 1e-15:
+        return out
+    r = int(4.0 * sigma + 0.5)
+    x = np.arange(-r, r + 1)
+    w = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    w = w / w.sum()
+    for axis in range(out.ndim):
+        n = out.shape[axis]
+        widths = [(0, 0)] * out.ndim
+        widths[axis] = (r, r)
+        p = np.moveaxis(np.pad(out, widths, mode=_PAD_MODES[mode]), axis, 0)
+        acc = p[r:r + n] * w[r]
+        for j in range(r, 0, -1):
+            acc += (p[r - j:r - j + n] + p[r + j:r + j + n]) * w[r - j]
+        out = np.moveaxis(acc, 0, axis)
+    return np.ascontiguousarray(out)
+
+
 def downsample_volume(vol):
     """One factor-2 Gaussian pyramid step: smooth then take every other voxel."""
-    sm = gaussian_filter(vol.data.astype(np.float64), sigma=1.0, mode="nearest")
+    sm = gaussian_smooth(vol.data, 1.0, "nearest")
     data = sm[::2, ::2, ::2]
     spacing = tuple(s * 2.0 for s in vol.spacing)
     return Volume(data.astype(np.float32), spacing, vol.origin)

@@ -228,6 +228,7 @@ class TestSynthCommand:
     @pytest.mark.parametrize("line", [
         "noise_sigma=nan", "noise_sigma=-0.01", "dims=0,4,4", "dims=4,4",
         "spacing_mm=2.0,0.0,2.0", "spacing_mm=2.0,inf,2.0", "organ_centers_frac=0.5,nan,0.5",
+        "texture_sigma_vox=-1.0",
     ])
     def test_bad_spec_value_exits_3_and_writes_nothing(self, tmp_path, line):
         spec = write_text(tmp_path / "s.txt", SYNTH_SPEC + line + "\n")

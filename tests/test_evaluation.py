@@ -1,4 +1,3 @@
-import concurrent.futures
 import itertools
 import multiprocessing
 import os
@@ -105,21 +104,25 @@ class JobFailed(Exception):
     """Raised inside a job by the failure tests."""
 
 
-class RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: records its arguments and starts
-    nothing. Submitted jobs stay queued, so run_benchmark takes each one
-    back and runs it itself."""
+class RecordingContext:
+    """Stands in for the context multiprocessing.get_context returns:
+    records the start method and each process created, and delegates
+    everything to the real context."""
 
-    created = []
+    created = []                  # [start method, processes created] per context
+    get_context = multiprocessing.get_context
 
-    def __init__(self, max_workers, mp_context):
-        self.created.append((max_workers, mp_context.get_start_method()))
+    def __init__(self, method):
+        self._ctx = RecordingContext.get_context(method)
+        self.record = [method, 0]
+        self.created.append(self.record)
 
-    def submit(self, fn, *args):
-        return concurrent.futures.Future()
+    def Process(self, *args, **kwargs):
+        self.record[1] += 1
+        return self._ctx.Process(*args, **kwargs)
 
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
+    def __getattr__(self, name):
+        return getattr(self._ctx, name)
 
 
 def report_bytes(report, tmp_path):
@@ -162,18 +165,92 @@ class TestRunBenchmark:
 
     def test_worker_count_capped_at_jobs_minus_one(
             self, tmp_path, monkeypatch, tiny_dataset, tiny_config, tiny_model):
-        monkeypatch.setattr(RecordingExecutor, "created", [])
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(RecordingContext, "created", [])
+        monkeypatch.setattr(multiprocessing, "get_context", RecordingContext)
         n_jobs = len(tiny_dataset) * len(ev.ALL_METHODS)
         serial = report_bytes(ev.run_benchmark(tiny_dataset, tiny_model, tiny_config), tmp_path)
         for threads in (2, n_jobs, 10 * n_jobs):
             report = ev.run_benchmark(tiny_dataset, tiny_model, tiny_config, threads=threads)
             assert report_bytes(report, tmp_path) == serial
-        assert RecordingExecutor.created == [
-            (1, "fork"), (n_jobs - 1, "fork"), (n_jobs - 1, "fork")]
-        # no jobs, no pool
+            assert multiprocessing.active_children() == []
+        assert RecordingContext.created == [
+            ["fork", 1], ["fork", n_jobs - 1], ["fork", n_jobs - 1]]
+        # no jobs, no processes
         assert ev.run_benchmark([], tiny_model, tiny_config, threads=8).rows == []
-        assert len(RecordingExecutor.created) == 3
+        assert len(RecordingContext.created) == 3
+
+    def test_caller_takes_every_job_no_worker_started(
+            self, tmp_path, monkeypatch, tiny_dataset, tiny_config, tiny_model):
+        caller = os.getpid()
+        register = ev.register
+        n_jobs = len(tiny_dataset) * len(ev.ALL_METHODS)
+        count = itertools.count()
+
+        def wait_for(pattern, n):
+            deadline = time.monotonic() + 30.0
+            while len(list(tmp_path.glob(pattern))) < n and time.monotonic() < deadline:
+                time.sleep(0.01)
+
+        def register_marked(*args):
+            if os.getpid() == caller:
+                # the caller's first job lasts until the worker has one
+                wait_for("worker-*", 1)
+                out = register(*args)
+                (tmp_path / f"caller-{next(count)}").touch()
+                return out
+            (tmp_path / f"worker-{next(count)}").touch()
+            # the worker's first job lasts until the caller has run every
+            # other job, so no job may be assigned to the worker meanwhile
+            wait_for("caller-*", n_jobs - 1)
+            return register(*args)
+
+        monkeypatch.setattr(ev, "register", register_marked)
+        ev.run_benchmark(tiny_dataset, tiny_model, tiny_config, threads=2)
+        assert len(list(tmp_path.glob("caller-*"))) == n_jobs - 1
+        assert len(list(tmp_path.glob("worker-*"))) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_raises(self, monkeypatch, tiny_dataset, tiny_config, tiny_model):
+        caller = os.getpid()
+        register = ev.register
+
+        def register_or_exit(*args):
+            if os.getpid() != caller:
+                os._exit(3)
+            return register(*args)
+
+        monkeypatch.setattr(ev, "register", register_or_exit)
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            ev.run_benchmark(tiny_dataset, tiny_model, tiny_config, threads=3)
+        assert time.monotonic() - t0 < 60.0
+        assert multiprocessing.active_children() == []
+
+    def test_large_result_does_not_hold_worker(
+            self, tmp_path, monkeypatch, tiny_dataset, tiny_config, tiny_model):
+        caller = os.getpid()
+        count = itertools.count()
+        waited = []
+
+        def run_job(job):
+            if os.getpid() == caller:
+                # the first job lasts until a worker has started its second,
+                # which it can only do once its first result is off its hands
+                deadline = time.monotonic() + 30.0
+                while (not waited and len(list(tmp_path.iterdir())) < 2
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+                waited.append(len(list(tmp_path.iterdir())))
+                return []
+            (tmp_path / f"worker-{next(count)}").touch()
+            # far more than a 64 KiB pipe buffer
+            return [ev.EvalRow(job[0], k, job[5], 0.5, 0.5, 0.0) for k in range(20000)]
+
+        monkeypatch.setattr(ev, "_run_job", run_job)
+        report = ev.run_benchmark(tiny_dataset, tiny_model, tiny_config, threads=2)
+        assert waited[0] >= 2
+        assert len(report.rows) == 20000 * len(list(tmp_path.iterdir()))
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("where", ["caller", "worker"])
     def test_job_error_reaches_caller(

@@ -12,10 +12,11 @@ four rules:
   and every private method of its classes, must be read in that module
   (dunders such as `__init__` or `__version__` are exempt).
 
-Two last checks keep imports off paths that do not need them: `scipy.optimize`
-stays out of training, whose QP solver is numpy only, and the process pool
-stays out of `import mmreg.cli`, which every command pays for; only
-`evaluate` with `threads` > 1 loads it.
+Three last checks keep imports off paths that do not need them:
+`scipy.optimize` stays out of training, whose QP solver is numpy only, and
+the process pool and `scipy.ndimage` stay out of `import mmreg.cli`, which
+every command pays for. Only `evaluate` with `threads` > 1 loads the pool,
+and Gaussian smoothing is numpy only.
 
 `__init__.py` is skipped by the first three, since its imports are the
 package's re-exports and do not count as uses.
@@ -219,3 +220,10 @@ def test_cli_import_leaves_process_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)), check=True)
     assert out.stdout.split() == ["False", "False"]
+
+
+def test_cli_import_leaves_scipy_ndimage_unloaded():
+    code = "import sys, mmreg.cli\nprint('scipy.ndimage' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(SRC.parent)), check=True)
+    assert out.stdout.split() == ["False"]

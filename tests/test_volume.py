@@ -12,6 +12,7 @@ from mmreg.volume import (
     Volume,
     build_pyramid,
     ffd_evaluate,
+    gaussian_smooth,
     interpolate_dense,
     make_control_grid,
     read_field,
@@ -531,6 +532,26 @@ class TestPyramid:
         mask = SegmentationMask(rng.integers(0, 4, (9, 8, 7)).astype(np.uint8), (1, 1, 1))
         pyr = build_pyramid(mask, 2)
         assert set(np.unique(pyr[1].labels)) <= set(np.unique(mask.labels))
+
+
+    @pytest.mark.parametrize("dims, sigma, mode", [
+        ((64, 64, 64), 1.0, "nearest"), ((48, 48, 40), 1.5, "reflect"),
+        ((48, 48, 40), 1.0, "nearest"), ((7, 5, 3), 1.0, "nearest"),
+        ((7, 5, 3), 1.5, "reflect"), ((3, 2, 9), 1.0, "nearest"),
+        ((3, 2, 9), 2.2, "reflect"), ((1, 2, 3), 3.3, "reflect"),
+        ((1, 2, 3), 3.3, "nearest"), ((12, 1, 10), 0.4, "reflect"),
+        ((6, 5, 4), 1e-16, "reflect"), ((6, 5, 4), -1.0, "nearest"),
+    ])
+    def test_gaussian_smooth_equals_scipy(self, dims, sigma, mode):
+        from scipy.ndimage import gaussian_filter
+
+        data = np.random.default_rng(len(dims) + dims[0]).standard_normal(dims)
+        for x in (data, data.astype(np.float32)):
+            want = gaussian_filter(x.astype(np.float64), sigma, mode=mode)
+            got = gaussian_smooth(x, sigma, mode)
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+        assert gaussian_smooth(data, sigma, mode) is not data
 
 
 class TestRawFileFormat:
