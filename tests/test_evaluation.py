@@ -125,6 +125,15 @@ class RecordingContext:
         return getattr(self._ctx, name)
 
 
+def wait_for_files(directory, pattern, n, timeout_s=30.0):
+    """How many files in `directory` match `pattern`, once n do or the
+    timeout has passed."""
+    deadline = time.monotonic() + timeout_s
+    while len(list(directory.glob(pattern))) < n and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return len(list(directory.glob(pattern)))
+
+
 def report_bytes(report, tmp_path):
     ev.write_report_csv(tmp_path / "r.csv", report)
     ev.write_summary_csv(tmp_path / "s.csv", report)
@@ -186,22 +195,17 @@ class TestRunBenchmark:
         n_jobs = len(tiny_dataset) * len(ev.ALL_METHODS)
         count = itertools.count()
 
-        def wait_for(pattern, n):
-            deadline = time.monotonic() + 30.0
-            while len(list(tmp_path.glob(pattern))) < n and time.monotonic() < deadline:
-                time.sleep(0.01)
-
         def register_marked(*args):
             if os.getpid() == caller:
                 # the caller's first job lasts until the worker has one
-                wait_for("worker-*", 1)
+                wait_for_files(tmp_path, "worker-*", 1)
                 out = register(*args)
                 (tmp_path / f"caller-{next(count)}").touch()
                 return out
             (tmp_path / f"worker-{next(count)}").touch()
             # the worker's first job lasts until the caller has run every
             # other job, so no job may be assigned to the worker meanwhile
-            wait_for("caller-*", n_jobs - 1)
+            wait_for_files(tmp_path, "caller-*", n_jobs - 1)
             return register(*args)
 
         monkeypatch.setattr(ev, "register", register_marked)
@@ -234,13 +238,11 @@ class TestRunBenchmark:
 
         def run_job(job):
             if os.getpid() == caller:
-                # the first job lasts until a worker has started its second,
-                # which it can only do once its first result is off its hands
-                deadline = time.monotonic() + 30.0
-                while (not waited and len(list(tmp_path.iterdir())) < 2
-                       and time.monotonic() < deadline):
-                    time.sleep(0.01)
-                waited.append(len(list(tmp_path.iterdir())))
+                # the caller's first job lasts until a worker has started its
+                # second, which it can only do once its first result is off
+                # its hands
+                if not waited:
+                    waited.append(wait_for_files(tmp_path, "worker-*", 2))
                 return []
             (tmp_path / f"worker-{next(count)}").touch()
             # far more than a 64 KiB pipe buffer
