@@ -117,10 +117,11 @@ def _work(jobs, counter, results):
         results.put((i, rows))
 
 
-def _outcomes(results, procs):
+def _outcomes(results, procs, timeout=None):
     """Yield each (index, rows or exception) the workers send, and
     (None, RuntimeError) for each worker that exits with a nonzero code,
-    until every worker has exited."""
+    until every worker has exited; with timeout=0, only until nothing more
+    has arrived."""
     from multiprocessing.connection import wait
 
     # a worker's messages are in the pipe before it exits, and waiting
@@ -128,7 +129,9 @@ def _outcomes(results, procs):
     reader = results._reader          # what ProcessPoolExecutor waits on, too
     alive = {p.sentinel: p for p in procs}
     while alive:
-        ready = wait([reader, *alive])
+        ready = wait([reader, *alive], timeout)
+        if not ready:
+            return
         if reader in ready:
             yield results.get()
             continue
@@ -140,11 +143,21 @@ def _outcomes(results, procs):
                     f"evaluate worker {p.pid} exited with code {p.exitcode}")
 
 
+def _gather(outcomes, out):
+    """Store each job's rows in `out` by index; raise the first failure."""
+    for i, outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+        out[i] = outcome
+
+
 def _run_pooled(jobs, workers):
     """Results of `jobs`, in order, from `workers` forked processes plus
     this one. Every process claims the next job from one shared counter
-    only when it is idle, so no job waits behind a busy process; the
-    caller collects the workers' results once no job is left to claim."""
+    only when it is idle, so no job waits behind a busy process. Between
+    its own jobs the caller takes what the workers have sent without
+    waiting, so a worker's failure stops the pool before the caller's next
+    job; once no job is left to claim it waits for the rest."""
     import multiprocessing
 
     # fork: workers start with mmreg imported and the inputs in memory.
@@ -162,11 +175,9 @@ def _run_pooled(jobs, workers):
         i = 0
         while i < len(jobs):
             out[i] = _run_job(jobs[i])
+            _gather(_outcomes(results, procs, timeout=0), out)
             i = _claim(counter)
-        for i, outcome in _outcomes(results, procs):
-            if isinstance(outcome, Exception):
-                raise outcome
-            out[i] = outcome
+        _gather(_outcomes(results, procs), out)
         if len(out) < len(jobs):
             raise RuntimeError(f"evaluate workers exited with {len(jobs) - len(out)} "
                                "jobs unreported")

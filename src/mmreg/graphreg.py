@@ -12,10 +12,13 @@ the label's last move (the same inputs give the same rejected cut), or when
 a dual lower bound certifies that no move to the label can lower the energy
 (each edge's energy change is split between its endpoints, and every node's
 share plus its unary change is non-negative). The split starts from halving
-each edge's change. For the labels where that leaves some node short, one
-max-flow looks for a better split, over a small network per label: the
-short nodes and their neighbours. Each cut that remains builds its flow
-network from the instance's arc lists, with that move's capacities.
+each edge's change. Under a table with a zero diagonal and no negative
+entry (the L1 table), an edge whose ends carry the same label adds nothing,
+so shares come only from the labeling's boundary edges. For the labels
+where that leaves some node short, one max-flow looks for a better split,
+over a small network per label: the short nodes and their neighbours, read
+from the neighbour lists. Each cut that remains builds its flow network
+from the instance's arc lists, with that move's capacities.
 """
 
 from dataclasses import dataclass, field
@@ -71,9 +74,10 @@ class MrfInstance:
     """Pairwise MRF over the control grid.
 
     unaries: (|V|, |L|) node costs.
-    edge_weights: pairwise weight w_p, one value for every edge or one per
-        edge (w_p varies by dominant class); stored as an (|E|,) array.
-    pairwise_table: (|L|, |L|) L1 distances (mm) between displacement labels.
+    edge_weights: pairwise weight w_p >= 0, one value for every edge or one
+        per edge (w_p varies by dominant class); stored as an (|E|,) array.
+    pairwise_table: finite (|L|, |L|) L1 distances (mm) between displacement
+        labels.
     """
     unaries: np.ndarray
     edge_weights: np.ndarray
@@ -86,9 +90,17 @@ class MrfInstance:
         e = np.ascontiguousarray(self.edges, dtype=np.int64)
         w = np.asarray(self.edge_weights, dtype=np.float64)
         w = np.full(len(e), w) if w.ndim == 0 else np.ascontiguousarray(w)
+        if u.ndim != 2:
+            raise ValueError(f"unaries must be a (|V|, |L|) array, got shape {u.shape}")
         if w.shape != (len(e),):
             raise ValueError(f"edge_weights must be one value or one per edge, got shape "
                              f"{w.shape} for {len(e)} edges")
+        # a negative weight would make expansion moves non-submodular
+        if not (np.isfinite(w).all() and (w >= 0).all()):
+            raise ValueError("edge_weights must be finite and >= 0")
+        if t.shape != (u.shape[1],) * 2 or not np.isfinite(t).all():
+            raise ValueError(f"pairwise_table must be a finite ({u.shape[1]}, {u.shape[1]}) "
+                             f"array, got shape {t.shape}")
         object.__setattr__(self, "unaries", u)
         object.__setattr__(self, "edge_weights", w)
         object.__setattr__(self, "pairwise_table", t)
@@ -204,10 +216,6 @@ def build_instance(src, tgt, src_mask, wmat, grid, label_space):
 # for int64 graphs, so float costs are quantized to stay below 2^31
 _FLOW_CAP_MAX = (1 << 31) - 64
 
-# (label, edge) entries the half split of the skip certificate works on at
-# once, which keeps its temporaries to a few MB
-_CHUNK_ENTRIES = 1 << 15
-
 # bound on the sum of all capacities of one batched regional network, so that
 # no capacity, node total or flow that scipy forms in int32 can overflow
 _FLOW_SUM_MAX = (1 << 31) - 2
@@ -220,7 +228,8 @@ class _ExpansionNetwork:
     terminal arcs s->i and i->t of every node. Each expansion move builds a
     CSR network from these lists and its own capacities, as `_certify_flow`
     does. The network also checks the dual bound that lets a move be skipped
-    without a cut.
+    without a cut, and holds the neighbour lists that bound and the ICM
+    polish read.
     """
 
     def __init__(self, instance):
@@ -230,6 +239,11 @@ class _ExpansionNetwork:
         self.i = instance.edges[:, 0]
         self.j = instance.edges[:, 1]
         self.w = instance.edge_weights
+        self.neighbors = _neighbor_table(instance)
+        # with w >= 0, a zero diagonal and no negative entry, every share of
+        # an edge whose ends carry the same label is +-0.0, which leaves any
+        # sum of shares as it is
+        self.same_label_adds_nothing = not np.diag(self.table).any() and (self.table >= 0).all()
         nodes = np.arange(V)
         self.tails = np.concatenate([self.i, np.full(V, V), nodes])
         self.heads = np.concatenate([self.j, nodes, np.full(V, V + 1)])
@@ -240,6 +254,9 @@ class _ExpansionNetwork:
         self.lj = labeling[self.j]
         self.t0 = self.table[self.li, self.lj]
         self.u0 = self.unaries[np.arange(len(labeling)), labeling]
+        # the edges whose shares can be nonzero
+        self.boundary = (np.flatnonzero(self.li != self.lj) if self.same_label_adds_nothing
+                         else np.arange(len(self.i)))
 
     def cut(self, alpha):
         """Optimal alpha-expansion move via min-cut; returns the move mask."""
@@ -288,62 +305,87 @@ class _ExpansionNetwork:
         a_j <= d01 (only j moves) and a_i + a_j = d11 (both move). Then, for
         every move set S, the change is at least the sum over S of the node
         margins m_i (unary change plus edge shares); when all m_i >= 0 no
-        move improves. `_half_split` gives each label its margins, on chunks
-        of about _CHUNK_ENTRIES (label, edge) entries, and the labels with a
-        negative margin share one `_certify_flow`.
+        move improves. `_margins` gives each label its margins from the
+        half split of the boundary edges alone (every edge unless the table
+        is L1-like), so at the all-zero labeling a margin is the unary
+        change. The labels with a negative margin share one `_certify_flow`,
+        whose regions come from the neighbour lists.
         """
         alphas = np.asarray(alphas, dtype=np.int64)
-        step = max(1, _CHUNK_ENTRIES // len(self.i))
-        parts = [self._half_split(alphas[lo:lo + step]) for lo in range(0, len(alphas), step)]
-        m, up_i, up_j = (np.concatenate(x) for x in zip(*parts))
+        m = self._margins(alphas)
         safe = m.min(axis=1) >= 0
         if not safe.all():
-            safe[~safe] = self._certify_flow(m[~safe], up_i[~safe], up_j[~safe])
+            safe[~safe] = self._certify_flow(m[~safe], alphas[~safe])
         return safe
 
-    def _half_split(self, alphas):
-        """The split of `certify` that halves d11 and keeps each share
-        within its bound, for the labels `alphas`, one row per label.
-        Returns the margins m (k, |V|) and the edge slacks d10 - a_i and
-        d01 - a_j (k, |E|): how much more of each edge's change its i or j
-        end can still take."""
-        n, V = len(alphas), len(self.u0)
-        i, j, w, t0 = self.i, self.j, self.w, self.t0
-        d10 = w * (self.table[alphas][:, self.lj] - t0)           # only i moves
-        d01 = w * (self.table.T[alphas][:, self.li] - t0)         # only j moves
-        d11 = w * (self.table[alphas, alphas][:, None] - t0)      # both move
+    def _shares(self, alphas, e):
+        """The split of `certify` that halves d11 and keeps each share within
+        its bound, on the edges `e` for the labels `alphas` (broadcast
+        together). Returns the shares a_i, a_j and the bounds d10, d01."""
+        w, t0 = self.w[e], self.t0[e]
+        d10 = w * (self.table[alphas, self.lj[e]] - t0)          # only i moves
+        d01 = w * (self.table[self.li[e], alphas] - t0)          # only j moves
+        d11 = w * (self.table[alphas, alphas] - t0)              # both move
         half = 0.5 * d11
-        ai = np.minimum(d10, np.maximum(half, d11 - d01))
-        aj = np.minimum(d01, np.maximum(half, d11 - d10))
+        return (np.minimum(d10, np.maximum(half, d11 - d01)),
+                np.minimum(d01, np.maximum(half, d11 - d10)), d10, d01)
+
+    def _margins(self, alphas):
+        """(len(alphas), |V|) margins: each node's unary change plus its
+        shares of the boundary edges, summed in edge order (the i ends, then
+        the j ends)."""
+        n, V = len(alphas), len(self.u0)
+        b = self.boundary
+        ai, aj, _, _ = self._shares(alphas[:, None], b)
         # row r's nodes are bins r*V .. r*V + V-1 of one flat bincount
         row = V * np.arange(n)[:, None]
-        m = (self.unaries[:, alphas].T - self.u0
-             + np.bincount((i + row).ravel(), ai.ravel(), n * V).reshape(n, V)
-             + np.bincount((j + row).ravel(), aj.ravel(), n * V).reshape(n, V))
-        return m, d10 - ai, d01 - aj
+        return (self.unaries[:, alphas].T - self.u0
+                + np.bincount((self.i[b] + row).ravel(), ai.ravel(), n * V).reshape(n, V)
+                + np.bincount((self.j[b] + row).ravel(), aj.ravel(), n * V).reshape(n, V))
 
-    def _certify_flow(self, m, up_i, up_j):
-        """(n,) booleans for the (n, |V|) margins and (n, |E|) edge slacks
-        of n distinct labels: True where one maximum_flow call finds another
-        split with all margins >= 0.
+    def _region(self, m, alphas):
+        """The region of each row r of the margins m of the labels `alphas`:
+        its deficit nodes (m_i < 0) and their neighbours, as one flat mask
+        over r*|V| + v. Also the edges with both ends in a row's region, as
+        rows and edge indices in row-major order, and their slacks d10 - a_i
+        and d01 - a_j: how much more of each edge's change its i or j end
+        can still take."""
+        n, V = m.shape
+        E = len(self.i)
+        nbrs, _, real, ends = self.neighbors
+        dc, dv = np.nonzero(m < 0)
+        inside = np.zeros(n * V, dtype=bool)
+        inside[dc * V + dv] = True
+        inside[(dc[:, None] * V + nbrs[dv])[real[dv]]] = True
+        # each edge inside a region, found once from its i end
+        rc, rv = np.divmod(np.flatnonzero(inside), V)
+        p = ends[rv]
+        first = real[rv] & (p % 2 == 0)
+        c = np.broadcast_to(rc[:, None], p.shape)[first]
+        e = p[first] // 2
+        ec, ee = np.divmod(np.sort((c * E + e)[inside[c * V + self.j[e]]]), E)
+        ai, aj, d10, d01 = self._shares(alphas[ec], ee)
+        return inside, ec, ee, d10 - ai, d01 - aj
 
-        Each label gets its own copy of its deficit nodes (m_i < 0) and
-        their neighbours, with arcs j->i of capacity d10 - a_i and i->j of
-        capacity d01 - a_j on the edges inside that region, s->i of capacity
-        m_i where m_i > 0 and i->t of capacity -m_i where m_i < 0; all copies
-        share s and t. A flow that fills a copy's t-arcs, added to the split,
-        is such a split. Capacities are rounded so the rounded network never
-        allows more than the real one (s- and edge arcs down, t-arcs up), and
-        each copy is scaled on its own so its capacities sum to at most
+    def _certify_flow(self, m, alphas):
+        """(n,) booleans for the (n, |V|) margins of n distinct labels
+        `alphas`: True where one maximum_flow call finds another split with
+        all margins >= 0.
+
+        Each label gets its own copy of its `_region`, with arcs j->i of
+        capacity d10 - a_i and i->j of capacity d01 - a_j on the edges
+        inside that region, s->i of capacity m_i where m_i > 0 and i->t of
+        capacity -m_i where m_i < 0; all copies share s and t. A flow that
+        fills a copy's t-arcs, added to the split, is such a split.
+        Capacities are rounded so the rounded network never allows more than
+        the real one (s- and edge arcs down, t-arcs up), and each copy is
+        scaled on its own so its capacities sum to at most
         _FLOW_SUM_MAX // |L|: a label's answer does not depend on the batch.
         """
         n, V = m.shape
-        i, j = self.i, self.j
+        inside, ec, ee, up_i, up_j = self._region(m, alphas)
+        rc, rv = np.divmod(np.flatnonzero(inside), V)
         deficit = m < 0
-        region = deficit.copy()
-        near, e = np.nonzero(deficit[:, i] | deficit[:, j])
-        region[near, i[e]] = True
-        region[near, j[e]] = True
         total = -np.where(deficit, m, 0.0).sum(axis=1)
 
         # arcs j->i and i->j of the edges inside each region, s->i, i->t.
@@ -351,14 +393,14 @@ class _ExpansionNetwork:
         # arc, so capping every arc at twice that (an arc that must carry
         # all of it still can after rounding down) keeps large surpluses and
         # slacks from taking the resolution
-        ec, ee = np.nonzero(region[:, i] & region[:, j])
-        sc, sv = np.nonzero(region & (m > 0))
+        surplus = np.flatnonzero(m[rc, rv] > 0)
+        sc, sv = rc[surplus], rv[surplus]
         dc, dv = np.nonzero(deficit)
         copy = np.concatenate([ec, ec, sc, dc])
-        caps = np.concatenate([up_i[ec, ee], up_j[ec, ee], m[sc, sv], -m[dc, dv]])
+        caps = np.concatenate([up_i, up_j, m[sc, sv], -m[dc, dv]])
         caps = np.minimum(np.maximum(caps, 0.0), 2.0 * total[copy])
         # t-arcs round up, by less than one unit each
-        room = _FLOW_SUM_MAX // max(self.unaries.shape[1], n) - deficit.sum(axis=1)
+        room = _FLOW_SUM_MAX // max(self.unaries.shape[1], n) - np.bincount(dc, minlength=n)
         scale = room / np.maximum(np.bincount(copy, caps, n), 1e-300 * room)
         caps *= scale[copy]
         n_up = len(caps) - len(dc)
@@ -367,27 +409,27 @@ class _ExpansionNetwork:
         t_caps = caps[n_up:]
 
         # nodes: the region of copy 0, of copy 1, ..., then s and t
-        s = np.count_nonzero(region)
+        s = len(rc)
         t = s + 1
-        node = np.full((n, V), -1, dtype=np.int64)
-        node[region] = np.arange(s)
-        tails = np.concatenate([node[ec, j[ee]], node[ec, i[ee]], np.full(len(sc), s),
-                                node[dc, dv]])
-        heads = np.concatenate([node[ec, i[ee]], node[ec, j[ee]], node[sc, sv],
-                                np.full(len(dc), t)])
+        node = np.cumsum(inside) - 1
+        at_i = node[ec * V + self.i[ee]]
+        at_j = node[ec * V + self.j[ee]]
+        at_d = node[dc * V + dv]
+        tails = np.concatenate([at_j, at_i, np.full(len(sc), s), at_d])
+        heads = np.concatenate([at_i, at_j, surplus, np.full(len(dc), t)])
         graph = csr_matrix((caps.astype(np.int32), (tails, heads)), shape=(t + 1, t + 1))
         flow = maximum_flow(graph, s, t).flow
         # the flow is antisymmetric: row t holds minus each node's flow into t
         into_t = slice(flow.indptr[t], flow.indptr[t + 1])
-        copy_of = np.repeat(np.arange(n), region.sum(axis=1))
-        got = np.bincount(copy_of[flow.indices[into_t]], -flow.data[into_t].astype(np.float64), n)
+        got = np.bincount(rc[flow.indices[into_t]], -flow.data[into_t].astype(np.float64), n)
         # a deficit rounded to nothing would go unchecked
         return (got == np.bincount(dc, t_caps, n)) & (np.bincount(dc, t_caps < 1, n) == 0)
 
 
 def _neighbor_table(instance):
     """Each node's neighbours and edge weights in edge order, as padded
-    (n_nodes, max degree) tables, and the mask of their real entries."""
+    (n_nodes, max degree) tables, the mask of their real entries, and each
+    entry's edge end: 2k for the i end of edge k, 2k + 1 for its j end."""
     V = instance.n_nodes
     ends = instance.edges.ravel()             # edge k: i at 2k, j at 2k + 1
     order = np.argsort(ends, kind="stable")
@@ -397,13 +439,13 @@ def _neighbor_table(instance):
     pos[ends[order], rank] = order
     nbrs = np.append(instance.edges[:, ::-1].ravel(), 0)[pos]
     weights = np.append(np.repeat(instance.edge_weights, 2), 0.0)[pos]
-    return nbrs, weights, pos < len(ends)
+    return nbrs, weights, pos < len(ends), pos
 
 
 def _icm_costs(instance, nodes, labeling, neighbors):
     """(len(nodes), |L|) cost of every label at `nodes`, the others fixed;
     neighbour terms are added in edge order."""
-    nbrs, weights, real = neighbors
+    nbrs, weights, real, _ = neighbors
     costs = instance.unaries[nodes]
     for k in range(nbrs.shape[1]):
         sel = real[nodes, k]
@@ -420,7 +462,7 @@ def _icm_pass(instance, labeling, neighbors):
     changes, only its later neighbours are evaluated again, which is what a
     node-by-node sweep would see when it reaches them.
     """
-    nbrs, _, real = neighbors
+    nbrs, _, real, _ = neighbors
     best = np.argmin(_icm_costs(instance, np.arange(instance.n_nodes), labeling, neighbors),
                      axis=1)
     changed = 0
@@ -452,11 +494,12 @@ def solve(instance):
     (`_ExpansionNetwork.certify`) is skipped; any other label gets the full
     cut. The first label of a labeling version whose status is unknown
     certifies itself and every later label of the sweep not yet tried at
-    that version in one batch: the half split per label, then one regional
-    max-flow for those it leaves open. An accepted move starts a new
-    version, so the statuses of the later labels are computed again when the
-    sweep reaches them. Every skip is of a move that would be rejected, so
-    the result is the labeling a cut for every label would give.
+    that version in one batch: the half split of the boundary edges per
+    label, then one regional max-flow for those it leaves open. An accepted
+    move starts a new version, so the statuses of the later labels are
+    computed again when the sweep reaches them. Every skip is of a move
+    that would be rejected, so the result is the labeling a cut for every
+    label would give.
     """
     V = instance.n_nodes
     L = instance.n_labels
@@ -499,9 +542,8 @@ def solve(instance):
         if not improved:
             break
 
-    neighbors = _neighbor_table(instance)
     for _ in range(50):
-        if _icm_pass(instance, labeling, neighbors) == 0:
+        if _icm_pass(instance, labeling, net.neighbors) == 0:
             break
     return labeling
 

@@ -8,6 +8,11 @@ cut and reads the cut from `graph - flow`; the library's solver skips moves
 it can prove useless and reuses one flow network per instance. Both must
 return the same labeling bit for bit, and the same move mask for every cut
 the library does make.
+
+`half_split` and `region` are the skip certificate's dense first stage over
+every (label, edge) and (label, node) entry, which the library replaced by
+sums over the labeling's boundary edges and regions read from neighbour
+lists; both must agree bit for bit.
 """
 
 import numpy as np
@@ -85,6 +90,40 @@ def _expansion_cut(instance, labeling, alpha, edge_w):
     reachable = np.zeros(n, dtype=bool)
     reachable[reach] = True
     return ~reachable[:V]
+
+
+def half_split(net, alphas):
+    """The split of `certify` that halves d11 and keeps each share within
+    its bound, on every edge, for the labels `alphas` of the network `net`
+    at its current labeling, one row per label. Returns the margins m
+    (k, |V|) and the edge slacks d10 - a_i and d01 - a_j (k, |E|)."""
+    alphas = np.asarray(alphas)
+    n, V = len(alphas), len(net.u0)
+    i, j, w, t0 = net.i, net.j, net.w, net.t0
+    d10 = w * (net.table[alphas][:, net.lj] - t0)            # only i moves
+    d01 = w * (net.table.T[alphas][:, net.li] - t0)          # only j moves
+    d11 = w * (net.table[alphas, alphas][:, None] - t0)      # both move
+    half = 0.5 * d11
+    ai = np.minimum(d10, np.maximum(half, d11 - d01))
+    aj = np.minimum(d01, np.maximum(half, d11 - d10))
+    # row r's nodes are bins r*V .. r*V + V-1 of one flat bincount
+    row = V * np.arange(n)[:, None]
+    m = (net.unaries[:, alphas].T - net.u0
+         + np.bincount((i + row).ravel(), ai.ravel(), n * V).reshape(n, V)
+         + np.bincount((j + row).ravel(), aj.ravel(), n * V).reshape(n, V))
+    return m, d10 - ai, d01 - aj
+
+
+def region(net, m):
+    """(k, |V|) mask of each row's deficit nodes (m < 0) and their
+    neighbours, and the (rows, edges) with both ends in a row's region."""
+    i, j = net.i, net.j
+    deficit = m < 0
+    mask = deficit.copy()
+    near, e = np.nonzero(deficit[:, i] | deficit[:, j])
+    mask[near, i[e]] = True
+    mask[near, j[e]] = True
+    return mask, np.nonzero(mask[:, i] & mask[:, j])
 
 
 def _icm_pass(instance, labeling, neighbor_lists):

@@ -254,6 +254,29 @@ class TestRunBenchmark:
         assert len(report.rows) == 20000 * len(list(tmp_path.iterdir()))
         assert multiprocessing.active_children() == []
 
+    def test_worker_failure_stops_caller_within_one_job(
+            self, tmp_path, monkeypatch, tiny_dataset, tiny_config, tiny_model):
+        caller = os.getpid()
+        register = ev.register
+        caller_jobs = []
+
+        def register_or_fail(*args):
+            if os.getpid() != caller:
+                (tmp_path / "worker-failed").touch()
+                raise JobFailed("worker")
+            if not caller_jobs:
+                # the caller's first job lasts until the worker has failed
+                wait_for_files(tmp_path, "worker-*", 1)
+            caller_jobs.append(args[3])
+            return register(*args)
+
+        monkeypatch.setattr(ev, "register", register_or_fail)
+        with pytest.raises(JobFailed, match="^worker$"):
+            ev.run_benchmark(tiny_dataset, tiny_model, tiny_config, threads=2)
+        # the first job, and at most one more while the failure is in transit
+        assert 1 <= len(caller_jobs) <= 2
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("where", ["caller", "worker"])
     def test_job_error_reaches_caller(
             self, tmp_path, monkeypatch, where, tiny_dataset, tiny_config, tiny_model):

@@ -561,14 +561,14 @@ class TestFlowCertificate:
     @staticmethod
     def half_split_holds(net, alphas):
         """The labels the half split alone certifies."""
-        return net._half_split(np.asarray(alphas))[0].min(axis=1) >= 0
+        return solve_oracle.half_split(net, alphas)[0].min(axis=1) >= 0
 
     def test_deficit_two_edges_away(self, monkeypatch):
         # one edge away, either end of it: the half split leaves the deficit
         # and the edge's slack, and the flow covers it
         for margins in ([-0.5, 1.0], [1.0, -0.5]):
             _, net = self.chain(margins)
-            m, up_i, up_j = net._half_split(np.array([1]))
+            m, up_i, up_j = solve_oracle.half_split(net, np.array([1]))
             assert m.tolist() == [margins] and up_i.tolist() == up_j.tolist() == [[1.0]]
             assert net.certify([1]).tolist() == [True]
         # two edges away, node 2's surplus lies outside the region of node
@@ -645,10 +645,9 @@ class TestFlowCertificate:
                     assert np.array_equal(caps[0], np.sort(np.concatenate(caps[1:])))
                 some = rng.permutation(L)[: L // 2]
                 assert net.certify(some).tolist() == batch[some].tolist()
-                # the first stage in chunks of three labels
-                with monkeypatch.context() as m:
-                    m.setattr(gr, "_CHUNK_ENTRIES", 3 * len(edges))
-                    assert net.certify(np.arange(L)).tolist() == batch.tolist()
+                # in chunks of three labels
+                chunks = [net.certify(np.arange(L)[lo:lo + 3]) for lo in range(0, L, 3)]
+                assert np.concatenate(chunks).tolist() == batch.tolist()
                 by_flow += np.count_nonzero(batch & ~self.half_split_holds(net, np.arange(L)))
         assert by_flow > 15
 
@@ -727,6 +726,154 @@ class TestFlowCertificate:
         assert len(networks) == 1
         for a in (networks[0].data, networks[0].indices, networks[0].indptr):
             assert a.dtype == np.int32
+
+
+class TestBoundaryShares:
+    """The certificate sums each margin over the labeling's boundary edges
+    alone (every edge unless the table is L1-like), and computes slacks on
+    the region edges alone, with regions read from neighbour lists. Both
+    equal the dense half split bit for bit."""
+
+    @staticmethod
+    def labelings(inst, rng):
+        solved = gr.solve(inst)
+        perturbed = solved.copy()
+        perturbed[rng.integers(0, inst.n_nodes, 2)] = rng.integers(0, inst.n_labels, 2)
+        return (np.zeros_like(solved), solved, perturbed,
+                rng.integers(0, inst.n_labels, inst.n_nodes))
+
+    def _check(self, inst, rng):
+        """Returns the number of open labels whose region was checked."""
+        net = gr._ExpansionNetwork(inst)
+        alphas = np.arange(inst.n_labels)
+        checked = 0
+        for x in self.labelings(inst, rng):
+            net.relabel(x)
+            m_ref, up_i_ref, up_j_ref = solve_oracle.half_split(net, alphas)
+            m = net._margins(alphas)
+            assert m.tobytes() == m_ref.tobytes()
+            short = m.min(axis=1) < 0                # left to the flow
+            if not short.any():
+                continue
+            inside, ec, ee, up_i, up_j = net._region(m[short], alphas[short])
+            mask, (rc, re) = solve_oracle.region(net, m_ref[short])
+            assert inside.tolist() == mask.ravel().tolist()
+            assert ec.tolist() == rc.tolist() and ee.tolist() == re.tolist()
+            assert up_i.tobytes() == up_i_ref[short][rc, re].tobytes()
+            assert up_j.tobytes() == up_j_ref[short][rc, re].tobytes()
+            checked += np.count_nonzero(short)
+        return checked
+
+    def test_l1_tables(self):
+        edges = lattice_edges_3d(4, 3, 2)
+        checked = 0
+        for seed in range(12):
+            inst = registration_like_instance(seed, n_nodes=24, n_labels=27, edges=edges,
+                                              wp_range=(0.02, 1.0))
+            checked += self._check(inst, np.random.default_rng(800 + seed))
+        assert checked > 500
+
+    def test_per_edge_and_zero_weights(self):
+        checked = 0
+        for seed in range(20):
+            rng = np.random.default_rng(900 + seed)
+            base = registration_like_instance(seed, n_nodes=9, n_labels=5,
+                                              edges=grid_edges_2d(3, 3))
+            w = rng.uniform(0.0, 3.0, len(base.edges))
+            w[rng.random(len(w)) < 0.3] = 0.0
+            if seed % 5 == 0:
+                w[:] = 0.0
+            inst = gr.MrfInstance(base.unaries, w, base.pairwise_table, base.edges)
+            checked += self._check(inst, rng)
+        assert checked > 150
+
+    def test_non_l1_tables(self):
+        hand = gr.MrfInstance(np.array([[0.0, -0.8], [0.0, -0.8]]), 1.0,
+                              np.array([[0.0, 5.0], [5.0, 1.0]]), np.array([[0, 1]]))
+        checked = self._check(hand, np.random.default_rng(1000))
+        for seed in range(30):
+            rng = np.random.default_rng(200 + seed)
+            L = 4
+            table = rng.uniform(0.0, 4.0, (L, L))
+            if seed % 3 == 0:
+                table[np.diag_indices(L)] = 0.0          # asymmetric, zero diagonal
+            edges = np.array([[0, 1], [1, 2], [2, 3], [3, 4], [4, 0], [1, 5], [5, 6], [6, 2]])
+            unaries = rng.uniform(0.0, 6.0, (7, L))
+            inst = gr.MrfInstance(unaries, rng.uniform(0.2, 2.0), table, edges)
+            checked += self._check(inst, rng)
+        assert checked > 200
+
+    def test_margins_read_boundary_edges_only(self, monkeypatch):
+        """n labels' margins read n*b edge shares at a labeling with b
+        boundary edges, none at the all-zero labeling of an L1 instance,
+        and n*|E| when the table has a nonzero diagonal."""
+        reads = []
+        real_shares = gr._ExpansionNetwork._shares
+
+        def counting(self, alphas, e):
+            reads.append(np.broadcast(alphas, e).size)
+            return real_shares(self, alphas, e)
+
+        monkeypatch.setattr(gr._ExpansionNetwork, "_shares", counting)
+        edges = lattice_edges_3d(4, 4, 3)
+        inst = registration_like_instance(3, n_nodes=48, n_labels=27, edges=edges,
+                                          wp_range=(0.02, 0.3))
+        rng = np.random.default_rng(11)
+        net = gr._ExpansionNetwork(inst)
+        alphas = np.arange(inst.n_labels)
+        partial = 0
+        for x in self.labelings(inst, rng):
+            net.relabel(x)
+            reads.clear()
+            net._margins(alphas)
+            b = np.count_nonzero(x[edges[:, 0]] != x[edges[:, 1]])
+            assert sum(reads) == len(alphas) * b
+            partial += 0 < b < len(edges)
+            if not x.any():
+                assert b == 0
+                # every label the margins alone certify costs no share at all
+                safe = net._margins(alphas).min(axis=1) >= 0
+                reads.clear()
+                assert net.certify(alphas[safe]).all() and sum(reads) == 0
+        assert partial >= 2
+        table = inst.pairwise_table + np.eye(inst.n_labels)
+        net = gr._ExpansionNetwork(gr.MrfInstance(inst.unaries, inst.edge_weights, table, edges))
+        net.relabel(np.zeros(inst.n_nodes, dtype=np.int64))
+        reads.clear()
+        net._margins(alphas)
+        assert sum(reads) == len(alphas) * len(edges)
+
+
+class TestMrfInstanceChecks:
+    U = np.zeros((3, 2))
+    T = np.array([[0.0, 1.0], [1.0, 0.0]])
+    E = np.array([[0, 1], [1, 2]])
+
+    @pytest.mark.parametrize("w", [-1.0, np.nan, np.inf, -np.inf, [0.5, -1e-300],
+                                   [0.5, np.nan], [np.inf, 0.5]])
+    def test_negative_or_non_finite_weights_rejected(self, w):
+        # a negative weight would be clipped out of the cut silently
+        with pytest.raises(ValueError, match="edge_weights must be finite and >= 0"):
+            gr.MrfInstance(self.U, w, self.T, self.E)
+
+    @pytest.mark.parametrize("t", [np.zeros((3, 3)), np.zeros((2, 3)), np.zeros(2),
+                                   [[0.0, np.inf], [1.0, 0.0]], [[0.0, 1.0], [np.nan, 0.0]]])
+    def test_bad_pairwise_table_rejected(self, t):
+        with pytest.raises(ValueError, match=r"pairwise_table must be a finite \(2, 2\)"):
+            gr.MrfInstance(self.U, 1.0, t, self.E)
+
+    def test_zero_weights_of_either_sign_accepted(self):
+        inst = gr.MrfInstance(self.U, [0.0, -0.0], self.T, self.E)
+        assert inst.energy(np.array([0, 1, 0])) == 0.0
+
+    def test_built_instances_pass(self, small_pair):
+        p = small_pair
+        wmat = me.WeightMatrix(np.array([[0.1, 0.2], [10.0, 9.0], [10.0, 11.0], [10.0, 10.0]]),
+                               np.array([0.3, 0.0]), (0, 1))
+        ls = gr.initialize_label_space(gr.PyramidConfig(labels_per_level=27), (10.0,) * 3)
+        grid = make_control_grid(p.source, (10.0,) * 3)
+        inst = gr.build_instance(p.source, p.target, p.source_mask, wmat, grid, ls)
+        assert (inst.edge_weights >= 0).all() and np.isfinite(inst.pairwise_table).all()
 
 
 class TestSolverOracle:

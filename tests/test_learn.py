@@ -334,6 +334,16 @@ class TestLossAugmentedInference:
         assert np.array_equal(a.edge_weights, b.edge_weights)
         assert not np.allclose(a.unaries, b.unaries)
 
+    def test_negative_pairwise_weight_cannot_reach_the_solver(self, rng):
+        # the QP keeps w_p >= 0 even from a negative w0 entry, and an
+        # instance with w_p < 0 is refused rather than clipped inside the cut
+        s = toy_sample(rng)
+        w, _, _ = learn.solve_qp([[]], [None], np.array([0.1, 10, 10, 10, -1.0]), 10.0, 0.5)
+        assert w[-1] == 0.0
+        learn.loss_augmented_instance(s, w, -1.0, 1.0)
+        with pytest.raises(ValueError, match="edge_weights must be finite and >= 0"):
+            learn.loss_augmented_instance(s, np.array([1.0, 1.0, 1.0, 1.0, -0.3]), +1.0, 0.0)
+
     def test_zero_scale_reduces_to_plain_inference(self, rng):
         s = toy_sample(rng)
         w = np.array([1.0, 0.5, 0.7, 0.2, 0.1])
