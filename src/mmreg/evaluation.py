@@ -207,8 +207,9 @@ def run_benchmark(dataset, model, config=None, wp_scale=BASELINE_WP_SCALE, threa
             longest first, MW jobs, which compute every metric kernel,
             before the baselines, and each process claims the next one
             from a shared counter only when it is idle; this process
-            claims the first before forking and collects the workers' rows
-            once none is left. The report does not depend on the count.
+            claims the first before forking, takes the workers' rows that
+            have arrived after each of its jobs, and collects the rest once
+            none is left. The report does not depend on the count.
 
     Returns:
         EvalReport with one row per (pair, organ, method).
