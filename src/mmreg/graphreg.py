@@ -21,6 +21,7 @@ from the neighbour lists. Each cut that remains builds its flow network
 from the instance's arc lists, with that move's capacities.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow, breadth_first_order
 
 from . import metrics as me
+from . import volume as vo
 from .volume import (
     DeformationField,
     LabelSpace,
@@ -442,15 +444,19 @@ def _neighbor_table(instance):
     return nbrs, weights, pos < len(ends), pos
 
 
-def _icm_costs(instance, nodes, labeling, neighbors):
+def _icm_costs(instance, nodes, labeling, neighbors, table_t):
     """(len(nodes), |L|) cost of every label at `nodes`, the others fixed;
-    neighbour terms are added in edge order."""
-    nbrs, weights, real, _ = neighbors
+    neighbour terms are added in edge order. `table_t` is the pairwise table
+    transposed and contiguous, so a neighbour's term is one row of it. A
+    padding slot adds its zero weight times a finite entry, +-0.0, which
+    leaves every sum and the argmin as they are."""
+    nbrs, weights, _, _ = neighbors
     costs = instance.unaries[nodes]
+    rows = np.empty_like(costs)
     for k in range(nbrs.shape[1]):
-        sel = real[nodes, k]
-        at = nodes[sel]
-        costs[sel] += weights[at, k, None] * instance.pairwise_table[:, labeling[nbrs[at, k]]].T
+        np.take(table_t, labeling[nbrs[nodes, k]], axis=0, out=rows)
+        rows *= weights[nodes, k, None]
+        costs += rows
     return costs
 
 
@@ -463,8 +469,9 @@ def _icm_pass(instance, labeling, neighbors):
     node-by-node sweep would see when it reaches them.
     """
     nbrs, _, real, _ = neighbors
-    best = np.argmin(_icm_costs(instance, np.arange(instance.n_nodes), labeling, neighbors),
-                     axis=1)
+    table_t = np.ascontiguousarray(instance.pairwise_table.T)
+    best = np.argmin(_icm_costs(instance, np.arange(instance.n_nodes), labeling, neighbors,
+                                table_t), axis=1)
     changed = 0
     node = 0
     while True:
@@ -475,7 +482,8 @@ def _icm_pass(instance, labeling, neighbors):
         labeling[node] = best[node]
         changed += 1
         later = nbrs[node][real[node] & (nbrs[node] > node)]
-        best[later] = np.argmin(_icm_costs(instance, later, labeling, neighbors), axis=1)
+        best[later] = np.argmin(_icm_costs(instance, later, labeling, neighbors, table_t),
+                                axis=1)
         node += 1
 
 
@@ -583,7 +591,8 @@ def register(src, tgt, src_mask, wmat, config=None):
 
     Per level: build the label catalog, then repeatedly (a) warp the source
     by the accumulated field, (b) build and solve the MRF, (c) compose the
-    step field into the accumulated dense field, (d) shrink the labels.
+    step field into the accumulated dense field, in place and one chunk of
+    voxels at a time, (d) shrink the labels.
 
     A step whose labeling is all zero moves no control point, so its step
     field is +0.0 everywhere. Composing it changes at most the sign of a
@@ -599,11 +608,8 @@ def register(src, tgt, src_mask, wmat, config=None):
     vol_pyr = {"src": build_pyramid(src, config.levels), "tgt": build_pyramid(tgt, config.levels)}
     mask_pyr = build_pyramid(src_mask, config.levels) if src_mask is not None else None
 
-    dims = src.dims
-    centers = np.stack(
-        np.meshgrid(*src.voxel_centers_mm(), indexing="ij"), axis=-1
-    ).reshape(-1, 3)
-    acc = np.zeros((len(centers), 3), dtype=np.float64)
+    n_voxels = math.prod(src.dims)
+    acc = np.zeros((n_voxels, 3), dtype=np.float64)
     diag = Diagnostics()
 
     for level in range(config.levels - 1, -1, -1):
@@ -617,20 +623,18 @@ def register(src, tgt, src_mask, wmat, config=None):
 
         for step in range(config.steps_per_level):
             if warped is None:
-                if level == 0:
-                    lvl_disp = acc.reshape(dims + (3,))
-                else:
-                    acc_field = DeformationField(
-                        dense=acc.reshape(dims + (3,)), spacing=src.spacing, origin=src.origin
-                    )
-                    lvl_pts = np.stack(
-                        np.meshgrid(*s_lvl.voxel_centers_mm(), indexing="ij"), axis=-1
-                    ).reshape(-1, 3)
-                    lvl_disp = sample_field(acc_field, lvl_pts).reshape(s_lvl.dims + (3,))
-                lvl_field = DeformationField(dense=lvl_disp, spacing=s_lvl.spacing,
-                                             origin=s_lvl.origin)
+                # acc_field, and lvl_field at the finest level, view acc, which
+                # composition updates in place: each goes once it has been read
+                lvl_field = acc_field = DeformationField(
+                    acc.reshape(src.dims + (3,)), src.spacing, src.origin)
+                if level > 0:
+                    lvl_field = DeformationField(
+                        sample_field(acc_field, s_lvl.voxel_points_mm()).reshape(
+                            s_lvl.dims + (3,)), s_lvl.spacing, s_lvl.origin)
+                del acc_field
                 warped = warp(s_lvl, lvl_field)
                 warped_mask = warp_mask(m_lvl, lvl_field) if m_lvl is not None else None
+                del lvl_field
 
             inst = build_instance(warped, t_lvl, warped_mask, wmat, grid, ls)
             labeling = solve(inst)
@@ -641,8 +645,9 @@ def register(src, tgt, src_mask, wmat, config=None):
             bound = config.bound_factor * max(spacing)
             max_comp = float(np.abs(sparse).max()) if len(sparse) else 0.0
 
-            step_disp = ffd_evaluate(grid, sparse, centers + acc)
-            acc = acc + step_disp
+            for c in range(0, n_voxels, vo._CHUNK):
+                part = acc[c:c + vo._CHUNK]
+                part += ffd_evaluate(grid, sparse, src.voxel_points_mm(c, c + vo._CHUNK) + part)
 
             record = StepRecord(
                 level=level, step=step,
@@ -656,7 +661,4 @@ def register(src, tgt, src_mask, wmat, config=None):
                 warped = None
             ls = refine_label_space(ls, config.refine_factor)
 
-    final = DeformationField(
-        dense=acc.reshape(dims + (3,)), spacing=src.spacing, origin=src.origin
-    )
-    return final, diag
+    return DeformationField(acc.reshape(src.dims + (3,)), src.spacing, src.origin), diag

@@ -134,6 +134,21 @@ class _Grid:
             for a in range(3)
         )
 
+    def voxel_points_mm(self, start=0, stop=None):
+        """(n, 3) voxel centres in mm of the voxels start .. stop - 1 in flat
+        (C, z-fastest) order; all voxels by default."""
+        nx, ny, nz = self.dims
+        stop = nx * ny * nz if stop is None else min(stop, nx * ny * nz)
+        # the whole z rows that hold the voxels, then the voxels' part of them
+        first, last = start // nz, -(-stop // nz)
+        ix, iy = np.divmod(np.arange(first, last), ny)
+        cx, cy, cz = self.voxel_centers_mm()
+        out = np.empty((last - first, nz, 3), dtype=np.float64)
+        out[..., 0] = cx[ix, None]
+        out[..., 1] = cy[iy, None]
+        out[..., 2] = cz
+        return out.reshape(-1, 3)[start - first * nz:stop - first * nz]
+
 
 @dataclass(frozen=True)
 class Volume(_Grid):
@@ -300,6 +315,10 @@ def _spline_coords(grid, coords, axis):
     return cell, _bspline_weights(u)
 
 
+# voxels or points per chunk of ffd_evaluate and the trilinear samplers, whose
+# working memory is then a few arrays of this length, whatever the volume
+_CHUNK = 1 << 16
+
 # a tap whose moved node reaches more than this share of a chunk's points is
 # accumulated over all of them, as one pass costs less than gathering the
 # share; the points whose tap node did not move add +-0.0
@@ -351,9 +370,8 @@ def ffd_evaluate(grid, sparse_disp, points_mm):
     # 1-D gather at the constant node offset of (a, b, c)
     comp = np.ascontiguousarray(sparse_disp.T)
 
-    chunk = 1 << 16
-    for s in range(0, pts.shape[0], chunk):
-        p = pts[s:s + chunk]
+    for s in range(0, pts.shape[0], _CHUNK):
+        p = pts[s:s + _CHUNK]
         (cx, ux), (cy, uy), (cz, uz) = (_spline_cells(grid, p[:, a], a) for a in range(3))
         base = grid.node_index(cx - 1, cy - 1, cz - 1)
         keep = np.flatnonzero(reached[base])
@@ -442,97 +460,111 @@ def interpolate_dense(grid, sparse, like):
 
 def _trilinear(values, coords):
     """Trilinear interpolation of values[x, y, z, ...] at continuous voxel
-    coordinates (cx, cy, cz); coordinates are clamped to the grid first."""
+    coordinates (cx, cy, cz); coordinates are clamped to the grid first.
+
+    Each of the 8 corners is one flat `take`: the base index plus the
+    corner's constant offset, which is 0 along an axis of length 1. Every
+    output accumulates ((wx*wy)*wz)*value over the corners from +0.0, in
+    x, y, z corner order."""
     dims = values.shape[:3]
-    lo, fr = [], []
-    for c, d in zip(coords, dims):
+    strides = (dims[1] * dims[2], dims[2], 1)
+    flat = values.reshape((-1,) + values.shape[3:])
+    base = 0
+    fr = []
+    for c, d, st in zip(coords, dims, strides):
         c = np.clip(c, 0.0, d - 1)
         i = (np.minimum(np.floor(c).astype(np.int64), d - 2) if d > 1
              else np.zeros(c.shape, dtype=np.int64))
-        lo.append(i)
-        fr.append(c - i)
-    out = np.zeros(lo[0].shape + values.shape[3:], dtype=np.float64)
+        base = base + i * st
+        f = c - i
+        fr.append((1.0 - f, f))
+    step = [st if d > 1 else 0 for d, st in zip(dims, strides)]
+    trail = (1,) * (values.ndim - 3)
+    out = np.zeros(np.shape(base) + values.shape[3:], dtype=np.float64)
     for dx in (0, 1):
-        wx = (1.0 - fr[0]) if dx == 0 else fr[0]
-        ix = np.minimum(lo[0] + dx, dims[0] - 1)
         for dy in (0, 1):
-            wy = (1.0 - fr[1]) if dy == 0 else fr[1]
-            iy = np.minimum(lo[1] + dy, dims[1] - 1)
+            wxy = fr[0][dx] * fr[1][dy]
             for dz in (0, 1):
-                wz = (1.0 - fr[2]) if dz == 0 else fr[2]
-                iz = np.minimum(lo[2] + dz, dims[2] - 1)
-                w = wx * wy * wz
-                out += w.reshape(w.shape + (1,) * (values.ndim - 3)) * values[ix, iy, iz]
+                w = wxy * fr[2][dz]
+                corner = flat.take(base + (dx * step[0] + dy * step[1] + dz * step[2]), axis=0)
+                out += w.reshape(w.shape + trail) * corner
     return out
 
 
 def sample_field(fld, points_mm):
     """Trilinearly sample a dense deformation field at physical points.
 
-    Out-of-grid queries are clamped to the field boundary.
+    Out-of-grid queries are clamped to the field boundary. Points are
+    sampled in chunks of at most _CHUNK.
     """
     pts = np.asarray(points_mm, dtype=np.float64).reshape(-1, 3)
-    coords = [(pts[:, a] - fld.origin[a]) / fld.spacing[a] for a in range(3)]
-    return _trilinear(fld.dense, coords)
+    out = np.empty((len(pts), 3), dtype=np.float64)
+    for s in range(0, len(pts), _CHUNK):
+        p = pts[s:s + _CHUNK]
+        coords = [(p[:, a] - fld.origin[a]) / fld.spacing[a] for a in range(3)]
+        out[s:s + _CHUNK] = _trilinear(fld.dense, coords)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # warping
 # ---------------------------------------------------------------------------
 
-def _sample_coords(vol_like, fld):
-    """Continuous voxel coordinates of x + d(x) for every voxel x."""
+def _sample_chunks(vol_like, fld):
+    """Yield (slice, (cx, cy, cz)) for chunks of at most _CHUNK voxels in
+    flat order: the slice of the chunk's voxels and the continuous voxel
+    coordinates of x + d(x) at each of them."""
     dims = vol_like.dims
     if fld.dims != dims:
         raise ValueError(f"field dims {fld.dims} do not match volume dims {dims}")
-    coords = []
-    for a, x in enumerate(vol_like.voxel_centers_mm()):
-        shape = [1, 1, 1]
-        shape[a] = dims[a]
-        coords.append((x.reshape(shape) + fld.dense[..., a] - vol_like.origin[a])
-                      / vol_like.spacing[a])
-    return coords
+    disp = fld.dense.reshape(-1, 3)
+    for s in range(0, len(disp), _CHUNK):
+        x = vol_like.voxel_points_mm(s, s + _CHUNK)
+        x += disp[s:s + _CHUNK]
+        x -= vol_like.origin
+        x /= vol_like.spacing
+        yield slice(s, s + _CHUNK), x.T
+
+
+def _inside(coords, dims):
+    """Which coordinates lie within [0, d - 1] on all three axes."""
+    cx, cy, cz = coords
+    return ((cx >= 0) & (cx <= dims[0] - 1)
+            & (cy >= 0) & (cy <= dims[1] - 1)
+            & (cz >= 0) & (cz <= dims[2] - 1))
 
 
 def warp(vol, fld, fill_value=0.0):
     """Warp a volume: output(x) = vol(x + d(x)) via trilinear interpolation.
 
     Sample points falling outside the voxel-center box take `fill_value`.
+    Voxels are warped in chunks of at most _CHUNK.
     """
-    cx, cy, cz = _sample_coords(vol, fld)
-    dims = vol.dims
-    inside = (
-        (cx >= 0) & (cx <= dims[0] - 1)
-        & (cy >= 0) & (cy <= dims[1] - 1)
-        & (cz >= 0) & (cz <= dims[2] - 1)
-    )
-    out = _trilinear(vol.data.astype(np.float64), (cx, cy, cz))
-    out = np.where(inside, out, float(fill_value))
-    return Volume(out.astype(np.float32), vol.spacing, vol.origin)
+    out = np.empty(math.prod(vol.dims), dtype=np.float32)
+    for c, coords in _sample_chunks(vol, fld):
+        # a float32 voxel times a float64 weight is the product of its
+        # exact float64 value, so the data is never copied to float64
+        out[c] = np.where(_inside(coords, vol.dims), _trilinear(vol.data, coords),
+                          float(fill_value))
+    return Volume(out.reshape(vol.dims), vol.spacing, vol.origin)
 
 
 def warp_mask(mask, fld):
     """Warp a segmentation mask with nearest-neighbour sampling.
 
     Labels stay in the input label set; out-of-bounds samples take
-    background (0).
+    background (0). Voxels are warped in chunks of at most _CHUNK.
     """
-    cx, cy, cz = _sample_coords(mask, fld)
     dims = mask.dims
-    ix = np.rint(cx).astype(np.int64)
-    iy = np.rint(cy).astype(np.int64)
-    iz = np.rint(cz).astype(np.int64)
-    inside = (
-        (ix >= 0) & (ix <= dims[0] - 1)
-        & (iy >= 0) & (iy <= dims[1] - 1)
-        & (iz >= 0) & (iz <= dims[2] - 1)
-    )
-    ix = np.clip(ix, 0, dims[0] - 1)
-    iy = np.clip(iy, 0, dims[1] - 1)
-    iz = np.clip(iz, 0, dims[2] - 1)
-    out = mask.labels[ix, iy, iz]
-    out = np.where(inside, out, np.uint8(0))
-    return SegmentationMask(out, mask.spacing, mask.origin)
+    labels = mask.labels.reshape(-1)
+    out = np.empty(len(labels), dtype=np.uint8)
+    for c, coords in _sample_chunks(mask, fld):
+        idx = [np.rint(x).astype(np.int64) for x in coords]
+        inside = _inside(idx, dims)
+        ix, iy, iz = (np.clip(i, 0, d - 1) for i, d in zip(idx, dims))
+        flat = (ix * dims[1] + iy) * dims[2] + iz
+        out[c] = np.where(inside, labels.take(flat), np.uint8(0))
+    return SegmentationMask(out.reshape(dims), mask.spacing, mask.origin)
 
 
 # ---------------------------------------------------------------------------

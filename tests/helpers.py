@@ -6,6 +6,8 @@ and a smooth per-node preferred displacement, the pairwise table is the L1
 metric between displacements.
 """
 
+import tracemalloc
+
 import numpy as np
 
 from mmreg import graphreg as gr
@@ -58,3 +60,15 @@ def build_toy_sample(seed, V=6, L=4):
                               edges)
     loss_terms = 1.0 / V - rng.uniform(0, 2.0 / V, (V, L))
     return learn.TrainingSample(tables, 1, None, None, loss_terms), rng
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory that tracemalloc saw allocated
+    during the call, in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak

@@ -1,14 +1,30 @@
-"""Reference trilinear samplers: the separate `warp` and `sample_field` bodies.
+"""Reference samplers: the former whole-volume `warp`, `warp_mask` and
+`sample_field` bodies.
 
 `mmreg.volume.warp` and `mmreg.volume.sample_field` once ran their own
 clamped 8-tap loops: `warp` clipped the cell index and the fraction,
 `sample_field` clipped the coordinate. Both now call one kernel that clips
-the coordinate, and must return these values bit for bit.
+the coordinate, and all three samplers work through chunks of voxels or
+points; they must return these values bit for bit.
 """
 
 import numpy as np
 
-from mmreg.volume import Volume, _sample_coords
+from mmreg.volume import SegmentationMask, Volume
+
+
+def _sample_coords(vol_like, fld):
+    """Continuous voxel coordinates of x + d(x) for every voxel x."""
+    dims = vol_like.dims
+    if fld.dims != dims:
+        raise ValueError(f"field dims {fld.dims} do not match volume dims {dims}")
+    coords = []
+    for a, x in enumerate(vol_like.voxel_centers_mm()):
+        shape = [1, 1, 1]
+        shape[a] = dims[a]
+        coords.append((x.reshape(shape) + fld.dense[..., a] - vol_like.origin[a])
+                      / vol_like.spacing[a])
+    return coords
 
 
 def sample_field_oracle(fld, points_mm):
@@ -64,3 +80,22 @@ def warp_oracle(vol, fld, fill_value=0.0):
                 out += wx * wy * wz * data[ix, iy, iz]
     out = np.where(inside, out, float(fill_value))
     return Volume(out.astype(np.float32), vol.spacing, vol.origin)
+
+
+def warp_mask_oracle(mask, fld):
+    cx, cy, cz = _sample_coords(mask, fld)
+    dims = mask.dims
+    ix = np.rint(cx).astype(np.int64)
+    iy = np.rint(cy).astype(np.int64)
+    iz = np.rint(cz).astype(np.int64)
+    inside = (
+        (ix >= 0) & (ix <= dims[0] - 1)
+        & (iy >= 0) & (iy <= dims[1] - 1)
+        & (iz >= 0) & (iz <= dims[2] - 1)
+    )
+    ix = np.clip(ix, 0, dims[0] - 1)
+    iy = np.clip(iy, 0, dims[1] - 1)
+    iz = np.clip(iz, 0, dims[2] - 1)
+    out = mask.labels[ix, iy, iz]
+    out = np.where(inside, out, np.uint8(0))
+    return SegmentationMask(out, mask.spacing, mask.origin)

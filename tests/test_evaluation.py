@@ -172,6 +172,13 @@ class TestRunBenchmark:
         assert len({r.dice_after for r in report.rows}) > 2
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
+    def test_jobs_run_longest_first(self, monkeypatch, tiny_dataset, tiny_config, tiny_model):
+        started = []
+        monkeypatch.setattr(ev, "_run_job", lambda job: started.append((job[5], job[0])) or [])
+        ev.run_benchmark(tiny_dataset, tiny_model, tiny_config)
+        pairs = [entry[0] for entry in tiny_dataset]
+        assert started == [(m, p) for m in ("MW", "MI", "NCC", "SAD", "DWT") for p in pairs]
+
     def test_worker_count_capped_at_jobs_minus_one(
             self, tmp_path, monkeypatch, tiny_dataset, tiny_config, tiny_model):
         monkeypatch.setattr(RecordingContext, "created", [])

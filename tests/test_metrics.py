@@ -11,6 +11,7 @@ from mmreg.volume import FormatError, LabelSpace, SegmentationMask, Volume, make
 import count_oracle
 import feature_oracle
 import metric_oracle as mo
+from helpers import traced_peak
 from metric_oracle import Patch, extract_patch
 
 
@@ -339,17 +340,10 @@ class TestFeatureTableOracle:
     def test_peak_memory_stays_per_node(self):
         # 48^3 pair, 13^3 patches, 125 labels: the replaced whole-group gather
         # peaked at 56.8 MiB under tracemalloc and the per-node gather at 13.5 MiB
-        import tracemalloc
-
         src, tgt = _random_pair(np.random.default_rng(0), (48, 48, 48), (2.0, 2.0, 2.0))
         grid = make_control_grid(src, 25.0)
         ls = gr.initialize_label_space(gr.PyramidConfig(), grid.spacing_mm)
-        tracemalloc.start()
-        try:
-            me.feature_table(src, tgt, grid, ls)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(me.feature_table, src, tgt, grid, ls)
         assert peak < 28 * 2 ** 20
 
 

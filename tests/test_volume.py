@@ -26,8 +26,10 @@ from mmreg.volume import (
     write_mask,
     write_volume,
 )
+from mmreg import volume as vo
 from mmreg.volume import _spline_coords
 
+from helpers import traced_peak
 from metric_oracle import extract_patch
 
 import sampler_oracle
@@ -103,6 +105,13 @@ class TestContainers:
         for arr in (vol.data, mask.labels, zero_field(vol).dense):
             with pytest.raises(ValueError):
                 arr[0, 0, 0] = 1
+
+    @pytest.mark.parametrize("start, stop", [(0, None), (0, 1), (5, 6), (5, 31), (8, 16),
+                                             (29, 30), (29, 1000), (719, 720)])
+    def test_voxel_points(self, vol, start, stop):
+        # vol has z rows of 8 voxels and 720 voxels in all
+        full = np.stack(np.meshgrid(*vol.voxel_centers_mm(), indexing="ij"), -1).reshape(-1, 3)
+        assert np.array_equal(vol.voxel_points_mm(start, stop), full[start:stop])
 
     def test_mask_classes(self):
         m = SegmentationMask(np.array([[[0, 1], [2, 2]]], dtype=np.uint8))
@@ -426,11 +435,22 @@ class TestWarp:
         with pytest.raises(ValueError):
             warp(vol, zero_field(small))
 
+    def test_peak_memory_stays_per_chunk(self):
+        # 64^3 voxels: the whole-volume body grew by 40.3 MiB under
+        # tracemalloc, the chunked one by 9.6 MiB (1 MiB of it the output)
+        rng = np.random.default_rng(0)
+        vol = Volume(rng.random((64, 64, 64)).astype(np.float32), (2.0, 2.0, 2.0))
+        fld = DeformationField(rng.uniform(-4, 4, vol.dims + (3,)), vol.spacing, vol.origin)
+        _, peak = traced_peak(warp, vol, fld)
+        assert peak < 16 * 2 ** 20
+
 
 
 class TestTrilinearBitExact:
-    """warp and sample_field share one kernel; both must equal their former
-    separate bodies (tests/sampler_oracle.py) bit for bit."""
+    """warp, warp_mask and sample_field work through chunks of voxels or
+    points, and warp and sample_field share one kernel; each must equal its
+    former whole-volume body (tests/sampler_oracle.py) bit for bit, whatever
+    the chunk size."""
 
     @staticmethod
     def geometry(rng, i):
@@ -441,22 +461,40 @@ class TestTrilinearBitExact:
         origin = tuple(rng.uniform(-5.0, 5.0, 3))
         return dims, spacing, origin
 
-    @pytest.mark.parametrize("i", range(30))
-    def test_matches_former_bodies(self, i):
-        rng = np.random.default_rng(100 + i)
-        dims, spacing, origin = self.geometry(rng, i)
+    @staticmethod
+    def check(rng, dims, spacing, origin, n_points, zero_x=False):
         extent = (np.asarray(dims) - 1) * np.asarray(spacing)
         vol = Volume(rng.random(dims).astype(np.float32), spacing, origin)
+        mask = SegmentationMask(rng.integers(0, 4, dims).astype(np.uint8), spacing, origin)
         scale = 0.5 * max(float(extent.max()), 1.0)
         dense = rng.uniform(-scale, scale, dims + (3,))
-        if i % 5 == 0:
+        if zero_x:
             dense[..., 0] = 0.0             # samples on the voxel grid along x
         fld = DeformationField(dense=dense, spacing=spacing, origin=origin)
         fill = float(rng.uniform(-2.0, 2.0))
         assert np.array_equal(warp(vol, fld, fill).data,
                               sampler_oracle.warp_oracle(vol, fld, fill).data)
-        pts = rng.uniform(np.asarray(origin) - 3.0, np.asarray(origin) + extent + 3.0, (300, 3))
+        assert np.array_equal(warp_mask(mask, fld).labels,
+                              sampler_oracle.warp_mask_oracle(mask, fld).labels)
+        pts = rng.uniform(np.asarray(origin) - 3.0, np.asarray(origin) + extent + 3.0,
+                          (n_points, 3))
         assert np.array_equal(sample_field(fld, pts), sampler_oracle.sample_field_oracle(fld, pts))
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("i", range(30))
+    def test_matches_former_bodies(self, i, chunk, monkeypatch):
+        if chunk is not None:
+            # 7 is prime and longer than every axis, so chunks start mid-row
+            monkeypatch.setattr(vo, "_CHUNK", chunk)
+        rng = np.random.default_rng(100 + i)
+        self.check(rng, *self.geometry(rng, i), 300, zero_x=i % 5 == 0)
+
+    def test_larger_than_one_chunk(self):
+        rng = np.random.default_rng(7)
+        dims = (50, 41, 37)
+        assert np.prod(dims) > vo._CHUNK
+        self.check(rng, dims, (1.5, 2.0, 2.5), (-3.0, 1.0, 2.0), vo._CHUNK + 1001)
+
 
 class TestWarpMask:
     def test_zero_field_identity(self, rng):
