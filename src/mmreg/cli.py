@@ -22,6 +22,7 @@ from .volume import (
     read_mask,
     read_settings,
     read_volume,
+    split_setting,
     warp,
     write_field,
     write_mask,
@@ -89,11 +90,7 @@ def load_config(path=None, overrides=()):
     unknown keys and bad or out-of-range values raise ConfigError.
     """
     items = read_settings(path, "=", ConfigError) if path is not None else []
-    for item in overrides:
-        key, found, value = item.partition("=")
-        if not found:
-            raise ConfigError(f"--set {item!r}: expected key=value")
-        items.append(("--set", key.strip(), value.strip()))
+    items += [("--set", *split_setting(item, "=", "--set", ConfigError)) for item in overrides]
     cfg = Config()
     for where, key, raw in items:
         if key not in CONFIG_KEYS:

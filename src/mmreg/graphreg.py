@@ -181,7 +181,6 @@ def build_instance(src, tgt, src_mask, wmat, grid, label_space):
     """
     feats = me.feature_table(src, tgt, grid, label_space, wmat.scales,
                              np.any(wmat.weights != 0, axis=1))
-    V, L, n = feats.shape
     edges = grid.edges
     table = pairwise_l1_table(label_space)
 
@@ -606,7 +605,9 @@ def register(src, tgt, src_mask, wmat, config=None):
     """
     config = config or PyramidConfig()
     vol_pyr = {"src": build_pyramid(src, config.levels), "tgt": build_pyramid(tgt, config.levels)}
-    mask_pyr = build_pyramid(src_mask, config.levels) if src_mask is not None else None
+    # only a matrix of several columns reads the mask (build_instance)
+    mask_pyr = (build_pyramid(src_mask, config.levels)
+                if src_mask is not None and wmat.n_classes > 1 else None)
 
     n_voxels = math.prod(src.dims)
     acc = np.zeros((n_voxels, 3), dtype=np.float64)

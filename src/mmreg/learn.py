@@ -32,7 +32,7 @@ from .volume import (
     check_fields,
     interpolate_dense,
     make_control_grid,
-    tile_edges,
+    tile_owners,
     warp_mask,
 )
 
@@ -116,10 +116,8 @@ def loss_node_terms(src_mask, tgt_mask, grid, label_space):
     offsets = uniq @ (np.asarray(padded.strides) // padded.itemsize)
     x = np.nonzero(b)
     base = np.ravel_multi_index(tuple(x[i] + pad[i] for i in range(3)), padded.shape)
-    bounds = tile_edges(grid, src_mask)
-    gx, gy, _ = grid.grid_dims
-    owner = [np.searchsorted(bounds[i], x[i], side="right") - 1 for i in range(3)]
-    tile = (owner[0] + gx * (owner[1] + gy * owner[2])) * K
+    owners = tile_owners(grid, src_mask)
+    tile = grid.node_index(*(owners[a][x[a]] for a in range(3))) * K
     flat = padded.reshape(-1)
     num = np.zeros(V * K, dtype=np.int64)
     chunk = max(1, (1 << 19) // K)        # bounds each gather to ~4 MB of indices

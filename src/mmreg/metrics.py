@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .volume import FormatError, LabelSpace, make_control_grid
+from .volume import FormatError, LabelSpace, header_settings, make_control_grid, split_setting
 
 METRIC_NAMES = ("SAD", "MI", "NCC", "DWT")
 N_METRICS = len(METRIC_NAMES)
@@ -127,8 +127,9 @@ def write_weights(path, wmat, meta=None):
 def read_weights(path):
     """Read a weight matrix file; returns (WeightMatrix, meta dict).
 
-    The metrics= header may list SAD, MI, NCC and DWT in any order; weight
-    rows and scales are permuted into METRIC_NAMES order.
+    The header holds metrics=, classes= and an optional scales=, once each.
+    Its metrics= may list SAD, MI, NCC and DWT in any order; weight rows and
+    scales are permuted into METRIC_NAMES order.
     """
     try:
         with open(path) as f:
@@ -137,14 +138,8 @@ def read_weights(path):
         raise FormatError(f"cannot read weights {path}: {e}") from e
     if not lines:
         raise FormatError(f"{path}: empty weights file")
-    header = {}
-    for part in lines[0].split():
-        if "=" not in part:
-            raise FormatError(f"{path}: bad header token {part!r}")
-        k, v = part.split("=", 1)
-        header[k] = v
-    if "metrics" not in header or "classes" not in header:
-        raise FormatError(f"{path}: header must declare metrics= and classes=")
+    items = [(path, *split_setting(t, "=", path, FormatError)) for t in lines[0].split()]
+    header = header_settings(path, items, ("metrics", "classes"), ("scales",))
     names = header["metrics"].split(",")
     if sorted(names) != sorted(METRIC_NAMES):
         raise FormatError(f"{path}: metrics= must name each of {','.join(METRIC_NAMES)} "
@@ -162,10 +157,10 @@ def read_weights(path):
             scales = tuple(scales[i] for i in perm)
         for ln in lines[1:]:
             if ln.lstrip().startswith("#"):
-                body = ln.lstrip()[1:].strip()
+                body = ln.lstrip()[1:]
                 if "=" in body:
-                    k, v = body.split("=", 1)
-                    meta[k.strip()] = v.strip()
+                    k, v = split_setting(body, "=", path, FormatError)
+                    meta[k] = v
                 continue
             vals = [float(t) for t in ln.split()]
             if len(vals) != N_METRICS + 1:

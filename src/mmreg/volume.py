@@ -43,10 +43,32 @@ def read_settings(path, sep, error):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, found, value = line.partition(sep)
-        if not found:
-            raise error(f"{path}:{ln}: expected 'key{sep}value', got {line!r}")
-        out.append((f"{path}:{ln}", key.strip(), value.strip()))
+        out.append((f"{path}:{ln}", *split_setting(line, sep, f"{path}:{ln}", error)))
+    return out
+
+
+def split_setting(text, sep, where, error):
+    """The stripped (key, value) of one `key<sep>value` item; an item
+    without `sep` raises `error` naming `where`."""
+    key, found, value = text.partition(sep)
+    if not found:
+        raise error(f"{where}: expected 'key{sep}value', got {text!r}")
+    return key.strip(), value.strip()
+
+
+def header_settings(path, items, required, optional):
+    """{key: value} of the (location, key, value) items of the header of the
+    file `path`. A key outside `required` and `optional`, a key given twice
+    or a missing required key raises FormatError naming the key."""
+    out = {}
+    for where, key, value in items:
+        if key in out or key not in required + optional:
+            raise FormatError(f"{where}: {'repeated' if key in out else 'unknown'} "
+                              f"header key {key!r}")
+        out[key] = value
+    for key in required:
+        if key not in out:
+            raise FormatError(f"{path}: missing header key {key!r}")
     return out
 
 
@@ -182,7 +204,7 @@ class ControlGrid:
     """Regular free-form-deformation control lattice with 6-neighbourhood edges.
 
     Node i corresponds to lattice indices (ix, iy, iz) with
-    i = ix + gx * (iy + gy * iz) (x-fastest, matching volume order).
+    i = ix + gx * (iy + gy * iz): the F (x-fastest) order of a (gx, gy, gz) array.
     """
     grid_dims: tuple
     spacing_mm: tuple
@@ -200,34 +222,18 @@ class ControlGrid:
     @property
     def points(self):
         """(|V|, 3) physical coordinates of all control points, node order."""
-        gx, gy, gz = self.grid_dims
-        ix, iy, iz = np.meshgrid(np.arange(gx), np.arange(gy), np.arange(gz), indexing="ij")
-        idx = np.stack([ix, iy, iz], axis=-1).reshape(-1, 3, order="F")
-        # reshape in F-order over the (gx,gy,gz) block gives x-fastest node order
-        pts = np.asarray(self.origin_mm) + idx * np.asarray(self.spacing_mm)
-        return pts
+        idx = np.stack(np.unravel_index(np.arange(self.n_nodes), self.grid_dims, order="F"),
+                       axis=1)
+        return np.asarray(self.origin_mm) + idx * np.asarray(self.spacing_mm)
 
     @property
     def edges(self):
-        """(|E|, 2) axis-adjacent node pairs of the lattice."""
-        gx, gy, gz = self.grid_dims
-        pairs = []
-        for axis, g in enumerate((gx, gy, gz)):
-            if g < 2:
-                continue
-            shape = [gx, gy, gz]
-            shape[axis] -= 1
-            ix, iy, iz = np.meshgrid(
-                np.arange(shape[0]), np.arange(shape[1]), np.arange(shape[2]), indexing="ij"
-            )
-            a = self.node_index(ix, iy, iz)
-            off = [0, 0, 0]
-            off[axis] = 1
-            b = self.node_index(ix + off[0], iy + off[1], iz + off[2])
-            pairs.append(np.stack([a.ravel(), b.ravel()], axis=1))
-        if not pairs:
-            return np.zeros((0, 2), dtype=np.int64)
-        return np.concatenate(pairs, axis=0).astype(np.int64)
+        """(|E|, 2) axis-adjacent node pairs of the lattice: the x edges, then
+        the y and the z edges, each in C order of their lower node."""
+        ids = np.arange(self.n_nodes, dtype=np.int64).reshape(self.grid_dims, order="F")
+        return np.concatenate([
+            np.stack([np.delete(ids, -1, axis).ravel(), np.delete(ids, 0, axis).ravel()], axis=1)
+            for axis in range(3)])
 
 
 def make_control_grid(vol, spacing_mm):
@@ -571,24 +577,14 @@ def warp_mask(mask, fld):
 # tiles
 # ---------------------------------------------------------------------------
 
-def tile_edges(grid, like):
-    """Per-axis voxel-index boundaries assigning every voxel to its nearest
-    control point, so node tiles partition the volume.
-
-    Returns per-axis integer arrays `bounds[a]` of length grid_dims[a] + 1;
-    node (ix, iy, iz) owns voxels [bounds[0][ix], bounds[0][ix+1]) x ... .
-    Tiles of padding nodes outside the volume are empty.
-    """
-    bounds = []
-    for a, pos in enumerate(like.voxel_centers_mm()):
-        g = grid.grid_dims[a]
-        # voxel v belongs to node argmin |pos(v) - node|; boundary between
-        # nodes n and n+1 sits at the midpoint
-        t = (pos - grid.origin_mm[a]) / grid.spacing_mm[a]
-        owner = np.clip(np.floor(t + 0.5).astype(np.int64), 0, g - 1)
-        b = np.searchsorted(owner, np.arange(g + 1), side="left")
-        bounds.append(b)
-    return bounds
+def tile_owners(grid, like):
+    """Per-axis index of the control point nearest each voxel centre of
+    `like`, a midpoint going to the upper node: voxel (i, j, k) lies in the
+    tile of node (owners[0][i], owners[1][j], owners[2][k]), so node tiles
+    partition the volume, and padding nodes outside it own no voxel."""
+    return [np.clip(np.floor((pos - o) / s + 0.5).astype(np.int64), 0, g - 1)
+            for pos, o, s, g in zip(like.voxel_centers_mm(), grid.origin_mm,
+                                    grid.spacing_mm, grid.grid_dims)]
 
 
 # ---------------------------------------------------------------------------
@@ -684,10 +680,8 @@ def _read_raw(path, record, dtypes):
     record refuses (spacing, origin, non-finite data) raises FormatError
     naming the file.
     """
-    header = {key: value for _, key, value in read_settings(path, ":", FormatError)}
-    for key in ("dims", "spacing", "origin", "dtype", "data"):
-        if key not in header:
-            raise FormatError(f"{path}: missing header key '{key}'")
+    header = header_settings(path, read_settings(path, ":", FormatError),
+                             ("dims", "spacing", "origin", "dtype", "data"), ("components",))
     components = math.prod(record._trailing)
     try:
         dims = tuple(int(x) for x in header["dims"].split())

@@ -1,18 +1,38 @@
 """Reference count kernels: whole-volume shifts and gathered windows.
 
 `mmreg.learn.loss_node_terms` counts overlaps only at target-foreground
-voxels and `mmreg.metrics.dominant_class_table` reads window counts from
-summed-area tables. The functions here take the long way: one shifted copy
-of the source mask per unique voxel shift with per-tile cumulative sums, and
-one gathered label block per patch window. Both sides count integers, so the
-tests pin the library tables to these bit for bit.
+voxels, each in the tile of its owner from `mmreg.volume.tile_owners`, and
+`mmreg.metrics.dominant_class_table` reads window counts from summed-area
+tables. The functions here take the long way: per-axis tile boundaries, one
+shifted copy of the source mask per unique voxel shift with per-tile
+cumulative sums, and one gathered label block per patch window. Both sides
+count integers, so the tests pin the library tables to these bit for bit.
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from mmreg.metrics import _center_table, patch_radius
-from mmreg.volume import tile_edges
+
+
+def tile_edges(grid, like):
+    """Per-axis voxel-index boundaries assigning every voxel to its nearest
+    control point, so node tiles partition the volume.
+
+    Returns per-axis integer arrays `bounds[a]` of length grid_dims[a] + 1;
+    node (ix, iy, iz) owns voxels [bounds[0][ix], bounds[0][ix+1]) x ... .
+    Tiles of padding nodes outside the volume are empty.
+    """
+    bounds = []
+    for a, pos in enumerate(like.voxel_centers_mm()):
+        g = grid.grid_dims[a]
+        # voxel v belongs to node argmin |pos(v) - node|; boundary between
+        # nodes n and n+1 sits at the midpoint
+        t = (pos - grid.origin_mm[a]) / grid.spacing_mm[a]
+        owner = np.clip(np.floor(t + 0.5).astype(np.int64), 0, g - 1)
+        b = np.searchsorted(owner, np.arange(g + 1), side="left")
+        bounds.append(b)
+    return bounds
 
 
 def tile_sums(values, bounds):

@@ -22,7 +22,7 @@ def verdict(name, ok, detail=""):
     assert ok, f"{name}: {detail}"
 
 
-from count_oracle import tile_sums
+from count_oracle import tile_edges, tile_sums
 from helpers import build_toy_sample, seeded_instance
 from solve_oracle import solve_bruteforce
 
@@ -191,7 +191,7 @@ class TestCriterion5TranslationRecovery:
 
 class TestCriterion6LossDiceConsistency:
     def test_tiling_decomposition_exact(self):
-        from mmreg.volume import Volume, make_control_grid, tile_edges
+        from mmreg.volume import Volume, make_control_grid
 
         rng = np.random.default_rng(0)
         vol = Volume(np.zeros((14, 13, 11), dtype=np.float32), (2.0, 2.0, 2.0))

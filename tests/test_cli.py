@@ -167,6 +167,25 @@ class TestConfig:
         with pytest.raises(cli.ConfigError):
             cli.load_config(None, ["levels"])
 
+    @pytest.mark.parametrize("where, rc, error", [
+        ("config", 3, "c.txt:2: expected 'key=value', got 'levels 3'"),
+        ("--set", 3, "--set: expected 'key=value', got 'levels'"),
+        ("weights", 2, "w.txt: expected 'key=value', got 'classes'"),
+    ])
+    def test_item_without_separator_exits(self, tmp_path, capsys, where, rc, error):
+        # config lines, --set items and weights header tokens share one
+        # splitter, and each reader keeps its exit code; no volume is read
+        cfg = write_text(tmp_path / "c.txt", "seed=1\nlevels 3\n" if where == "config" else "")
+        header = "metrics=SAD,MI,NCC,DWT " + ("classes" if where == "weights" else "classes=0")
+        weights = write_text(tmp_path / "w.txt", header + "\n1 1 1 1 0.3\n")
+        sets = ["--set", "levels"] if where == "--set" else []
+        assert cli.main([
+            "register", "--source", str(tmp_path / "s.vol"), "--target", str(tmp_path / "t.vol"),
+            "--weights", weights, "--config", cfg,
+            "--out-field", str(tmp_path / "f.fld"), "--out-warped", str(tmp_path / "w.vol"),
+        ] + sets) == rc
+        assert error in capsys.readouterr().err
+
 
 class TestHelp:
     @pytest.mark.parametrize("argv", [

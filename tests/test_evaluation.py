@@ -10,10 +10,10 @@ import pytest
 from mmreg import evaluation as ev
 from mmreg import graphreg as gr
 from mmreg import metrics as me
-from mmreg.volume import Volume, make_control_grid, tile_edges
+from mmreg.volume import Volume, make_control_grid
 from mmreg.synth import SynthSpec, synth_dataset
 
-from count_oracle import tile_sums
+from count_oracle import tile_edges, tile_sums
 
 
 @pytest.fixture

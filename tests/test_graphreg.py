@@ -418,7 +418,9 @@ class TestWarpReuse:
     """register warps the source again only after a step that moved a
     control point, and reusing the warp changes no output bit."""
 
-    W = me.WeightMatrix(np.array([[0.1], [10.0], [10.0], [10.0]]), np.array([0.4]), (0,))
+    # two equal columns: only a matrix of several columns warps the mask
+    W = me.WeightMatrix(np.array([[0.1, 0.1], [10.0, 10.0], [10.0, 10.0], [10.0, 10.0]]),
+                        np.array([0.4, 0.4]), (0, 1))
     CFG = gr.PyramidConfig(levels=2, steps_per_level=4, labels_per_level=27,
                            finest_spacing_mm=12.0)
 
@@ -491,13 +493,24 @@ class TestWarpReuse:
     def test_all_zero_steps_warp_once_per_level(self, small_pair, monkeypatch):
         # source = target under SAD: the zero labeling is optimal at every step
         p = small_pair
-        w = me.single_metric_weights("SAD", 1.0, 0.1)
+        w = me.WeightMatrix(np.array([[1.0, 1.0], [0, 0], [0, 0], [0, 0]]), np.array([0.1, 0.1]),
+                            (0, 1))
         calls, _ = self.count_calls(monkeypatch)
         fld, diag = gr.register(p.source, p.source, p.source_mask, w, self.CFG)
         assert all(r.moved_nodes == 0 for r in diag.steps)
         assert calls["warp"] == calls["warp_mask"] == self.CFG.levels
         assert calls["solve"] == self.CFG.levels * self.CFG.steps_per_level
         assert fld.dense.tobytes() == np.zeros_like(fld.dense).tobytes()
+
+    def test_one_column_never_reads_the_mask(self, translated_pair, monkeypatch):
+        p = translated_pair
+        w = me.WeightMatrix(self.W.weights[:, :1], self.W.pairwise[:1], (0,))
+        ref, ref_diag = gr.register(p.source, p.target, None, w, self.CFG)
+        calls, _ = self.count_calls(monkeypatch)
+        fld, diag = gr.register(p.source, p.target, p.source_mask, w, self.CFG)
+        assert calls["warp"] > 0 and calls["warp_mask"] == 0
+        assert fld.dense.tobytes() == ref.dense.tobytes()
+        assert diag.to_text() == ref_diag.to_text()
 
 
 class TestSkipCertificate:

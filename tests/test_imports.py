@@ -1,7 +1,7 @@
 """Dead-code checks for the library, on the standard library's `ast`.
 
 No linter ships with the project's dependencies, so these tests stand in for
-four rules:
+five rules:
 
 * every name a library module imports must be used in that module;
 * every public top-level function or class of a library module must be
@@ -10,7 +10,9 @@ four rules:
   attribute by library or benchmark code;
 * every private top-level function, class or constant of a library module,
   and every private method of its classes, must be read in that module
-  (dunders such as `__init__` or `__version__` are exempt).
+  (dunders such as `__init__` or `__version__` are exempt);
+* every local name a library function stores must be read in that function
+  or in one nested in it (`_` is exempt).
 
 Three last checks keep imports off paths that do not need them:
 `scipy.optimize` stays out of training, whose QP solver is numpy only, and
@@ -142,6 +144,49 @@ def test_check_finds_an_unread_private_name():
               "def solve():\n    return _Net().run(), _helper(1)\n")
     assert unread_private_names(source) == [
         "_ALONE", "_LEFTOVER", "_Net._stale", "_dead"]
+
+
+def _own_nodes(func):
+    """The nodes of a function, without those of the functions nested in it."""
+    todo = list(ast.iter_child_nodes(func))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def unread_locals(source):
+    """(line, function, name) of each name that a function of `source`
+    stores and that neither it nor a function nested in it reads; an
+    augmented assignment (`x += y`) reads its target, and `_` is exempt."""
+    dead = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {"_"} | {node.id for node in ast.walk(func) if isinstance(node, ast.Name)
+                        and isinstance(node.ctx, ast.Load)}
+        read |= {node.target.id for node in ast.walk(func) if isinstance(node, ast.AugAssign)
+                 and isinstance(node.target, ast.Name)}
+        stored = {}
+        for node in _own_nodes(func):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored.setdefault(node.id, node.lineno)
+        dead += [(line, func.name, name) for name, line in stored.items() if name not in read]
+    return sorted(dead)
+
+
+@pytest.mark.parametrize("path", MODULES)
+def test_every_local_is_read(path):
+    assert unread_locals((SRC / path).read_text()) == []
+
+
+def test_check_finds_an_unread_local():
+    source = ("def shape(a):\n    V, L, n = a.shape\n    for i, _ in enumerate(a):\n"
+              "        pass\n    return V * L\n\n"
+              "def outer(x):\n    seen = x\n    view = x[1:]\n    view += 1\n\n"
+              "    def inner():\n        left = 2\n        return seen\n    return inner\n")
+    assert unread_locals(source) == [(2, "shape", "n"), (3, "shape", "i"), (13, "inner", "left")]
 
 
 @pytest.mark.parametrize("path", MODULES)

@@ -12,12 +12,12 @@ from mmreg.volume import (
     Volume,
     interpolate_dense,
     make_control_grid,
-    tile_edges,
     warp_mask,
 )
 from mmreg.synth import SynthSpec, synth_dataset
 
 import count_oracle
+from count_oracle import tile_edges
 import qp_oracle
 from solve_oracle import solve_bruteforce
 

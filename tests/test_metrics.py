@@ -590,11 +590,27 @@ class TestWeightMatrix:
         "metrics=SAD,MI,NCC,DWT classes=0 scales=1,nan,1,1\n1 1 1 1 0.3\n",
         "metrics=SAD,MI,NCC,DWT classes=0 scales=0,1,1,1\n1 1 1 1 0.3\n",   # scales <= 0
         "metrics=SAD,MI,NCC,DWT classes=0 scales=-1,1,1,1\n1 1 1 1 0.3\n",
+        "metrics=SAD,MI,NCC,DWT classes=0 scale=2,2,2,2\n1 1 1 1 0.3\n",     # misspelt key
+        "metrics=SAD,MI,NCC,DWT classes=0 scales=1,1,1,1 scales=2,2,2,2\n1 1 1 1 0.3\n",
+        "metrics=SAD,MI,NCC,DWT classes=0 classes=0\n1 1 1 1 0.3\n",       # repeated key
+        "metrics=DWT,NCC,MI,SAD classes=0 metrics=SAD,MI,NCC,DWT\n1 1 1 1 0.3\n",
     ])
     def test_malformed_file_is_format_error(self, tmp_path, text):
         path = tmp_path / "w.txt"
         path.write_text(text)
         with pytest.raises(FormatError):
+            me.read_weights(str(path))
+
+    @pytest.mark.parametrize("token, error", [
+        ("scale=2,2,2,2", "unknown header key 'scale'"),
+        ("classes=0", "repeated header key 'classes'"),
+        ("", "missing header key 'classes'"),
+    ])
+    def test_header_key_error_names_file_and_key(self, tmp_path, token, error):
+        path = tmp_path / "w.txt"
+        header = "metrics=SAD,MI,NCC,DWT " + (f"classes=0 {token}" if token else "")
+        path.write_text(header + "\n1 1 1 1 0.3\n")
+        with pytest.raises(FormatError, match=f"w.txt: {error}"):
             me.read_weights(str(path))
 
     @pytest.mark.parametrize("ids", [(1, 1), (0, 2, 2), (0, 1, 1)])

@@ -19,7 +19,7 @@ from mmreg.volume import (
     read_mask,
     read_volume,
     sample_field,
-    tile_edges,
+    tile_owners,
     warp,
     warp_mask,
     write_field,
@@ -29,6 +29,7 @@ from mmreg.volume import (
 from mmreg import volume as vo
 from mmreg.volume import _spline_coords
 
+from count_oracle import tile_edges
 from helpers import traced_peak
 from metric_oracle import extract_patch
 
@@ -130,9 +131,47 @@ class TestContainers:
         assert np.all(pts.min(axis=0) <= lo)
         assert np.all(pts.max(axis=0) >= hi)
 
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (1, 2, 5), (4, 1, 2), (2, 6, 1), (5, 4, 7)])
+    def test_grid_node_order_matches_former_bodies(self, dims):
+        grid = ControlGrid(dims, (2.5, 3.0, 7.0), (-4.0, 1.5, 0.25))
+        for got, want in ((grid.points, former_points(grid)), (grid.edges, former_edges(grid))):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_label_space_zero_first(self):
         with pytest.raises(ValueError):
             LabelSpace(np.array([[1.0, 0, 0], [0, 0, 0]]))
+
+
+def former_points(grid):
+    """The replaced ControlGrid.points body: a meshgrid reshaped in F order."""
+    gx, gy, gz = grid.grid_dims
+    ix, iy, iz = np.meshgrid(np.arange(gx), np.arange(gy), np.arange(gz), indexing="ij")
+    idx = np.stack([ix, iy, iz], axis=-1).reshape(-1, 3, order="F")
+    return np.asarray(grid.origin_mm) + idx * np.asarray(grid.spacing_mm)
+
+
+def former_edges(grid):
+    """The replaced ControlGrid.edges body: one meshgrid of lower nodes per
+    axis, each paired with its neighbour through node_index."""
+    gx, gy, gz = grid.grid_dims
+    pairs = []
+    for axis, g in enumerate((gx, gy, gz)):
+        if g < 2:
+            continue
+        shape = [gx, gy, gz]
+        shape[axis] -= 1
+        ix, iy, iz = np.meshgrid(
+            np.arange(shape[0]), np.arange(shape[1]), np.arange(shape[2]), indexing="ij"
+        )
+        a = grid.node_index(ix, iy, iz)
+        off = [0, 0, 0]
+        off[axis] = 1
+        b = grid.node_index(ix + off[0], iy + off[1], iz + off[2])
+        pairs.append(np.stack([a.ravel(), b.ravel()], axis=1))
+    if not pairs:
+        return np.zeros((0, 2), dtype=np.int64)
+    return np.concatenate(pairs, axis=0).astype(np.int64)
 
 
 class TestFfdInterpolation:
@@ -559,6 +598,18 @@ class TestTiles:
             cover[tuple(slice(b[i], b[i + 1]) for b, i in zip(bounds, cell))] += 1
         assert np.all(cover == 1)
 
+    def test_owners_match_bounds_round_trip(self):
+        # node n sits at 2n - 1 mm and voxel v at v mm, so every even voxel
+        # centre lies exactly on the midpoint of two nodes and goes up
+        vol = Volume(np.zeros((9, 6, 4), dtype=np.float32))
+        grid = ControlGrid((6, 5, 3), (2.0, 2.0, 2.0), (-1.0, -1.0, -1.0))
+        owners = tile_owners(grid, vol)
+        for a, bounds in enumerate(tile_edges(grid, vol)):
+            v = np.arange(vol.dims[a])
+            assert owners[a].dtype == np.int64
+            assert np.array_equal(owners[a], np.searchsorted(bounds, v, side="right") - 1)
+            assert np.array_equal(owners[a], np.minimum(v // 2 + 1, grid.grid_dims[a] - 1))
+
 
 class TestPyramid:
     def test_downsample_dims_spacing(self, vol):
@@ -645,6 +696,16 @@ class TestRawFileFormat:
         with open(path, "w") as f:
             f.write("dims: 2 2 2\nspacing: 1 1 1\ndtype: f32\ndata: bad.raw\n")
         with pytest.raises(FormatError):
+            read_volume(path)
+
+    @pytest.mark.parametrize("line", ["spacing: 1 1 1", "orgin: 5 5 5", "label: 3"])
+    def test_repeated_or_unknown_header_key(self, tmp_path, line):
+        path = os.path.join(tmp_path, "bad.vol")
+        write_volume(path, Volume(np.zeros((2, 2, 2), dtype=np.float32)))
+        with open(path, "a") as f:
+            f.write(line + "\n")
+        key = line.split(":")[0]
+        with pytest.raises(FormatError, match=f"bad.vol:6: .* header key '{key}'"):
             read_volume(path)
 
     def test_wrong_payload_size(self, tmp_path):
