@@ -59,27 +59,18 @@ class Config:
     run: RunConfig = RunConfig()
 
     def __getitem__(self, key):
-        part, f = CONFIG_KEYS[key][0]
+        part, f = CONFIG_KEYS[key]
         return getattr(getattr(self, part), f.name)
 
 
 # TrainConfig fields whose config key differs from the field name
-_TRAIN_KEYS = {"C": "train_C", "alpha": "train_alpha", "spacing_mm": "train_spacing_mm",
-               "labels": "train_labels"}
+_TRAIN_KEYS = {"C": "train_C", "alpha": "train_alpha"}
 
-
-def _config_keys():
-    """Config key -> [(Config field name, dataclass field)]; bound_factor
-    sets both the pyramid and the training schedule."""
-    keys = {}
-    for part in fields(Config):
-        for f in fields(part.type):
-            key = _TRAIN_KEYS.get(f.name, f.name) if part.name == "train" else f.name
-            keys.setdefault(key, []).append((part.name, f))
-    return keys
-
-
-CONFIG_KEYS = _config_keys()
+# config key -> (Config field name, dataclass field); one field per key
+CONFIG_KEYS = {
+    (_TRAIN_KEYS.get(f.name, f.name) if part.name == "train" else f.name): (part.name, f)
+    for part in fields(Config) for f in fields(part.type)
+}
 
 
 def load_config(path=None, overrides=()):
@@ -95,17 +86,16 @@ def load_config(path=None, overrides=()):
     for where, key, raw in items:
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{where}: unknown config key {key!r}")
-        for part, f in CONFIG_KEYS[key]:
-            try:
-                value = replace(getattr(cfg, part), **{f.name: parse_value(raw, f.type)})
-            except ValueError as e:
-                raise ConfigError(f"{where}: bad value {raw!r} for {key}: {e}") from e
-            cfg = replace(cfg, **{part: value})
+        part, f = CONFIG_KEYS[key]
+        try:
+            value = replace(getattr(cfg, part), **{f.name: parse_value(raw, f.type)})
+        except ValueError as e:
+            raise ConfigError(f"{where}: bad value {raw!r} for {key}: {e}") from e
+        cfg = replace(cfg, **{part: value})
     return cfg
 
 
 def dump_config(cfg, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
     lines = []
     for k in sorted(CONFIG_KEYS):
         v = cfg[k]
@@ -176,6 +166,13 @@ def _load_pairs(manifest_rows):
 # commands
 # ---------------------------------------------------------------------------
 
+def _output_dir(path):
+    """Create the directory of the output file `path` and return it."""
+    out_dir = os.path.dirname(os.path.abspath(path))
+    os.makedirs(out_dir, exist_ok=True)
+    return out_dir
+
+
 def cmd_register(args):
     cfg = load_config(args.config, args.set or ())
     wmat, _ = me.read_weights(args.weights)
@@ -192,9 +189,8 @@ def cmd_register(args):
     fld, diag = register(src, tgt, smask, wmat, cfg.pyramid)
     warped = warp(src, fld)
 
-    out_dir = os.path.dirname(os.path.abspath(args.out_field)) or "."
-    os.makedirs(out_dir, exist_ok=True)
-    os.makedirs(os.path.dirname(os.path.abspath(args.out_warped)) or ".", exist_ok=True)
+    out_dir = _output_dir(args.out_field)
+    _output_dir(args.out_warped)
     write_field(args.out_field, fld)
     write_volume(args.out_warped, warped)
     with open(args.out_field + ".log", "w") as f:
@@ -210,7 +206,8 @@ def cmd_train(args):
     pairs = _load_pairs(rows)
 
     tcfg = cfg.train
-    scales = (me.calibrate_scales([(src, tgt) for (_, src, tgt, _, _) in pairs], tcfg.spacing_mm)
+    scales = (me.calibrate_scales([(src, tgt) for (_, src, tgt, _, _) in pairs],
+                                  cfg.pyramid.finest_spacing_mm)
               if cfg.run.normalize_metrics else None)
 
     class_ids = sorted({c for (_, _, _, sm, tm) in pairs
@@ -226,7 +223,7 @@ def cmd_train(args):
         for pid, src, tgt, smask, tmask in pairs:
             if c in smask.class_ids() and c in tmask.class_ids():
                 if pid not in tables:
-                    tables[pid] = learn.pair_tables(src, tgt, tcfg, scales)
+                    tables[pid] = learn.pair_tables(src, tgt, cfg.pyramid, scales)
                 samples.append(learn.prepare_sample(tables[pid], smask, tmask, c))
             else:
                 print(f"note: {pid} lacks class {c} in both masks; excluded", file=sys.stderr)
@@ -237,9 +234,8 @@ def cmd_train(args):
         results.append(res)
 
     wmat = learn.assemble_model(results, tcfg, scales)
-    out_dir = os.path.dirname(os.path.abspath(args.out_model)) or "."
-    os.makedirs(out_dir, exist_ok=True)
-    learn.write_model(args.out_model, wmat, tcfg, {"seed": str(cfg.run.seed)})
+    out_dir = _output_dir(args.out_model)
+    learn.write_model(args.out_model, wmat, tcfg, cfg.pyramid, {"seed": str(cfg.run.seed)})
     learn.write_training_manifest(args.out_model + ".log", results)
     if args.dump_config:
         dump_config(cfg, out_dir)
@@ -255,8 +251,7 @@ def cmd_evaluate(args):
         pairs, wmat, cfg.pyramid,
         wp_scale=cfg.run.baseline_wp_scale, threads=cfg.run.threads,
     )
-    out_dir = os.path.dirname(os.path.abspath(args.out_report)) or "."
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _output_dir(args.out_report)
     ev.write_report_csv(args.out_report, report, timings=cfg.run.timings)
     ev.write_summary_csv(args.out_report + ".summary.csv", report)
     if args.dump_config:

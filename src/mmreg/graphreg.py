@@ -29,13 +29,12 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow, breadth_first_order
 
 from . import metrics as me
-from . import volume as vo
 from .volume import (
     DeformationField,
     LabelSpace,
     build_pyramid,
     check_fields,
-    ffd_evaluate,
+    compose_ffd,
     make_control_grid,
     sample_field,
     warp,
@@ -153,6 +152,13 @@ def initialize_label_space(config, spacing_at_level_mm):
     order = np.concatenate([[zero], np.delete(np.arange(len(disp)), zero)])
     disp = disp[order]
     return LabelSpace(disp)
+
+
+def level_grid(vol, config, level):
+    """Control grid over `vol` and first-step label catalog of pyramid level
+    `level` (0 is the finest) of the schedule `config`."""
+    spacing = (config.finest_spacing_mm * 2 ** level,) * 3
+    return make_control_grid(vol, spacing), initialize_label_space(config, spacing)
 
 
 def refine_label_space(label_space, factor):
@@ -588,10 +594,10 @@ class Diagnostics:
 def register(src, tgt, src_mask, wmat, config=None):
     """Pyramidal multi-metric registration (coarse to fine).
 
-    Per level: build the label catalog, then repeatedly (a) warp the source
-    by the accumulated field, (b) build and solve the MRF, (c) compose the
-    step field into the accumulated dense field, in place and one chunk of
-    voxels at a time, (d) shrink the labels.
+    Per level: build the grid and label catalog (level_grid), then repeatedly
+    (a) warp the source by the accumulated field, (b) build and solve the
+    MRF, (c) compose the step field into the accumulated dense field, in
+    place and one chunk of voxels at a time, (d) shrink the labels.
 
     A step whose labeling is all zero moves no control point, so its step
     field is +0.0 everywhere. Composing it changes at most the sign of a
@@ -609,17 +615,14 @@ def register(src, tgt, src_mask, wmat, config=None):
     mask_pyr = (build_pyramid(src_mask, config.levels)
                 if src_mask is not None and wmat.n_classes > 1 else None)
 
-    n_voxels = math.prod(src.dims)
-    acc = np.zeros((n_voxels, 3), dtype=np.float64)
+    acc = np.zeros((math.prod(src.dims), 3), dtype=np.float64)
     diag = Diagnostics()
 
     for level in range(config.levels - 1, -1, -1):
         s_lvl = vol_pyr["src"][level]
         t_lvl = vol_pyr["tgt"][level]
         m_lvl = mask_pyr[level] if mask_pyr is not None else None
-        spacing = tuple(config.finest_spacing_mm * (2 ** level) for _ in range(3))
-        grid = make_control_grid(s_lvl, spacing)
-        ls = initialize_label_space(config, spacing)
+        grid, ls = level_grid(s_lvl, config, level)
         warped = None
 
         for step in range(config.steps_per_level):
@@ -643,12 +646,10 @@ def register(src, tgt, src_mask, wmat, config=None):
             e_acc = inst.energy(labeling)
 
             sparse = ls.displacements[labeling]
-            bound = config.bound_factor * max(spacing)
+            bound = config.bound_factor * max(grid.spacing_mm)
             max_comp = float(np.abs(sparse).max()) if len(sparse) else 0.0
 
-            for c in range(0, n_voxels, vo._CHUNK):
-                part = acc[c:c + vo._CHUNK]
-                part += ffd_evaluate(grid, sparse, src.voxel_points_mm(c, c + vo._CHUNK) + part)
+            compose_ffd(acc, grid, sparse, src)
 
             record = StepRecord(
                 level=level, step=step,

@@ -20,18 +20,11 @@ import numpy as np
 
 from . import metrics as me
 from .evaluation import exact_dice
-from .graphreg import (
-    MrfInstance,
-    PyramidConfig,
-    initialize_label_space,
-    pairwise_l1_table,
-    solve,
-)
+from .graphreg import MrfInstance, level_grid, pairwise_l1_table, solve
 from .volume import (
     SegmentationMask,
     check_fields,
     interpolate_dense,
-    make_control_grid,
     tile_owners,
     warp_mask,
 )
@@ -48,9 +41,6 @@ class TrainConfig:
     epsilon: float = 1e-3        # relative outer-objective tolerance
     slack_tol: float = 1e-4      # margin for "sufficiently violated"
     max_cccp: int = 20
-    spacing_mm: float = 25.0     # single-level training grid spacing
-    labels: int = 125
-    bound_factor: float = 0.4
 
     def __post_init__(self):
         check_fields(self, {
@@ -63,16 +53,9 @@ class TrainConfig:
             "slack_tol > 0": self.slack_tol > 0,
             "max_cccp >= 1": self.max_cccp >= 1,
         })
-        self.label_schedule()     # checks spacing_mm, labels and bound_factor
 
     def w0_full(self):
         return np.concatenate([np.asarray(self.w0, dtype=np.float64), [self.wp0]])
-
-    def label_schedule(self):
-        return PyramidConfig(
-            levels=1, steps_per_level=1, labels_per_level=self.labels,
-            finest_spacing_mm=self.spacing_mm, bound_factor=self.bound_factor,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +124,13 @@ class PairTables(NamedTuple):
     edges: np.ndarray
 
 
-def pair_tables(source, target, config, scales):
-    """Control grid, label space, metric features (divided by `scales`,
-    none when None), pairwise distance table and grid edges of one pair,
-    with the arrays made read-only so samples of several classes can share
-    them."""
-    grid = make_control_grid(source, config.spacing_mm)
-    ls = initialize_label_space(config.label_schedule(), (config.spacing_mm,) * 3)
+def pair_tables(source, target, schedule, scales):
+    """Control grid and label space of the finest level of the registration
+    schedule (a PyramidConfig; level_grid at level 0), metric features
+    (divided by `scales`, none when None), pairwise distance table and grid
+    edges of one pair, with the arrays made read-only so samples of several
+    classes can share them."""
+    grid, ls = level_grid(source, schedule, 0)
     tables = PairTables(grid, ls, me.feature_table(source, target, grid, ls, scales),
                         pairwise_l1_table(ls), grid.edges)
     for arr in (tables.features, tables.pairwise_table, tables.edges):
@@ -482,12 +465,13 @@ def assemble_model(results, config, scales):
     )
 
 
-def write_model(path, wmat, config, extra_meta=None):
-    """Model file: the weight-matrix format plus a config echo."""
+def write_model(path, wmat, config, schedule, extra_meta=None):
+    """Model file: the weight-matrix format plus an echo of the trainer's
+    config and of the finest level of the schedule it trained on."""
     meta = {
         "C": repr(config.C), "alpha": repr(config.alpha), "eta": repr(config.eta),
-        "epsilon": repr(config.epsilon), "spacing_mm": repr(config.spacing_mm),
-        "labels": str(config.labels), "mi_bins": str(me.MI_BINS),
+        "epsilon": repr(config.epsilon), "spacing_mm": repr(schedule.finest_spacing_mm),
+        "labels": str(schedule.labels_per_level), "mi_bins": str(me.MI_BINS),
     }
     meta.update(extra_meta or {})
     me.write_weights(path, wmat, meta)

@@ -65,6 +65,13 @@ class SynthSpec:
             "noise_sigma >= 0": self.noise_sigma >= 0,
             "texture_sigma_vox >= 0": self.texture_sigma_vox >= 0,
             "one organ center per radius": len(self.organ_radii_mm) == len(self.organ_centers_frac),
+            "3 fractions in each organ and decoy center": all(
+                len(c) == 3 for c in self.organ_centers_frac + self.decoy_centers_frac),
+            "one decoy radius and level per decoy center": (
+                len(self.decoy_centers_frac) == len(self.decoy_radii_mm) == len(self.decoy_levels)),
+            "3 gt_translate_mm": len(self.gt_translate_mm) == 3,
+            "gt_grid_spacing_mm > 0": self.gt_grid_spacing_mm > 0,
+            "base_levels and texture_amp non-empty": bool(self.base_levels and self.texture_amp),
         })
 
 
@@ -172,5 +179,8 @@ def read_synth_spec(path):
     for where, key, value in read_settings(path, "=", ValueError):
         if key not in kinds:
             raise ValueError(f"{where}: unknown generator key {key!r}")
-        kwargs[key] = parse_value(value, kinds[key])
+        try:
+            kwargs[key] = parse_value(value, kinds[key])
+        except ValueError as e:
+            raise ValueError(f"{where}: bad value {value!r} for {key}: {e}") from e
     return SynthSpec(**kwargs)

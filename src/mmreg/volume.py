@@ -321,8 +321,8 @@ def _spline_coords(grid, coords, axis):
     return cell, _bspline_weights(u)
 
 
-# voxels or points per chunk of ffd_evaluate and the trilinear samplers, whose
-# working memory is then a few arrays of this length, whatever the volume
+# voxels or points per chunk of ffd_evaluate, compose_ffd and the trilinear
+# samplers, whose working memory is then a few arrays of this length, whatever the volume
 _CHUNK = 1 << 16
 
 # a tap whose moved node reaches more than this share of a chunk's points is
@@ -414,6 +414,15 @@ def ffd_evaluate(grid, sparse_disp, points_mm):
                             acc[d, i] += w * node[d].take(base[i])
         out[s + keep] = acc.T
     return out
+
+
+def compose_ffd(acc, grid, sparse_disp, like):
+    """Compose an FFD step into the dense field `acc` ((N, 3), one row per
+    voxel of `like` in voxel_points_mm order), in place and one chunk of
+    voxels at a time: acc(x) += FFD(x + acc(x))."""
+    for s in range(0, len(acc), _CHUNK):
+        part = acc[s:s + _CHUNK]
+        part += ffd_evaluate(grid, sparse_disp, like.voxel_points_mm(s, s + _CHUNK) + part)
 
 
 def interpolate_dense(grid, sparse, like):

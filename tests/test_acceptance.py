@@ -220,7 +220,7 @@ class TestCriterion8LossAugmentedOracle:
         for seed in range(8):
             s, rng = build_toy_sample(seed)
             w = np.concatenate([rng.uniform(0.0, 2.0, me.N_METRICS), [rng.uniform(0.0, 0.5)]])
-            cfg = learn.TrainConfig(labels=27, spacing_mm=10.0)
+            cfg = learn.TrainConfig()
 
             lab = learn.impute_latent(s, w, cfg)
             got = _augmented_value(s, w, lab, +1, cfg.eta)

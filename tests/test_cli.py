@@ -38,8 +38,6 @@ levels=1
 steps_per_level=2
 labels_per_level=27
 finest_spacing_mm=12.0
-train_spacing_mm=12.0
-train_labels=27
 max_cccp=2
 """
 
@@ -62,15 +60,12 @@ threads=1
 timings=False
 train_C=10.0
 train_alpha=0.1
-train_labels=125
-train_spacing_mm=25.0
 w0=0.1,10.0,10.0,10.0
 wp0=1.0
 """
 
 FLOAT_KEYS = ["finest_spacing_mm", "bound_factor", "refine_factor", "train_C", "train_alpha",
-              "eta", "epsilon", "slack_tol", "w0", "wp0", "train_spacing_mm",
-              "baseline_wp_scale"]
+              "eta", "epsilon", "slack_tol", "w0", "wp0", "baseline_wp_scale"]
 
 # one out-of-range (or, where every parsed value is in range, unparsable)
 # value per config key
@@ -79,8 +74,7 @@ OUT_OF_RANGE = {
     "finest_spacing_mm": "0", "bound_factor": "0.5", "refine_factor": "1.0",
     "normalize_metrics": "maybe", "train_C": "0", "train_alpha": "-0.1",
     "eta": "0", "epsilon": "0", "slack_tol": "-1e-4", "max_cccp": "0", "w0": "1,2,3",
-    "wp0": "-1", "train_spacing_mm": "-25", "train_labels": "0",
-    "baseline_wp_scale": "-0.02", "seed": "1.5", "threads": "0", "timings": "2",
+    "wp0": "-1", "baseline_wp_scale": "-0.02", "seed": "1.5", "threads": "0", "timings": "2",
 }
 
 
@@ -139,11 +133,30 @@ class TestConfig:
         assert (tmp_path / "config.resolved.txt").read_text() == RESOLVED_DEFAULTS
         assert sorted(OUT_OF_RANGE) == sorted(cli.CONFIG_KEYS)
 
+    def test_each_key_sets_one_field(self):
+        consumers = [(part.name, f.name) for part in fields(cli.Config)
+                     for f in fields(part.type)]
+        assert sorted((part, f.name) for part, f in cli.CONFIG_KEYS.values()) == sorted(consumers)
+        assert cli.CONFIG_KEYS["bound_factor"][0] == "pyramid"
+
+    @pytest.mark.parametrize("item", ["train_spacing_mm=25", "train_labels=125"])
+    @pytest.mark.parametrize("where", ["config", "--set"])
+    def test_former_training_grid_keys_exit_3(self, tmp_path, capsys, item, where):
+        # training uses the pyramid's finest level: finest_spacing_mm and
+        # labels_per_level set its grid and labels
+        argv = ["train", "--dataset", str(tmp_path / "absent.csv"),
+                "--out-model", str(tmp_path / "out" / "model.txt")]
+        argv += (["--config", write_text(tmp_path / "c.txt", item + "\n")] if where == "config"
+                 else ["--set", item])
+        assert cli.main(argv) == 3
+        assert f"unknown config key {item.split('=')[0]!r}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
     def test_file_and_override_reach_every_consumer(self, tmp_path):
         path = write_text(tmp_path / "c.txt", "# comment\n\ntrain_C = 2.5\nbound_factor=0.3\n")
         cfg = cli.load_config(path, ["threads=2", "normalize_metrics=off"])
         assert cfg.train.C == 2.5 and cfg["train_C"] == 2.5
-        assert cfg.pyramid.bound_factor == cfg.train.bound_factor == 0.3
+        assert cfg.pyramid.bound_factor == 0.3
         assert cfg.run.threads == 2 and cfg.run.normalize_metrics is False
 
     @pytest.mark.parametrize("key", FLOAT_KEYS)
@@ -244,17 +257,42 @@ class TestSynthCommand:
             lines.append(f"{f.name} = {v}")
         assert read_synth_spec(write_text(tmp_path / "s.txt", "\n".join(lines))) == want
 
-    @pytest.mark.parametrize("line", [
-        "noise_sigma=nan", "noise_sigma=-0.01", "dims=0,4,4", "dims=4,4",
-        "spacing_mm=2.0,0.0,2.0", "spacing_mm=2.0,inf,2.0", "organ_centers_frac=0.5,nan,0.5",
-        "texture_sigma_vox=-1.0",
+    @pytest.mark.parametrize("line, error", [
+        ("noise_sigma=nan", "noise_sigma must be finite"),
+        ("noise_sigma=-0.01", "needs noise_sigma >= 0"),
+        ("dims=0,4,4", "needs 3 dims >= 1"), ("dims=4,4", "needs 3 dims >= 1"),
+        ("spacing_mm=2.0,0.0,2.0", "needs 3 spacing_mm > 0"),
+        ("spacing_mm=2.0,inf,2.0", "spacing_mm must be finite"),
+        ("organ_centers_frac=0.5,nan,0.5", "organ_centers_frac must be finite"),
+        ("texture_sigma_vox=-1.0", "needs texture_sigma_vox >= 0"),
+        ("organ_centers_frac=0.5,0.5", "needs 3 fractions in each organ and decoy center"),
+        ("decoy_centers_frac=0.5,0.5\ndecoy_radii_mm=2.0\ndecoy_levels=0.4",
+         "needs 3 fractions in each organ and decoy center"),
+        ("decoy_centers_frac=0.5,0.2,0.5;0.5,0.8,0.5\ndecoy_radii_mm=2.0\n"
+         "decoy_levels=0.4,0.5", "needs one decoy radius and level per decoy center"),
+        ("gt_translate_mm=1,2", "needs 3 gt_translate_mm"),
+        ("gt_grid_spacing_mm=0", "needs gt_grid_spacing_mm > 0"),
     ])
-    def test_bad_spec_value_exits_3_and_writes_nothing(self, tmp_path, line):
+    def test_bad_spec_value_exits_3_and_writes_nothing(self, tmp_path, capsys, line, error):
         spec = write_text(tmp_path / "s.txt", SYNTH_SPEC + line + "\n")
         out = tmp_path / "o"
         rc = cli.main(["synth", "--spec", spec, "--seed", "0", "--out-dir", str(out)])
         assert rc == 3
         assert not out.exists()
+        assert error in capsys.readouterr().err
+
+    @pytest.mark.parametrize("empty", ["base_levels", "texture_amp"])
+    def test_empty_intensity_tuple_rejected(self, empty):
+        # a spec file cannot spell an empty tuple, since '' is no float
+        with pytest.raises(ValueError, match="needs base_levels and texture_amp non-empty"):
+            SynthSpec(**{empty: ()})
+
+    def test_unparsable_spec_value_names_file_line_and_key(self, tmp_path, capsys):
+        spec = write_text(tmp_path / "s.txt", SYNTH_SPEC + "n_pairs=two\n")
+        rc = cli.main(["synth", "--spec", spec, "--seed", "0", "--out-dir", str(tmp_path / "o")])
+        assert rc == 3
+        line = len(SYNTH_SPEC.splitlines()) + 1
+        assert f"s.txt:{line}: bad value 'two' for n_pairs: " in capsys.readouterr().err
 
     def test_bad_spec_key(self, tmp_path):
         spec = write_text(tmp_path / "s.txt", "volume=huge\n")
@@ -697,7 +735,7 @@ class TestTrainEvaluateCommands:
         resolved = os.path.join(os.path.dirname(model), "config.resolved.txt")
         assert os.path.exists(resolved)
         text = Path(resolved).read_text()
-        assert "levels=1" in text and "train_labels=27" in text
+        assert "levels=1" in text and "labels_per_level=27" in text
 
     def test_train_determinism(self, workspace):
         tmp, cfg, data = workspace

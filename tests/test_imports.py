@@ -1,7 +1,7 @@
 """Dead-code checks for the library, on the standard library's `ast`.
 
 No linter ships with the project's dependencies, so these tests stand in for
-five rules:
+six rules:
 
 * every name a library module imports must be used in that module;
 * every public top-level function or class of a library module must be
@@ -11,6 +11,8 @@ five rules:
 * every private top-level function, class or constant of a library module,
   and every private method of its classes, must be read in that module
   (dunders such as `__init__` or `__version__` are exempt);
+* no library module reads a private name of another library module, by
+  importing it or as an attribute of an imported module;
 * every local name a library function stores must be read in that function
   or in one nested in it (`_` is exempt).
 
@@ -146,6 +148,42 @@ def test_check_finds_an_unread_private_name():
         "_ALONE", "_LEFTOVER", "_Net._stale", "_dead"]
 
 
+def foreign_private_reads(source):
+    """(line, "module.name") of each private name of another library module
+    that `source` reads: imported by name (`from .volume import _x`) or as
+    an attribute of a module it imports (`from . import volume as vo`, then
+    `vo._x`)."""
+    tree = ast.parse(source)
+    modules = {}                  # local name -> the library module it binds
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                elif _private(alias.name):
+                    found.append((node.lineno, f"{node.module}.{alias.name}"))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _private(node.attr)):
+            found.append((node.lineno, f"{modules[node.value.id]}.{node.attr}"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES + ["__init__.py"])
+def test_no_private_name_of_another_module_is_read(path):
+    assert foreign_private_reads((SRC / path).read_text()) == []
+
+
+def test_check_finds_a_foreign_private_read():
+    source = ("import numpy as np\nfrom . import volume as vo, metrics\n"
+              "from .graphreg import solve, _ExpansionNetwork\n\n"
+              "def f(x):\n    y = vo.warp(x) + np._pi + x._cache\n"
+              "    return y + vo._CHUNK + metrics._scale(x) + vo.__name__\n")
+    assert foreign_private_reads(source) == [
+        (3, "graphreg._ExpansionNetwork"), (7, "metrics._scale"), (7, "volume._CHUNK")]
+
+
 def _own_nodes(func):
     """The nodes of a function, without those of the functions nested in it."""
     todo = list(ast.iter_child_nodes(func))
@@ -242,15 +280,17 @@ def test_training_leaves_scipy_optimize_unloaded():
     code = """
 import sys
 from mmreg import learn
+from mmreg.graphreg import PyramidConfig
 from mmreg.synth import SynthSpec, synth_dataset
 spec = SynthSpec(dims=(24, 24, 20), spacing_mm=(2.0, 2.0, 2.0), n_pairs=1,
                  organ_radii_mm=(8.0,), organ_centers_frac=((0.5, 0.5, 0.5),))
 p = synth_dataset(spec, 21)[0]
-cfg = learn.TrainConfig(spacing_mm=14.0, labels=27, max_cccp=1)
+cfg = learn.TrainConfig(max_cccp=1)
 calls = []
 solve_qp = learn.solve_qp
 learn.solve_qp = lambda *args: calls.append(args) or solve_qp(*args)
-tables = learn.pair_tables(p.source, p.target, cfg, None)
+schedule = PyramidConfig(finest_spacing_mm=14.0, labels_per_level=27)
+tables = learn.pair_tables(p.source, p.target, schedule, None)
 learn.train_class([learn.prepare_sample(tables, p.source_mask, p.target_mask, 1)], cfg)
 print(len(calls) > 0, 'scipy.optimize' in sys.modules)
 """

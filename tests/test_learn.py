@@ -291,7 +291,7 @@ def enumerate_loss_augmented(sample, w, sign, scale):
 
 class TestLossAugmentedInference:
     def test_impute_matches_enumeration(self, rng):
-        cfg = learn.TrainConfig(labels=27, spacing_mm=10.0)
+        cfg = learn.TrainConfig()
         for trial in range(5):
             s = toy_sample(rng)
             w = np.concatenate([rng.uniform(0, 2, me.N_METRICS), [rng.uniform(0, 0.5)]])
@@ -303,7 +303,7 @@ class TestLossAugmentedInference:
             assert got == pytest.approx(best_val, abs=1e-9), trial
 
     def test_most_violated_matches_enumeration(self, rng):
-        cfg = learn.TrainConfig(labels=27, spacing_mm=10.0)
+        cfg = learn.TrainConfig()
         for trial in range(5):
             s = toy_sample(rng)
             w = np.concatenate([rng.uniform(0, 2, me.N_METRICS), [rng.uniform(0, 0.5)]])
@@ -467,9 +467,13 @@ def mini_samples():
     return synth_dataset(spec, 21)
 
 
-def prepare(p, cfg, class_id=1, scales=None):
+# the registration schedule whose finest level these tests train on
+SCHEDULE = gr.PyramidConfig(finest_spacing_mm=14.0, labels_per_level=27)
+
+
+def prepare(p, class_id=1, scales=None):
     """The class's sample on synthetic pair `p`, with the pair's own tables."""
-    return learn.prepare_sample(learn.pair_tables(p.source, p.target, cfg, scales),
+    return learn.prepare_sample(learn.pair_tables(p.source, p.target, SCHEDULE, scales),
                                 p.source_mask, p.target_mask, class_id)
 
 
@@ -485,29 +489,29 @@ class TestTrainClass:
         )
         p = synth_dataset(spec, 3)[0]
         # identity pair: source and target volumes and masks coincide
-        cfg = learn.TrainConfig(spacing_mm=14.0, labels=27, C=10.0, alpha=0.1, max_cccp=3)
-        s = learn.prepare_sample(learn.pair_tables(p.source, p.source, cfg, None),
+        cfg = learn.TrainConfig(C=10.0, alpha=0.1, max_cccp=3)
+        s = learn.prepare_sample(learn.pair_tables(p.source, p.source, SCHEDULE, None),
                                  p.source_mask, p.source_mask, 1)
         res = learn.train_class([s], cfg)
         assert res.converged
         assert max(res.manifest_rows[0]["slacks"]) < 0.05
 
     def test_objective_history_non_increasing(self, mini_samples):
-        cfg = learn.TrainConfig(spacing_mm=14.0, labels=27, C=20.0, alpha=0.1, max_cccp=4)
-        res = learn.train_class([prepare(p, cfg) for p in mini_samples], cfg)
+        cfg = learn.TrainConfig(C=20.0, alpha=0.1, max_cccp=4)
+        res = learn.train_class([prepare(p) for p in mini_samples], cfg)
         retained = [r["outer_objective"] for r in res.manifest_rows if r["retained"]]
         assert retained
         for prev, cur in zip(retained, retained[1:]):
             assert cur <= prev + cfg.epsilon * max(1.0, abs(prev))
 
     def test_constraints_satisfied_in_manifest(self, mini_samples):
-        cfg = learn.TrainConfig(spacing_mm=14.0, labels=27, C=20.0, alpha=0.1, max_cccp=3)
-        res = learn.train_class([prepare(p, cfg) for p in mini_samples], cfg)
+        cfg = learn.TrainConfig(C=20.0, alpha=0.1, max_cccp=3)
+        res = learn.train_class([prepare(p) for p in mini_samples], cfg)
         assert all(v >= -1e-9 for row in res.manifest_rows for v in row["slacks"])
 
     def test_exact_loss_stored_in_constraints(self, mini_samples):
-        cfg = learn.TrainConfig(spacing_mm=14.0, labels=27, C=20.0, alpha=0.1)
-        s = prepare(mini_samples[0], cfg)
+        cfg = learn.TrainConfig(C=20.0, alpha=0.1)
+        s = prepare(mini_samples[0])
         lab, psi, loss = learn.most_violated(s, cfg.w0_full())
         sparse = s.tables.label_space.displacements[lab]
         fld = interpolate_dense(s.tables.grid, sparse, s.src_fg)
@@ -523,8 +527,7 @@ def two_organ_pairs():
 
 
 # wp0=0.1 keeps training from returning w0 untouched
-TWO_ORGAN_CONFIG = learn.TrainConfig(spacing_mm=14.0, labels=27, C=20.0, alpha=1.0,
-                                     max_cccp=2, wp0=0.1)
+TWO_ORGAN_CONFIG = learn.TrainConfig(C=20.0, alpha=1.0, max_cccp=2, wp0=0.1)
 TWO_ORGAN_SCALES = (0.1, 0.2, 0.3, 0.4)
 
 
@@ -532,12 +535,12 @@ def train_and_write(pairs, cfg, scales, path, shared):
     """Train classes 1 and 2 on `pairs`, with one set of pair tables shared by
     both classes or each sample building its own; write model and log."""
     results = []
-    tables = [learn.pair_tables(p.source, p.target, cfg, scales) for p in pairs]
+    tables = [learn.pair_tables(p.source, p.target, SCHEDULE, scales) for p in pairs]
     for c in (1, 2):
         samples = [learn.prepare_sample(tables[i], p.source_mask, p.target_mask, c) if shared
-                   else prepare(p, cfg, c, scales) for i, p in enumerate(pairs)]
+                   else prepare(p, c, scales) for i, p in enumerate(pairs)]
         results.append(learn.train_class(samples, cfg))
-    learn.write_model(str(path), learn.assemble_model(results, cfg, scales), cfg)
+    learn.write_model(str(path), learn.assemble_model(results, cfg, scales), cfg, SCHEDULE)
     learn.write_training_manifest(str(path) + ".log", results)
 
 
@@ -578,7 +581,7 @@ class TestWarpedLossCache:
 
     def test_new_preparation_starts_empty(self, two_organ_pairs):
         p = two_organ_pairs[0]
-        s = prepare(p, TWO_ORGAN_CONFIG, 1, TWO_ORGAN_SCALES)
+        s = prepare(p, 1, TWO_ORGAN_SCALES)
         lab = np.zeros(s.tables.grid.n_nodes, dtype=np.int64)
         loss = learn.warped_loss(s, lab)
         assert list(s.loss_cache.values()) == [loss]
@@ -589,6 +592,41 @@ class TestWarpedLossCache:
         assert len(s.loss_cache) == 2
         again = learn.prepare_sample(s.tables, p.source_mask, p.target_mask, 1)
         assert again.loss_cache == {} and len(s.loss_cache) == 2
+
+
+class TestTrainingLevel:
+    """Training builds its MRF on the finest level of the registration
+    schedule: that level's control grid and first-step label catalog."""
+
+    def test_pair_tables_match_registration_level_0(self, two_organ_pairs, monkeypatch):
+        p = two_organ_pairs[0]
+        schedule = gr.PyramidConfig(levels=2, steps_per_level=2, labels_per_level=27,
+                                    finest_spacing_mm=14.0, bound_factor=0.3)
+        tables = learn.pair_tables(p.source, p.target, schedule, None)
+        seen = []
+        build_instance = gr.build_instance
+
+        def recorded(*args):
+            seen.append((args[4], args[5].displacements.copy()))
+            return build_instance(*args)
+
+        monkeypatch.setattr(gr, "build_instance", recorded)
+        gr.register(p.source, p.target, None, me.single_metric_weights("SAD", 0.1, 0.01),
+                    schedule)
+        assert [g.spacing_mm[0] for g, _ in seen] == [28.0, 28.0, 14.0, 14.0]
+        grid, ls = gr.level_grid(p.source, schedule, 0)
+        for want_grid, want_labels in ((grid, ls.displacements), seen[2]):
+            assert tables.grid == want_grid
+            assert tables.label_space.displacements.tobytes() == want_labels.tobytes()
+
+    def test_model_echoes_the_training_level(self, tmp_path):
+        res = learn.TrainResult(1, np.ones(4), 0.5, [])
+        cfg = learn.TrainConfig()
+        path = tmp_path / "model.txt"
+        learn.write_model(str(path), learn.assemble_model([res], cfg, None), cfg, SCHEDULE)
+        meta = [line for line in path.read_text().splitlines() if line.startswith("#")]
+        assert meta == ["# C=10.0", "# alpha=0.1", "# eta=50.0", "# epsilon=0.001",
+                        "# spacing_mm=14.0", "# labels=27", "# mi_bins=16"]
 
 
 class TestSharedPairTables:
@@ -603,9 +641,8 @@ class TestSharedPairTables:
         assert same_model_and_log(tmp_path / "shared.txt", tmp_path / "own.txt")
 
     def test_tables_shared_and_read_only(self, two_organ_pairs):
-        cfg = learn.TrainConfig(spacing_mm=14.0, labels=27)
         p = two_organ_pairs[0]
-        tables = learn.pair_tables(p.source, p.target, cfg, None)
+        tables = learn.pair_tables(p.source, p.target, SCHEDULE, None)
         one, two = (learn.prepare_sample(tables, p.source_mask, p.target_mask, c)
                     for c in (1, 2))
         assert one.tables is two.tables is tables
@@ -667,7 +704,7 @@ class TestAssembleModel:
         cfg = learn.TrainConfig()
         m = learn.assemble_model(res, cfg, (1.0, 2.0, 3.0, 4.0))
         path = str(tmp_path / "model.txt")
-        learn.write_model(path, m, cfg)
+        learn.write_model(path, m, cfg, gr.PyramidConfig())
         back, meta = me.read_weights(path)
         assert np.array_equal(back.weights, m.weights)
         assert np.array_equal(back.pairwise, m.pairwise)

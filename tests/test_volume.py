@@ -11,6 +11,7 @@ from mmreg.volume import (
     SegmentationMask,
     Volume,
     build_pyramid,
+    compose_ffd,
     ffd_evaluate,
     gaussian_smooth,
     interpolate_dense,
@@ -355,6 +356,20 @@ class TestFfdEvaluateMovedSupport:
         moved = rng.choice(grid.n_nodes, 12, replace=False)
         sparse[moved] = rng.uniform(-2, 2, (12, 3))
         self.check(grid, sparse, self.points(grid, rng, 4000, margin=2.0))
+
+
+class TestComposeFfd:
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_matches_one_whole_volume_evaluation(self, vol, rng, monkeypatch, chunk):
+        # acc(x) += FFD(x + acc(x)) in place, whatever the chunk length
+        if chunk is not None:
+            monkeypatch.setattr(vo, "_CHUNK", chunk)
+        grid = make_control_grid(vol, 8.0)
+        sparse = rng.uniform(-3, 3, (grid.n_nodes, 3))
+        acc = rng.uniform(-2, 2, (int(np.prod(vol.dims)), 3))
+        want = acc + ffd_evaluate(grid, sparse, vol.voxel_points_mm() + acc)
+        compose_ffd(acc, grid, sparse, vol)
+        assert acc.tobytes() == want.tobytes()
 
 
 class TestSampleField:
