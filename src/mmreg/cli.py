@@ -39,7 +39,6 @@ class RunConfig:
     """Settings read by the commands themselves rather than the library."""
     normalize_metrics: bool = True      # train: calibrate metric scales first
     baseline_wp_scale: float = ev.BASELINE_WP_SCALE
-    seed: int = 0                       # train: echoed into the model file
     threads: int = 1                    # evaluate: processes, the caller included
     timings: bool = False               # evaluate: report runtimes
 
@@ -235,7 +234,7 @@ def cmd_train(args):
 
     wmat = learn.assemble_model(results, tcfg, scales)
     out_dir = _output_dir(args.out_model)
-    learn.write_model(args.out_model, wmat, tcfg, cfg.pyramid, {"seed": str(cfg.run.seed)})
+    learn.write_model(args.out_model, wmat, tcfg, cfg.pyramid)
     learn.write_training_manifest(args.out_model + ".log", results)
     if args.dump_config:
         dump_config(cfg, out_dir)

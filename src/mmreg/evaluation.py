@@ -108,11 +108,13 @@ def _claim(counter):
 
 def _work(jobs, counter, results):
     """Worker process: claim a job only when idle, run it and send
-    (index, rows), or send (index, exception) and stop."""
+    (index, rows); on an error, leave no job to claim and send
+    (index, exception)."""
     while (i := _claim(counter)) < len(jobs):
         try:
             rows = _run_job(jobs[i])
         except Exception as e:
+            counter.value = len(jobs)     # the setter takes the lock
             results.put((i, e))
             return
         # the queue's feeder thread writes to the pipe, so a result larger
@@ -121,48 +123,16 @@ def _work(jobs, counter, results):
         results.put((i, rows))
 
 
-def _outcomes(results, procs, timeout=None):
-    """Yield each (index, rows or exception) the workers send, and
-    (None, RuntimeError) for each worker that exits with a nonzero code,
-    until every worker has exited; with timeout=0, only until nothing more
-    has arrived."""
-    from multiprocessing.connection import wait
-
-    # a worker's messages are in the pipe before it exits, and waiting
-    # messages are read first, so an exit comes after all its messages
-    reader = results._reader          # what ProcessPoolExecutor waits on, too
-    alive = {p.sentinel: p for p in procs}
-    while alive:
-        ready = wait([reader, *alive], timeout)
-        if not ready:
-            return
-        if reader in ready:
-            yield results.get()
-            continue
-        for s in ready:
-            p = alive.pop(s)
-            p.join()
-            if p.exitcode:
-                yield None, RuntimeError(
-                    f"evaluate worker {p.pid} exited with code {p.exitcode}")
-
-
-def _gather(outcomes, out):
-    """Store each job's rows in `out` by index; raise the first failure."""
-    for i, outcome in outcomes:
-        if isinstance(outcome, Exception):
-            raise outcome
-        out[i] = outcome
-
-
 def _run_pooled(jobs, workers):
     """Results of `jobs`, in order, from `workers` forked processes plus
     this one. Every process claims the next job from one shared counter
-    only when it is idle, so no job waits behind a busy process. Between
-    its own jobs the caller takes what the workers have sent without
-    waiting, so a worker's failure stops the pool before the caller's next
-    job; once no job is left to claim it waits for the rest."""
+    only when it is idle, so no job waits behind a busy process. A job
+    that raises leaves no job to claim, and the caller stops after its
+    current job once a worker has died; it then waits for the workers'
+    rows and exits, raises the first failure, and kills any worker still
+    running."""
     import multiprocessing
+    from multiprocessing.connection import wait
 
     # fork: workers start with mmreg imported and the inputs in memory.
     # The caller holds job 0 before any worker exists.
@@ -177,22 +147,36 @@ def _run_pooled(jobs, workers):
             p.start()
             procs.append(p)
         i = 0
-        while i < len(jobs):
+        while i < len(jobs) and not any(p.exitcode for p in procs):
             out[i] = _run_job(jobs[i])
-            _gather(_outcomes(results, procs, timeout=0), out)
             i = _claim(counter)
-        _gather(_outcomes(results, procs), out)
+        # a worker's messages are in the pipe before it exits, and waiting
+        # messages are read first, so an exit comes after all its messages
+        reader = results._reader          # what ProcessPoolExecutor waits on, too
+        alive = {p.sentinel: p for p in procs}
+        while alive:
+            ready = wait([reader, *alive])
+            if reader in ready:
+                i, outcome = results.get()
+                if isinstance(outcome, Exception):
+                    raise outcome
+                out[i] = outcome
+                continue
+            for s in ready:
+                p = alive.pop(s)
+                p.join()
+                if p.exitcode:
+                    raise RuntimeError(
+                        f"evaluate worker {p.pid} exited with code {p.exitcode}")
         if len(out) < len(jobs):
             raise RuntimeError(f"evaluate workers exited with {len(jobs) - len(out)} "
                                "jobs unreported")
         return [out[i] for i in range(len(jobs))]
     finally:
-        # after a failure no process starts another job; running ones
-        # finish, and their messages are read so none blocks on the pipe
-        with counter.get_lock():
-            counter.value = len(jobs)
-        for _ in _outcomes(results, procs):
-            pass
+        # SIGKILL: a SIGTERM handler inherited through fork could catch SIGTERM
+        for p in procs:
+            p.kill()
+            p.join()
 
 
 def run_benchmark(dataset, model, config=None, wp_scale=BASELINE_WP_SCALE, threads=1):
@@ -210,9 +194,11 @@ def run_benchmark(dataset, model, config=None, wp_scale=BASELINE_WP_SCALE, threa
             POSIX system, and a caller running no other threads). Jobs go
             longest first, in JOB_ORDER, and each process claims the next one
             from a shared counter only when it is idle; this process
-            claims the first before forking, takes the workers' rows that
-            have arrived after each of its jobs, and collects the rest once
-            none is left. The report does not depend on the count.
+            claims the first before forking. A job that raises leaves no
+            job to claim, this process stops after its current job once a
+            worker has died, the first failure is raised, and any worker
+            still running is killed. The report does not depend on the
+            count.
 
     Returns:
         EvalReport with one row per (pair, organ, method).

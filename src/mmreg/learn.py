@@ -465,7 +465,7 @@ def assemble_model(results, config, scales):
     )
 
 
-def write_model(path, wmat, config, schedule, extra_meta=None):
+def write_model(path, wmat, config, schedule):
     """Model file: the weight-matrix format plus an echo of the trainer's
     config and of the finest level of the schedule it trained on."""
     meta = {
@@ -473,7 +473,6 @@ def write_model(path, wmat, config, schedule, extra_meta=None):
         "epsilon": repr(config.epsilon), "spacing_mm": repr(schedule.finest_spacing_mm),
         "labels": str(schedule.labels_per_level), "mi_bins": str(me.MI_BINS),
     }
-    meta.update(extra_meta or {})
     me.write_weights(path, wmat, meta)
 
 

@@ -64,6 +64,10 @@ class SynthSpec:
             "3 spacing_mm > 0": len(self.spacing_mm) == 3 and min(self.spacing_mm) > 0,
             "noise_sigma >= 0": self.noise_sigma >= 0,
             "texture_sigma_vox >= 0": self.texture_sigma_vox >= 0,
+            "remap_gamma >= 0": self.remap_gamma >= 0,
+            "max_gt_disp_mm >= 0": self.max_gt_disp_mm >= 0,
+            "center_jitter_mm >= 0": self.center_jitter_mm >= 0,
+            "radius_jitter_mm >= 0": self.radius_jitter_mm >= 0,
             "one organ center per radius": len(self.organ_radii_mm) == len(self.organ_centers_frac),
             "3 fractions in each organ and decoy center": all(
                 len(c) == 3 for c in self.organ_centers_frac + self.decoy_centers_frac),

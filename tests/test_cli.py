@@ -53,7 +53,6 @@ levels=2
 max_cccp=20
 normalize_metrics=True
 refine_factor=0.7
-seed=0
 slack_tol=0.0001
 steps_per_level=5
 threads=1
@@ -74,7 +73,7 @@ OUT_OF_RANGE = {
     "finest_spacing_mm": "0", "bound_factor": "0.5", "refine_factor": "1.0",
     "normalize_metrics": "maybe", "train_C": "0", "train_alpha": "-0.1",
     "eta": "0", "epsilon": "0", "slack_tol": "-1e-4", "max_cccp": "0", "w0": "1,2,3",
-    "wp0": "-1", "baseline_wp_scale": "-0.02", "seed": "1.5", "threads": "0", "timings": "2",
+    "wp0": "-1", "baseline_wp_scale": "-0.02", "threads": "0", "timings": "2",
 }
 
 
@@ -139,11 +138,12 @@ class TestConfig:
         assert sorted((part, f.name) for part, f in cli.CONFIG_KEYS.values()) == sorted(consumers)
         assert cli.CONFIG_KEYS["bound_factor"][0] == "pyramid"
 
-    @pytest.mark.parametrize("item", ["train_spacing_mm=25", "train_labels=125"])
+    @pytest.mark.parametrize("item", ["train_spacing_mm=25", "train_labels=125", "seed=0"])
     @pytest.mark.parametrize("where", ["config", "--set"])
     def test_former_training_grid_keys_exit_3(self, tmp_path, capsys, item, where):
         # training uses the pyramid's finest level: finest_spacing_mm and
-        # labels_per_level set its grid and labels
+        # labels_per_level set its grid and labels; it draws no random
+        # number, so it has no seed either
         argv = ["train", "--dataset", str(tmp_path / "absent.csv"),
                 "--out-model", str(tmp_path / "out" / "model.txt")]
         argv += (["--config", write_text(tmp_path / "c.txt", item + "\n")] if where == "config"
@@ -188,7 +188,7 @@ class TestConfig:
     def test_item_without_separator_exits(self, tmp_path, capsys, where, rc, error):
         # config lines, --set items and weights header tokens share one
         # splitter, and each reader keeps its exit code; no volume is read
-        cfg = write_text(tmp_path / "c.txt", "seed=1\nlevels 3\n" if where == "config" else "")
+        cfg = write_text(tmp_path / "c.txt", "threads=1\nlevels 3\n" if where == "config" else "")
         header = "metrics=SAD,MI,NCC,DWT " + ("classes" if where == "weights" else "classes=0")
         weights = write_text(tmp_path / "w.txt", header + "\n1 1 1 1 0.3\n")
         sets = ["--set", "levels"] if where == "--set" else []
@@ -272,6 +272,10 @@ class TestSynthCommand:
          "decoy_levels=0.4,0.5", "needs one decoy radius and level per decoy center"),
         ("gt_translate_mm=1,2", "needs 3 gt_translate_mm"),
         ("gt_grid_spacing_mm=0", "needs gt_grid_spacing_mm > 0"),
+        ("remap_gamma=-1", "needs remap_gamma >= 0"),
+        ("max_gt_disp_mm=-1", "needs max_gt_disp_mm >= 0"),
+        ("center_jitter_mm=-1", "needs center_jitter_mm >= 0"),
+        ("radius_jitter_mm=-1", "needs radius_jitter_mm >= 0"),
     ])
     def test_bad_spec_value_exits_3_and_writes_nothing(self, tmp_path, capsys, line, error):
         spec = write_text(tmp_path / "s.txt", SYNTH_SPEC + line + "\n")

@@ -314,6 +314,24 @@ class TestRunBenchmark:
             started = len(list(tmp_path.iterdir()))
             assert started < len(tiny_dataset) * len(ev.ALL_METHODS) - 1
 
+    def test_worker_exiting_without_its_rows_raises(
+            self, tmp_path, monkeypatch, tiny_dataset, tiny_config, tiny_model):
+        caller = os.getpid()
+
+        def run_job(job):
+            if os.getpid() == caller:
+                # the caller's first job lasts until the worker has one
+                wait_for_files(tmp_path, "worker-*", 1)
+                return []
+            (tmp_path / "worker-exit").touch()
+            # no Exception: the worker sends nothing and exits with code 0
+            raise SystemExit(0)
+
+        monkeypatch.setattr(ev, "_run_job", run_job)
+        with pytest.raises(RuntimeError, match="jobs unreported"):
+            ev.run_benchmark(tiny_dataset, tiny_model, tiny_config, threads=2)
+        assert multiprocessing.active_children() == []
+
 
 class TestReports:
     def test_csv_schema_and_determinism(self, tmp_path, tiny_dataset, tiny_config, tiny_model):
