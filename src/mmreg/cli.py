@@ -172,7 +172,26 @@ def _output_dir(path):
     return out_dir
 
 
+def _check_register_paths(args):
+    """ConfigError unless every file `register` writes resolves to its own
+    path, which is none of its inputs."""
+    seen = {os.path.realpath(path): opt for opt, path in (
+        ("--source", args.source), ("--target", args.target),
+        ("--source-mask", args.source_mask), ("--weights", args.weights),
+        ("--config", args.config)) if path is not None}
+    for opt, path in (("--out-field", args.out_field),
+                      ("--out-field (its .raw payload)", args.out_field + ".raw"),
+                      ("--out-field (its .log)", args.out_field + ".log"),
+                      ("--out-warped", args.out_warped),
+                      ("--out-warped (its .raw payload)", args.out_warped + ".raw")):
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigError(f"{seen[real]} and {opt} name the same file {real}")
+        seen[real] = opt
+
+
 def cmd_register(args):
+    _check_register_paths(args)
     cfg = load_config(args.config, args.set or ())
     wmat, _ = me.read_weights(args.weights)
     if wmat.n_classes > 1 and args.source_mask is None:

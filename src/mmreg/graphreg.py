@@ -15,10 +15,10 @@ share plus its unary change is non-negative). The split starts from halving
 each edge's change. Under a table with a zero diagonal and no negative
 entry (the L1 table), an edge whose ends carry the same label adds nothing,
 so shares come only from the labeling's boundary edges. For the labels
-where that leaves some node short, one max-flow looks for a better split,
-over a small network per label: the short nodes and their neighbours, read
-from the neighbour lists. Each cut that remains builds its flow network
-from the instance's arc lists, with that move's capacities.
+where that leaves some node short, max-flows over batches of labels look
+for a better split, on a small network per label: the short nodes and their
+neighbours, read from the neighbour lists. Each cut that remains builds its
+flow network from the instance's arc lists, with that move's capacities.
 """
 
 import math
@@ -185,21 +185,23 @@ def build_instance(src, tgt, src_mask, wmat, grid, label_space):
     same sums. With a single-column weight matrix the mask is optional and
     the lone column applies everywhere.
     """
-    feats = me.feature_table(src, tgt, grid, label_space, wmat.scales,
-                             np.any(wmat.weights != 0, axis=1))
     edges = grid.edges
     table = pairwise_l1_table(label_space)
+    used = np.any(wmat.weights != 0, axis=1)
 
     if wmat.n_classes == 1:
-        unaries = feats @ wmat.weights[:, 0]
-        return MrfInstance(unaries, float(wmat.pairwise[0]), table, edges)
+        feats = me.feature_table(src, tgt, grid, label_space, wmat.scales, used)
+        return MrfInstance(feats @ wmat.weights[:, 0], float(wmat.pairwise[0]), table, edges)
 
     if src_mask is None:
         raise ValueError("multi-class weight matrix requires a source mask")
     if src_mask.geometry() != src.geometry():
         raise ValueError("source mask is not aligned with the source volume")
     max_class = max(wmat.class_ids)
+    # the class table first, so its temporaries and the feature table's
+    # never coexist
     cls = me.dominant_class_table(src_mask, grid, label_space, max_class)   # (V, L)
+    feats = me.feature_table(src, tgt, grid, label_space, wmat.scales, used)
     # a label whose patches are empty gets the sentinel feature vector; pin
     # such labels to the node's zero-label class so the constant sentinel
     # cannot be discounted by switching to a lighter weight column
@@ -226,6 +228,10 @@ _FLOW_CAP_MAX = (1 << 31) - 64
 # bound on the sum of all capacities of one batched regional network, so that
 # no capacity, node total or flow that scipy forms in int32 can overflow
 _FLOW_SUM_MAX = (1 << 31) - 2
+
+# region nodes of one batched regional network, give or take one label's
+# region: each node costs about 0.5 kB of certificate working memory
+_FLOW_BATCH_NODES = 1 << 14
 
 
 class _ExpansionNetwork:
@@ -315,14 +321,21 @@ class _ExpansionNetwork:
         move improves. `_margins` gives each label its margins from the
         half split of the boundary edges alone (every edge unless the table
         is L1-like), so at the all-zero labeling a margin is the unary
-        change. The labels with a negative margin share one `_certify_flow`,
-        whose regions come from the neighbour lists.
+        change. The labels with a negative margin share `_certify_flow`
+        calls, whose regions come from the neighbour lists, in order and in
+        batches of about _FLOW_BATCH_NODES region nodes; a label's answer
+        does not depend on its batch.
         """
         alphas = np.asarray(alphas, dtype=np.int64)
         m = self._margins(alphas)
         safe = m.min(axis=1) >= 0
         if not safe.all():
-            safe[~safe] = self._certify_flow(m[~safe], alphas[~safe])
+            open_ = np.flatnonzero(~safe)
+            # a batch's regions hold fewer than _FLOW_BATCH_NODES nodes plus
+            # its first label's
+            nodes = np.cumsum(self._inside(m[open_]).reshape(len(open_), -1).sum(axis=1))
+            for batch in np.split(open_, np.flatnonzero(np.diff(nodes // _FLOW_BATCH_NODES)) + 1):
+                safe[batch] = self._certify_flow(m[batch], alphas[batch])
         return safe
 
     def _shares(self, alphas, e):
@@ -350,6 +363,17 @@ class _ExpansionNetwork:
                 + np.bincount((self.i[b] + row).ravel(), ai.ravel(), n * V).reshape(n, V)
                 + np.bincount((self.j[b] + row).ravel(), aj.ravel(), n * V).reshape(n, V))
 
+    def _inside(self, m):
+        """The regions of the rows of the margins m: each row's deficit nodes
+        (m_i < 0) and their neighbours, as one flat mask over r*|V| + v."""
+        n, V = m.shape
+        nbrs, _, real, _ = self.neighbors
+        dc, dv = np.nonzero(m < 0)
+        inside = np.zeros(n * V, dtype=bool)
+        inside[dc * V + dv] = True
+        inside[(dc[:, None] * V + nbrs[dv])[real[dv]]] = True
+        return inside
+
     def _region(self, m, alphas):
         """The region of each row r of the margins m of the labels `alphas`:
         its deficit nodes (m_i < 0) and their neighbours, as one flat mask
@@ -357,13 +381,10 @@ class _ExpansionNetwork:
         rows and edge indices in row-major order, and their slacks d10 - a_i
         and d01 - a_j: how much more of each edge's change its i or j end
         can still take."""
-        n, V = m.shape
+        V = m.shape[1]
         E = len(self.i)
-        nbrs, _, real, ends = self.neighbors
-        dc, dv = np.nonzero(m < 0)
-        inside = np.zeros(n * V, dtype=bool)
-        inside[dc * V + dv] = True
-        inside[(dc[:, None] * V + nbrs[dv])[real[dv]]] = True
+        _, _, real, ends = self.neighbors
+        inside = self._inside(m)
         # each edge inside a region, found once from its i end
         rc, rv = np.divmod(np.flatnonzero(inside), V)
         p = ends[rv]
@@ -508,9 +529,9 @@ def solve(instance):
     cut. The first label of a labeling version whose status is unknown
     certifies itself and every later label of the sweep not yet tried at
     that version in one batch: the half split of the boundary edges per
-    label, then one regional max-flow for those it leaves open. An accepted
-    move starts a new version, so the statuses of the later labels are
-    computed again when the sweep reaches them. Every skip is of a move
+    label, then regional max-flows, in batches, for those it leaves open.
+    An accepted move starts a new version, so the statuses of the later
+    labels are computed again when the sweep reaches them. Every skip is of a move
     that would be rejected, so the result is the labeling a cut for every
     label would give.
     """
@@ -644,6 +665,7 @@ def register(src, tgt, src_mask, wmat, config=None):
             labeling = solve(inst)
             e_zero = inst.energy(np.zeros(inst.n_nodes, dtype=np.int64))
             e_acc = inst.energy(labeling)
+            del inst                      # not alive while the next one is built
 
             sparse = ls.displacements[labeling]
             bound = config.bound_factor * max(grid.spacing_mm)

@@ -9,7 +9,6 @@ feature and weight vector in the package.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .volume import FormatError, LabelSpace, header_settings, make_control_grid, split_setting
 
@@ -189,11 +188,14 @@ def _center_table(vol_like, grid, label_space):
     origin = np.asarray(vol_like.origin, dtype=np.float64)
     pts = grid.points                                     # (V, 3)
     disp = label_space.displacements                      # (L, 3)
-    t_src = (pts[:, None, :] + disp[None, :, :] - origin) / spacing   # (V, L, 3)
-    t_tgt = (pts - origin) / spacing                                   # (V, 3)
+    # (V, L, 3) continuous voxel coordinates, ((p + d) - origin) / spacing in place
+    t_src = pts[:, None, :] + disp[None, :, :]
+    t_src -= origin
+    t_src /= spacing
+    t_tgt = (pts - origin) / spacing                      # (V, 3)
     in_src = np.all((t_src >= 0.0) & (t_src <= dims - 1), axis=2)
     in_tgt = np.all((t_tgt >= 0.0) & (t_tgt <= dims - 1), axis=1)
-    c_src = np.rint(t_src).astype(np.int64)
+    c_src = np.rint(t_src, out=t_src).astype(np.int64)
     c_tgt = np.rint(t_tgt).astype(np.int64)
     return c_src, in_src, c_tgt, in_tgt
 
@@ -294,10 +296,29 @@ def _box_sums(v):
     """Sums of every 2x2x2 voxel block, indexed by the block's low corner.
 
     The Haar approximation band of a patch with low corner c is this
-    volume's stride-2 slice at c, times 1/sqrt(8).
+    array's stride-2 slice at c, times 1/sqrt(8).
     """
     p = v[:, :, :-1] + v[:, :, 1:]
     return ((p[:-1, :-1] + p[:-1, 1:]) + p[1:, :-1]) + p[1:, 1:]
+
+
+def _windows(v, shape, step=1):
+    """Read-only strided view of the windows of `shape` in the C-contiguous
+    3-D array `v` whose elements lie `step` apart, indexed by the window's
+    low corner."""
+    counts = tuple(n - (k - 1) * step for n, k in zip(v.shape, shape))
+    return np.ndarray(counts + tuple(shape), v.dtype, memoryview(v).toreadonly(), 0,
+                      v.strides + tuple(step * b for b in v.strides))
+
+
+def _region(data, lo_corners, hi_corners, box):
+    """The float64 copy of the part of the float32 volume `data` that spans
+    every box [lo_corners[k], hi_corners[k]), its low corner, and its 2x2x2
+    box sums when `box`."""
+    lo = lo_corners.min(axis=0)
+    hi = hi_corners.max(axis=0)
+    v = data[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]].astype(np.float64)
+    return lo, v, _box_sums(v) if box else None
 
 
 def feature_table(src, tgt, grid, label_space, scales=None, metrics=None):
@@ -317,11 +338,15 @@ def feature_table(src, tgt, grid, label_space, scales=None, metrics=None):
     a zero weight costs no kernel.
 
     Rows are evaluated per node and crop shape, each run of source patches
-    gathered against the node's one target patch. DWT reads every patch's
-    Haar band from one 2x2x2 box-summed volume per side. Volume data is
-    float32, so each 8-term block sum is exact in float64 (unless a block's
-    nonzero magnitudes span more than about 2^26), and the band equals the
-    per-patch block sum bit for bit.
+    gathered against the node's one target patch. No full-volume float64
+    copy exists: the runs of one z-slab of nodes read a float64 copy of
+    only the region their patches cover, on each side, and DWT reads every
+    patch's Haar band from the 2x2x2 box sums of that region. Volume data
+    is float32, so the copy is exact and each 8-term block sum is exact in
+    float64 (unless a block's nonzero magnitudes span more than about
+    2^26); the band equals the per-patch block sum bit for bit. Working
+    memory is one run's patches and one slab's regions on top of the
+    (|V|, |L|) table, whatever the volume.
     """
     used = np.ones(N_METRICS, dtype=bool) if metrics is None else np.asarray(metrics, dtype=bool)
     radius = np.asarray(patch_radius(grid.spacing_mm, src.spacing), dtype=np.int64)
@@ -329,73 +354,68 @@ def feature_table(src, tgt, grid, label_space, scales=None, metrics=None):
     V = grid.n_nodes
     L = label_space.n_labels
     c_src, in_src, c_tgt, in_tgt = _center_table(src, grid, label_space)
+    vi, li = np.nonzero(in_src & in_tgt[:, None])
+    if len(vi) == 0:
+        return np.full((V, L, N_METRICS), EMPTY_COST, dtype=np.float64)
 
-    out = np.full((V, L, N_METRICS), EMPTY_COST, dtype=np.float64)
-    valid = in_src & in_tgt[:, None]
-    if not np.any(valid):
-        return out
-
-    vi, li = np.nonzero(valid)
-    cs = c_src[vi, li]                   # (M, 3) source centers
-    ct = c_tgt[vi]                       # (M, 3) target centers
+    # deduplicate identical evaluations (same node, same rounded source
+    # center) on one flat key, ordered as the (node, x, y, z) rows it encodes
+    key = vi * int(np.prod(dims)) + np.ravel_multi_index(c_src[vi, li].T, src.dims)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    u_node = vi[first]
+    cs = c_src[u_node, li[first]]        # (U, 3) source centers
+    ct = c_tgt[u_node]                   # (U, 3) target centers
+    del key, first, c_src
 
     # common crop: patches intersected to equal shape around their centers
     left = np.minimum(np.minimum(cs, ct), radius)
     right = np.minimum(np.minimum(dims - 1 - cs, dims - 1 - ct), radius)
+    sig = np.concatenate([left, right], axis=1)
+    cs -= left                           # crop low corners
+    del ct, left, right
 
-    # deduplicate identical evaluations (same node, same rounded source
-    # center) on one flat key, ordered as the (node, x, y, z) rows it encodes
-    key = vi * int(np.prod(dims)) + np.ravel_multi_index(cs.T, src.dims)
-    _, first_idx, inverse = np.unique(key, return_index=True, return_inverse=True)
-    u_src = cs[first_idx] - left[first_idx]      # crop low corners
-    u_tgt = ct[first_idx] - left[first_idx]
-    u_vals = np.zeros((len(first_idx), N_METRICS), dtype=np.float64)
+    # rows by z-slab of nodes (node order is x-fastest), then by patch
+    # shape, then by node: each slab's float64 regions are built once, and
+    # each target patch is processed once per run of rows that share it
+    slab = u_node // (grid.grid_dims[0] * grid.grid_dims[1])
+    order = np.lexsort([u_node] + list(sig.T[::-1]) + [slab])
 
-    # group rows by patch shape, then by node so each target patch is
-    # processed once per run of rows that share it
-    u_node = vi[first_idx]
-    sig = np.concatenate([left[first_idx], right[first_idx]], axis=1)
-    order = np.lexsort([u_node] + list(sig.T[::-1]))
-    sig_sorted = sig[order]
-    boundaries = np.nonzero(np.any(np.diff(sig_sorted, axis=0) != 0, axis=1))[0] + 1
-    groups = np.split(order, boundaries)
-
-    src_data = src.data.astype(np.float64)
-    tgt_data = tgt.data.astype(np.float64)
-    if used[3]:
-        src_box = _box_sums(src_data)
-        tgt_box = _box_sums(tgt_data)
-    for g in groups:
-        shape = tuple(int(x) for x in sig[g[0], :3] + sig[g[0], 3:] + 1)
-        haar = used[3] and min(shape) >= 2
-        # SAD, MI and NCC read the full-resolution patches, and so does DWT
-        # where a side < 2 makes it fall back to SAD
-        gather = used[:3].any() or (used[3] and not haar)
-        if not (gather or haar):
-            continue
-        if gather:
-            src_view = sliding_window_view(src_data, shape)
-            tgt_view = sliding_window_view(tgt_data, shape)
-        if haar:
-            band = tuple(2 * (s // 2) - 1 for s in shape)
-            src_band = sliding_window_view(src_box, band)[..., ::2, ::2, ::2]
-            tgt_band = sliding_window_view(tgt_box, band)[..., ::2, ::2, ::2]
-        runs = np.nonzero(np.diff(u_node[g]) != 0)[0] + 1
-        for run in np.split(g, runs):
-            c = tuple(u_src[run].T)
-            t = tuple(u_tgt[run[0]])
-            # the previous run's patches stay alive until the new ones are
-            # gathered: releasing them first measured slower
-            a = src_view[c].reshape(len(run), -1) if gather else None
-            b = tgt_view[t].reshape(-1) if gather else None
-            ha = hb = None
+    u_vals = np.zeros((len(u_node), N_METRICS), dtype=np.float64)
+    for rows in np.split(order, np.flatnonzero(np.diff(slab[order])) + 1):
+        ext = sig[rows, :3] + sig[rows, 3:] + 1          # patch shapes
+        t_low = c_tgt[u_node[rows]] - sig[rows, :3]     # target crop low corners
+        s_lo, s_v, s_box = _region(src.data, cs[rows], cs[rows] + ext, used[3])
+        t_lo, t_v, t_box = _region(tgt.data, t_low, t_low + ext, used[3])
+        shapes = np.flatnonzero(np.any(np.diff(sig[rows], axis=0) != 0, axis=1)) + 1
+        for g in np.split(np.arange(len(rows)), shapes):
+            shape = tuple(int(x) for x in ext[g[0]])
+            haar = used[3] and min(shape) >= 2
+            # SAD, MI and NCC read the full-resolution patches, and so does
+            # DWT where a side < 2 makes it fall back to SAD
+            gather = used[:3].any() or (used[3] and not haar)
+            if not (gather or haar):
+                continue
+            if gather:
+                s_patch, t_patch = _windows(s_v, shape), _windows(t_v, shape)
             if haar:
-                ha = src_band[c].reshape(len(run), -1) * _INV_SQRT8
-                hb = tgt_band[t].reshape(-1) * _INV_SQRT8
-            u_vals[run] = _metric_rows(a, b, ha, hb, MI_BINS, used)
+                half = [n // 2 for n in shape]
+                s_band, t_band = _windows(s_box, half, 2), _windows(t_box, half, 2)
+            for run in np.split(g, np.flatnonzero(np.diff(u_node[rows[g]])) + 1):
+                r = rows[run]
+                c = tuple((cs[r] - s_lo).T)
+                t = tuple(t_low[run[0]] - t_lo)
+                a = s_patch[c].reshape(len(r), -1) if gather else None
+                b = t_patch[t].reshape(-1) if gather else None
+                ha = hb = None
+                if haar:
+                    ha = s_band[c].reshape(len(r), -1) * _INV_SQRT8
+                    hb = t_band[t].reshape(-1) * _INV_SQRT8
+                u_vals[r] = _metric_rows(a, b, ha, hb, MI_BINS, used)
 
-    out[vi, li] = u_vals[inverse] / np.asarray(
-        (1.0,) * N_METRICS if scales is None else scales, dtype=np.float64)
+    if scales is not None:
+        u_vals /= np.asarray(scales, dtype=np.float64)
+    out = np.full((V, L, N_METRICS), EMPTY_COST, dtype=np.float64)
+    out[vi, li] = u_vals[inverse]
     return out
 
 
@@ -418,15 +438,12 @@ def dominant_class_table(src_mask, grid, label_space, n_classes):
     """
     radius = np.asarray(patch_radius(grid.spacing_mm, src_mask.spacing), dtype=np.int64)
     c_src, in_src, _, _ = _center_table(src_mask, grid, label_space)
-
-    out = np.zeros((grid.n_nodes, label_space.n_labels), dtype=np.int64)
     vi, li = np.nonzero(in_src)
-    if len(vi) == 0:
-        return out
     dims = np.asarray(src_mask.dims)
     # dedupe centers by flat voxel index: a 1-D unique is much cheaper than axis=0
     flat, inverse = np.unique(np.ravel_multi_index(c_src[vi, li].T, src_mask.dims),
                               return_inverse=True)
+    del c_src
     centers = np.unravel_index(flat, src_mask.dims)
     # window [lo, hi) per axis; the summed-area table has a zero plane at index 0
     # of each axis, so a count is the signed sum of the table at the 8 corners
@@ -448,6 +465,7 @@ def dominant_class_table(src_mask, grid, label_space, n_classes):
         np.cumsum(inner, axis=2, out=inner)
         fg[:, j] = sum(sign * table[idx] for idx, sign in corners)
     u_cls = np.where(fg.sum(axis=1) > 0, np.argmax(fg, axis=1) + 1, 0)
+    out = np.zeros((grid.n_nodes, label_space.n_labels), dtype=np.int64)
     out[vi, li] = u_cls[inverse]
     return out
 

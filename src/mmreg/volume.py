@@ -323,7 +323,7 @@ def _spline_coords(grid, coords, axis):
 
 # voxels or points per chunk of ffd_evaluate, compose_ffd and the trilinear
 # samplers, whose working memory is then a few arrays of this length, whatever the volume
-_CHUNK = 1 << 16
+_CHUNK = 1 << 15
 
 # a tap whose moved node reaches more than this share of a chunk's points is
 # accumulated over all of them, as one pass costs less than gathering the
@@ -469,7 +469,12 @@ def interpolate_dense(grid, sparse, like):
     idx_y = cells[1][:, None] - 1 + np.arange(4)[None, :]
     tmp = np.einsum("ma,nmakc->nmkc", weights[1], tmp[:, idx_y])    # (nx, ny, gz, 3)
     idx_z = cells[2][:, None] - 1 + np.arange(4)[None, :]
-    dense = np.einsum("pa,nmpac->nmpc", weights[2], tmp[:, :, idx_z])
+    # the last axis over slabs of x rows: its gathered operand holds 4 taps
+    # per voxel, 96 B per voxel of the slab, not of the volume
+    dense = np.empty(tuple(like.dims) + (3,))
+    step = max(1, _CHUNK // (dense.shape[1] * dense.shape[2]))
+    for s in range(0, dense.shape[0], step):
+        dense[s:s + step] = np.einsum("pa,nmpac->nmpc", weights[2], tmp[s:s + step][:, :, idx_z])
     return DeformationField(dense, like.spacing, like.origin)
 
 

@@ -362,6 +362,55 @@ class TestRegisterCommand:
         assert rc == 2
 
 
+    @pytest.mark.parametrize("field, warped, names", [
+        ("out/x", "out/x", ("--out-field", "--out-warped")),
+        ("out/x", "out/sub/../x", ("--out-field", "--out-warped")),
+        ("out/x", "out/x.raw", ("--out-field (its .raw payload)", "--out-warped")),
+        ("out/x.raw", "out/x", ("--out-field", "--out-warped (its .raw payload)")),
+        ("out/x", "out/x.log", ("--out-field (its .log)", "--out-warped")),
+        ("SOURCE", "out/w.vol", ("--source", "--out-field")),
+        ("out/f.fld", "TARGET", ("--target", "--out-warped")),
+        ("out/f.fld", "MASK", ("--source-mask", "--out-warped")),
+        ("WEIGHTS", "out/w.vol", ("--weights", "--out-field")),
+        ("out/f.fld", "CONFIG", ("--config", "--out-warped")),
+        ("out/f.fld", "w", ("--weights", "--out-warped (its .raw payload)")),
+    ])
+    def test_shared_output_path_exits_3_and_writes_nothing(self, workspace, monkeypatch,
+                                                           capsys, field, warped, names):
+        """Two files register writes (field, its payload and log, warped
+        volume, its payload) on one path, or one of them on an input, would
+        silently destroy a file: rejected before any volume is read."""
+        tmp, cfg, data = workspace
+        wpath = str(tmp / "w.raw")
+        me.write_weights(wpath, me.WeightMatrix(
+            np.array([[0.1], [10.0], [10.0], [10.0]]), np.array([0.3]), (0,)
+        ))
+        inputs = {"SOURCE": os.path.join(data, "pair000_src.vol"),
+                  "TARGET": os.path.join(data, "pair000_tgt.vol"),
+                  "MASK": os.path.join(data, "pair000_srcmask.msk"),
+                  "WEIGHTS": wpath, "CONFIG": cfg}
+
+        def path(p):
+            return inputs.get(p, str(tmp / p))
+
+        before = {p: Path(p).read_bytes() for p in inputs.values()}
+        listing = sorted(os.listdir(tmp)) + sorted(os.listdir(data))
+
+        def no_read(p):
+            raise AssertionError(f"volume {p} read before the output paths were checked")
+
+        monkeypatch.setattr(cli, "read_volume", no_read)
+        rc = cli.main([
+            "register", "--source", inputs["SOURCE"], "--target", inputs["TARGET"],
+            "--source-mask", inputs["MASK"], "--weights", wpath, "--config", cfg,
+            "--out-field", path(field), "--out-warped", path(warped),
+        ])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert all(name in err for name in names), err
+        assert sorted(os.listdir(tmp)) + sorted(os.listdir(data)) == listing
+        assert {p: Path(p).read_bytes() for p in before} == before
+
     @pytest.mark.parametrize("text", [
         "metrics=SAD,MI,NCC,DWT classes=0\nabc 10 10 10 0.3\n",
         "metrics=SAD,MI,NCC,DWT classes=0,x\n0.1 10 10 10 0.3\n0.1 10 10 10 0.3\n",

@@ -394,12 +394,13 @@ class TestRegister:
     def test_peak_memory_stays_per_chunk(self):
         # 48^3 pair, default pyramid: with whole-volume warping and
         # composition the peak under tracemalloc was 37.1 MiB; chunked, it
-        # is 20.3 MiB, inside feature_table
+        # was 20.2 MiB, inside feature_table's whole-volume float64 copies;
+        # with per-slab regions and a certificate batch budget it is 11.9 MiB
         p = synth_dataset(SynthSpec(dims=(48, 48, 48), spacing_mm=(2.0, 2.0, 2.0)), 0)[0]
         w = me.WeightMatrix(np.array([[0.1], [10.0], [10.0], [10.0]]), np.array([0.4]), (0,))
         (_, diag), peak = traced_peak(gr.register, p.source, p.target, p.source_mask, w)
         assert any(r.level == 0 and r.moved_nodes for r in diag.steps)
-        assert peak < 28 * 2 ** 20
+        assert peak < 16 * 2 ** 20
 
     def test_diagnostics_text(self, small_pair):
         p = small_pair
@@ -687,6 +688,55 @@ class TestFlowCertificate:
                 assert np.concatenate(chunks).tolist() == batch.tolist()
                 by_flow += np.count_nonzero(batch & ~self.half_split_holds(net, np.arange(L)))
         assert by_flow > 15
+
+    def test_batch_budget_changes_no_answer(self, monkeypatch):
+        """The open labels share one flow per batch of about
+        _FLOW_BATCH_NODES region nodes. One label per flow (a budget of one
+        node), or batches of a few labels, give the same answers, and solve
+        the same labelings; these small networks take one flow each."""
+        calls = []
+        real_max_flow = gr.maximum_flow
+
+        def recording(graph, s, t):
+            calls.append(graph.shape[0] - 2)           # region nodes of the batch
+            return real_max_flow(graph, s, t)
+
+        monkeypatch.setattr(gr, "maximum_flow", recording)
+        default = gr._FLOW_BATCH_NODES
+        edges = lattice_edges_3d(4, 3, 2)
+        instances = [registration_like_instance(seed, n_nodes=24, n_labels=27, edges=edges,
+                                                wp_range=(0.02, 0.5)) for seed in range(12)]
+        instances += [self.chain(m)[0] for m in ([-0.5, 1.0], [1.0, -0.5], [-0.5, 0.0, 0.3])]
+        split = 0
+        for k, inst in enumerate(instances):
+            rng = np.random.default_rng(800 + k)
+            net = gr._ExpansionNetwork(inst)
+            L = inst.n_labels
+            alphas = np.arange(1, L)
+            x0 = np.zeros(inst.n_nodes, dtype=np.int64)
+            for x in (x0, gr.solve(inst), rng.integers(0, L, inst.n_nodes)):
+                net.relabel(x)
+                answers = {}
+                for budget in (default, 1, 40):
+                    monkeypatch.setattr(gr, "_FLOW_BATCH_NODES", budget)
+                    calls.clear()
+                    answers[budget] = net.certify(alphas).tolist()
+                    n_open = np.count_nonzero(~self.half_split_holds(net, alphas))
+                    if budget == default:
+                        assert len(calls) == min(n_open, 1)
+                    elif budget == 1:
+                        assert len(calls) == n_open
+                    else:
+                        # a batch holds fewer than the budget plus one label's region
+                        assert all(c < budget + inst.n_nodes for c in calls)
+                        split += len(calls) > 1
+                assert answers[1] == answers[default] == answers[40]
+            labelings = []
+            for budget in (default, 1):
+                monkeypatch.setattr(gr, "_FLOW_BATCH_NODES", budget)
+                labelings.append(gr.solve(inst).tolist())
+            assert labelings[0] == labelings[1]
+        assert split > 5
 
     def test_capacities_stay_in_int32_over_wide_margins(self, monkeypatch):
         """125 labels whose margins span 1e-9 to 1e9: no capacity, node total

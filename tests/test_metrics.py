@@ -6,7 +6,8 @@ import pytest
 from mmreg import graphreg as gr
 from mmreg import metrics as me
 from mmreg.synth import SynthSpec, synth_dataset
-from mmreg.volume import FormatError, LabelSpace, SegmentationMask, Volume, make_control_grid
+from mmreg.volume import (ControlGrid, FormatError, LabelSpace, SegmentationMask, Volume,
+                          make_control_grid)
 
 import count_oracle
 import feature_oracle
@@ -339,12 +340,27 @@ class TestFeatureTableOracle:
 
     def test_peak_memory_stays_per_node(self):
         # 48^3 pair, 13^3 patches, 125 labels: the replaced whole-group gather
-        # peaked at 56.8 MiB under tracemalloc and the per-node gather at 13.5 MiB
+        # peaked at 56.8 MiB under tracemalloc, the per-node gather from
+        # whole-volume float64 copies at 13.3 MiB, and from per-slab regions
+        # at 7.9 MiB
         src, tgt = _random_pair(np.random.default_rng(0), (48, 48, 48), (2.0, 2.0, 2.0))
         grid = make_control_grid(src, 25.0)
         ls = gr.initialize_label_space(gr.PyramidConfig(), grid.spacing_mm)
         _, peak = traced_peak(me.feature_table, src, tgt, grid, ls)
-        assert peak < 28 * 2 ** 20
+        assert peak < 9 * 2 ** 20
+
+    def test_peak_memory_does_not_grow_with_the_volume(self):
+        # the same control grid and labels, every patch inside both volumes,
+        # over a volume twice as long per axis: whole-volume float64 copies
+        # and box sums would add 24 MiB
+        rng = np.random.default_rng(1)
+        small = _random_pair(rng, (48, 48, 48), (2.0, 2.0, 2.0))
+        large = _random_pair(rng, (96, 96, 96), (2.0, 2.0, 2.0))
+        grid = ControlGrid((3, 3, 3), (25.0, 25.0, 25.0), (23.0, 23.0, 23.0))
+        ls = gr.initialize_label_space(gr.PyramidConfig(), grid.spacing_mm)
+        _, small_peak = traced_peak(me.feature_table, *small, grid, ls)
+        _, large_peak = traced_peak(me.feature_table, *large, grid, ls)
+        assert large_peak - small_peak < 2 ** 20
 
 
 class TestDominantClass:
