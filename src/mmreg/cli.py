@@ -172,26 +172,31 @@ def _output_dir(path):
     return out_dir
 
 
-def _check_register_paths(args):
-    """ConfigError unless every file `register` writes resolves to its own
-    path, which is none of its inputs."""
-    seen = {os.path.realpath(path): opt for opt, path in (
-        ("--source", args.source), ("--target", args.target),
-        ("--source-mask", args.source_mask), ("--weights", args.weights),
-        ("--config", args.config)) if path is not None}
-    for opt, path in (("--out-field", args.out_field),
-                      ("--out-field (its .raw payload)", args.out_field + ".raw"),
-                      ("--out-field (its .log)", args.out_field + ".log"),
-                      ("--out-warped", args.out_warped),
-                      ("--out-warped (its .raw payload)", args.out_warped + ".raw")):
-        real = os.path.realpath(path)
+def _check_paths(args):
+    """ConfigError unless every file the command writes resolves to its own
+    path, which is none of the files its options name (the files a
+    manifest lists are not checked)."""
+    def given(opt):
+        return getattr(args, opt[2:].replace("-", "_"), None)
+
+    seen = {os.path.realpath(given(opt)): opt for opt in (
+        "--source", "--target", "--source-mask", "--weights", "--model", "--dataset",
+        "--config") if given(opt) is not None}
+    for opt, suffix, note in (
+            ("--out-field", "", ""), ("--out-field", ".raw", " (its .raw payload)"),
+            ("--out-field", ".log", " (its .log)"), ("--out-warped", "", ""),
+            ("--out-warped", ".raw", " (its .raw payload)"), ("--out-model", "", ""),
+            ("--out-model", ".log", " (its .log)"), ("--out-report", "", ""),
+            ("--out-report", ".summary.csv", " (its .summary.csv)")):
+        if given(opt) is None:
+            continue
+        real = os.path.realpath(given(opt) + suffix)
         if real in seen:
-            raise ConfigError(f"{seen[real]} and {opt} name the same file {real}")
-        seen[real] = opt
+            raise ConfigError(f"{seen[real]} and {opt}{note} name the same file {real}")
+        seen[real] = opt + note
 
 
 def cmd_register(args):
-    _check_register_paths(args)
     cfg = load_config(args.config, args.set or ())
     wmat, _ = me.read_weights(args.weights)
     if wmat.n_classes > 1 and args.source_mask is None:
@@ -351,6 +356,7 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_paths(args)
         return args.func(args)
     except (FormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -17,8 +17,9 @@ entry (the L1 table), an edge whose ends carry the same label adds nothing,
 so shares come only from the labeling's boundary edges. For the labels
 where that leaves some node short, max-flows over batches of labels look
 for a better split, on a small network per label: the short nodes and their
-neighbours, read from the neighbour lists. Each cut that remains builds its
-flow network from the instance's arc lists, with that move's capacities.
+neighbours, read from the neighbour lists, and the edges between them, read
+from the edge list. Each cut that remains builds its flow network from the
+instance's arc lists, with that move's capacities.
 """
 
 import math
@@ -241,8 +242,9 @@ class _ExpansionNetwork:
     terminal arcs s->i and i->t of every node. Each expansion move builds a
     CSR network from these lists and its own capacities, as `_certify_flow`
     does. The network also checks the dual bound that lets a move be skipped
-    without a cut, and holds the neighbour lists that bound and the ICM
-    polish read.
+    without a cut, and holds the neighbour lists that the ICM polish reads
+    and that bound takes its regions' nodes from; a region's edges come
+    from the edge list.
     """
 
     def __init__(self, instance):
@@ -321,21 +323,23 @@ class _ExpansionNetwork:
         move improves. `_margins` gives each label its margins from the
         half split of the boundary edges alone (every edge unless the table
         is L1-like), so at the all-zero labeling a margin is the unary
-        change. The labels with a negative margin share `_certify_flow`
-        calls, whose regions come from the neighbour lists, in order and in
-        batches of about _FLOW_BATCH_NODES region nodes; a label's answer
-        does not depend on its batch.
+        change. One `_inside` call builds the regions of all labels with a
+        negative margin; they share `_certify_flow` calls, in order and in
+        batches of about _FLOW_BATCH_NODES region nodes, and a label's
+        answer does not depend on its batch.
         """
         alphas = np.asarray(alphas, dtype=np.int64)
         m = self._margins(alphas)
         safe = m.min(axis=1) >= 0
         if not safe.all():
             open_ = np.flatnonzero(~safe)
+            inside = self._inside(m[open_])
             # a batch's regions hold fewer than _FLOW_BATCH_NODES nodes plus
             # its first label's
-            nodes = np.cumsum(self._inside(m[open_]).reshape(len(open_), -1).sum(axis=1))
-            for batch in np.split(open_, np.flatnonzero(np.diff(nodes // _FLOW_BATCH_NODES)) + 1):
-                safe[batch] = self._certify_flow(m[batch], alphas[batch])
+            nodes = np.cumsum(inside.sum(axis=1))
+            cuts = np.flatnonzero(np.diff(nodes // _FLOW_BATCH_NODES)) + 1
+            for batch, regions in zip(np.split(open_, cuts), np.split(inside, cuts)):
+                safe[batch] = self._certify_flow(m[batch], alphas[batch], regions)
         return safe
 
     def _shares(self, alphas, e):
@@ -364,43 +368,31 @@ class _ExpansionNetwork:
                 + np.bincount((self.j[b] + row).ravel(), aj.ravel(), n * V).reshape(n, V))
 
     def _inside(self, m):
-        """The regions of the rows of the margins m: each row's deficit nodes
-        (m_i < 0) and their neighbours, as one flat mask over r*|V| + v."""
+        """(n, |V|) mask of the region of each row of the margins m: its
+        deficit nodes (m_i < 0) and their neighbours, read from the
+        neighbour lists."""
         n, V = m.shape
-        nbrs, _, real, _ = self.neighbors
-        dc, dv = np.nonzero(m < 0)
-        inside = np.zeros(n * V, dtype=bool)
-        inside[dc * V + dv] = True
+        nbrs, _, real = self.neighbors
+        inside = (m < 0).ravel()
+        dc, dv = np.divmod(np.flatnonzero(inside), V)
         inside[(dc[:, None] * V + nbrs[dv])[real[dv]]] = True
-        return inside
+        return inside.reshape(n, V)
 
-    def _region(self, m, alphas):
-        """The region of each row r of the margins m of the labels `alphas`:
-        its deficit nodes (m_i < 0) and their neighbours, as one flat mask
-        over r*|V| + v. Also the edges with both ends in a row's region, as
-        rows and edge indices in row-major order, and their slacks d10 - a_i
-        and d01 - a_j: how much more of each edge's change its i or j end
-        can still take."""
-        V = m.shape[1]
-        E = len(self.i)
-        _, _, real, ends = self.neighbors
-        inside = self._inside(m)
-        # each edge inside a region, found once from its i end
-        rc, rv = np.divmod(np.flatnonzero(inside), V)
-        p = ends[rv]
-        first = real[rv] & (p % 2 == 0)
-        c = np.broadcast_to(rc[:, None], p.shape)[first]
-        e = p[first] // 2
-        ec, ee = np.divmod(np.sort((c * E + e)[inside[c * V + self.j[e]]]), E)
+    def _region(self, alphas, inside):
+        """The edges with both ends in the region of each row r of `inside`
+        (from `_inside`) of the labels `alphas`, as rows and edge indices in
+        row-major order, and their slacks d10 - a_i and d01 - a_j: how much
+        more of each edge's change its i or j end can still take."""
+        ec, ee = np.nonzero(inside[:, self.i] & inside[:, self.j])
         ai, aj, d10, d01 = self._shares(alphas[ec], ee)
-        return inside, ec, ee, d10 - ai, d01 - aj
+        return ec, ee, d10 - ai, d01 - aj
 
-    def _certify_flow(self, m, alphas):
+    def _certify_flow(self, m, alphas, inside):
         """(n,) booleans for the (n, |V|) margins of n distinct labels
-        `alphas`: True where one maximum_flow call finds another split with
-        all margins >= 0.
+        `alphas`, whose regions are the rows of `inside`: True where one
+        maximum_flow call finds another split with all margins >= 0.
 
-        Each label gets its own copy of its `_region`, with arcs j->i of
+        Each label gets its own copy of its region, with arcs j->i of
         capacity d10 - a_i and i->j of capacity d01 - a_j on the edges
         inside that region, s->i of capacity m_i where m_i > 0 and i->t of
         capacity -m_i where m_i < 0; all copies share s and t. A flow that
@@ -411,7 +403,7 @@ class _ExpansionNetwork:
         _FLOW_SUM_MAX // |L|: a label's answer does not depend on the batch.
         """
         n, V = m.shape
-        inside, ec, ee, up_i, up_j = self._region(m, alphas)
+        ec, ee, up_i, up_j = self._region(alphas, inside)
         rc, rv = np.divmod(np.flatnonzero(inside), V)
         deficit = m < 0
         total = -np.where(deficit, m, 0.0).sum(axis=1)
@@ -456,8 +448,7 @@ class _ExpansionNetwork:
 
 def _neighbor_table(instance):
     """Each node's neighbours and edge weights in edge order, as padded
-    (n_nodes, max degree) tables, the mask of their real entries, and each
-    entry's edge end: 2k for the i end of edge k, 2k + 1 for its j end."""
+    (n_nodes, max degree) tables, and the mask of their real entries."""
     V = instance.n_nodes
     ends = instance.edges.ravel()             # edge k: i at 2k, j at 2k + 1
     order = np.argsort(ends, kind="stable")
@@ -467,7 +458,7 @@ def _neighbor_table(instance):
     pos[ends[order], rank] = order
     nbrs = np.append(instance.edges[:, ::-1].ravel(), 0)[pos]
     weights = np.append(np.repeat(instance.edge_weights, 2), 0.0)[pos]
-    return nbrs, weights, pos < len(ends), pos
+    return nbrs, weights, pos < len(ends)
 
 
 def _icm_costs(instance, nodes, labeling, neighbors, table_t):
@@ -476,7 +467,7 @@ def _icm_costs(instance, nodes, labeling, neighbors, table_t):
     transposed and contiguous, so a neighbour's term is one row of it. A
     padding slot adds its zero weight times a finite entry, +-0.0, which
     leaves every sum and the argmin as they are."""
-    nbrs, weights, _, _ = neighbors
+    nbrs, weights, _ = neighbors
     costs = instance.unaries[nodes]
     rows = np.empty_like(costs)
     for k in range(nbrs.shape[1]):
@@ -494,7 +485,7 @@ def _icm_pass(instance, labeling, neighbors):
     changes, only its later neighbours are evaluated again, which is what a
     node-by-node sweep would see when it reaches them.
     """
-    nbrs, _, real, _ = neighbors
+    nbrs, _, real = neighbors
     table_t = np.ascontiguousarray(instance.pairwise_table.T)
     best = np.argmin(_icm_costs(instance, np.arange(instance.n_nodes), labeling, neighbors,
                                 table_t), axis=1)
@@ -538,8 +529,6 @@ def solve(instance):
     V = instance.n_nodes
     L = instance.n_labels
     labeling = np.zeros(V, dtype=np.int64)
-    if L == 1:
-        return labeling
     if len(instance.edges) == 0 or np.all(instance.edge_weights == 0.0):
         return np.argmin(instance.unaries, axis=1).astype(np.int64)
 

@@ -172,8 +172,9 @@ def joint_feature(sample, labeling):
     return np.concatenate([unary, [pair]])
 
 
-def loss_augmented_instance(sample, w, sign, scale):
-    """Registration MRF with the surrogate loss folded into the unaries.
+def loss_augmented_instance(sample, w, loss_weight):
+    """Registration MRF with the surrogate loss, times `loss_weight`, folded
+    into the unaries: +eta for imputation, -1 for the separation oracle.
 
     Imputation, prediction and the separation oracle differ only here.
     """
@@ -181,8 +182,8 @@ def loss_augmented_instance(sample, w, sign, scale):
     t = sample.tables
     n = t.features.shape[2]
     unaries = t.features @ w[:n]
-    if scale != 0.0:
-        unaries = unaries + float(sign) * float(scale) * sample.loss_terms
+    if loss_weight != 0.0:
+        unaries = unaries + float(loss_weight) * sample.loss_terms
     return MrfInstance(unaries, float(w[n]), t.pairwise_table, t.edges)
 
 
@@ -205,7 +206,7 @@ def warped_loss(sample, labeling):
 
 def impute_latent(sample, w, config):
     """Segmentation-consistent registration: argmin w'Psi + eta * loss."""
-    inst = loss_augmented_instance(sample, w, +1.0, config.eta)
+    inst = loss_augmented_instance(sample, w, config.eta)
     return solve(inst)
 
 
@@ -216,7 +217,7 @@ def most_violated(sample, w):
         (labeling, psi, loss) where loss is the exact warped-mask Dice loss
         stored with the constraint.
     """
-    inst = loss_augmented_instance(sample, w, -1.0, 1.0)
+    inst = loss_augmented_instance(sample, w, -1.0)
     labeling = solve(inst)
     return labeling, joint_feature(sample, labeling), warped_loss(sample, labeling)
 

@@ -200,7 +200,7 @@ def _center_table(vol_like, grid, label_space):
     return c_src, in_src, c_tgt, in_tgt
 
 
-def _metric_rows(a, b, ha, hb, bins, used):
+def _metric_rows(a, b, ha, hb, used):
     """The metrics in `used` of many source patches against one target patch.
 
     a: (rows, n_vox) float64 source patches; b: (n_vox,) float64 target patch.
@@ -230,18 +230,18 @@ def _metric_rows(a, b, ha, hb, bins, used):
     if use_mi:
         # per-row joint histograms against the shared target binning
         n_vox = a.shape[1]
-        ai, a_const = _bin_rows(a, bins)
-        bi, _ = _bin_rows(b[None, :], bins)
-        ai *= bins
+        ai, a_const = _bin_rows(a)
+        bi, _ = _bin_rows(b[None, :])
+        ai *= MI_BINS
         ai += bi
-        ai += (np.arange(rows, dtype=np.int32) * (bins * bins))[:, None]
-        joint = np.bincount(ai.ravel(), minlength=rows * bins * bins)
-        joint = joint.reshape(rows, bins, bins).astype(np.float64)
+        ai += (np.arange(rows, dtype=np.int32) * (MI_BINS * MI_BINS))[:, None]
+        joint = np.bincount(ai.ravel(), minlength=rows * MI_BINS * MI_BINS)
+        joint = joint.reshape(rows, MI_BINS, MI_BINS).astype(np.float64)
         del ai
         joint /= n_vox
         pa = joint.sum(axis=2)
         pb = joint.sum(axis=1)
-        out[:, 1] = np.log(bins) - (
+        out[:, 1] = np.log(MI_BINS) - (
             _entropy_rows(pa) + _entropy_rows(pb) - _entropy_rows(joint.reshape(rows, -1))
         )
 
@@ -273,16 +273,16 @@ def _metric_rows(a, b, ha, hb, bins, used):
     return out
 
 
-def _bin_rows(x, bins):
-    """Histogram bin of every value against its row's [min, max], and the
-    rows whose range is 0 (all their values land in bin 0)."""
+def _bin_rows(x):
+    """MI_BINS histogram bin of every value against its row's [min, max],
+    and the rows whose range is 0 (all their values land in bin 0)."""
     lo = x.min(axis=1, keepdims=True)
     rng = x.max(axis=1, keepdims=True) - lo
     const = rng[:, 0] == 0.0
     t = x - lo
-    t /= np.where(const[:, None], 1.0, rng) / bins
+    t /= np.where(const[:, None], 1.0, rng) / MI_BINS
     idx = t.astype(np.int32)
-    return np.minimum(idx, bins - 1, out=idx), const
+    return np.minimum(idx, MI_BINS - 1, out=idx), const
 
 
 def _entropy_rows(p):
@@ -410,7 +410,7 @@ def feature_table(src, tgt, grid, label_space, scales=None, metrics=None):
                 if haar:
                     ha = s_band[c].reshape(len(r), -1) * _INV_SQRT8
                     hb = t_band[t].reshape(-1) * _INV_SQRT8
-                u_vals[r] = _metric_rows(a, b, ha, hb, MI_BINS, used)
+                u_vals[r] = _metric_rows(a, b, ha, hb, used)
 
     if scales is not None:
         u_vals /= np.asarray(scales, dtype=np.float64)

@@ -88,21 +88,25 @@ class SynthPair:
     target_mask: SegmentationMask
 
 
-def _positions_mm(spec):
-    axes = [np.arange(spec.dims[a], dtype=np.float64) * spec.spacing_mm[a] for a in range(3)]
-    return np.meshgrid(*axes, indexing="ij")
+def _ball(spec, frac, radius, rng, jitter_radius):
+    """Mask of a ball centred at the fraction `frac` of the volume's extent.
+    The centre jitter is drawn first, then, if `jitter_radius`, the radius
+    jitter."""
+    center = np.array([frac[a] * (spec.spacing_mm[a] * (spec.dims[a] - 1)) for a in range(3)])
+    center = center + rng.uniform(-spec.center_jitter_mm, spec.center_jitter_mm, 3)
+    if jitter_radius:
+        radius = radius + rng.uniform(-spec.radius_jitter_mm, spec.radius_jitter_mm)
+    # the positions broadcast along one axis each, so only dist2 is a volume
+    px, py, pz = np.meshgrid(*(np.arange(spec.dims[a], dtype=np.float64) * spec.spacing_mm[a]
+                               for a in range(3)), indexing="ij", sparse=True)
+    dist2 = (px - center[0]) ** 2 + (py - center[1]) ** 2 + (pz - center[2]) ** 2
+    return dist2 <= radius * radius
 
 
 def _make_source(spec, rng):
-    px, py, pz = _positions_mm(spec)
-    extent = [spec.spacing_mm[a] * (spec.dims[a] - 1) for a in range(3)]
     labels = np.zeros(spec.dims, dtype=np.uint8)
     for k, (frac, radius) in enumerate(zip(spec.organ_centers_frac, spec.organ_radii_mm)):
-        center = np.array([frac[a] * extent[a] for a in range(3)])
-        center = center + rng.uniform(-spec.center_jitter_mm, spec.center_jitter_mm, 3)
-        r = radius + rng.uniform(-spec.radius_jitter_mm, spec.radius_jitter_mm)
-        dist2 = (px - center[0]) ** 2 + (py - center[1]) ** 2 + (pz - center[2]) ** 2
-        labels[dist2 <= r * r] = k + 1
+        labels[_ball(spec, frac, radius, rng, True)] = k + 1
 
     base = np.full(spec.dims, spec.base_levels[0], dtype=np.float64)
     amp = np.full(spec.dims, spec.texture_amp[0], dtype=np.float64)
@@ -111,11 +115,7 @@ def _make_source(spec, rng):
         amp[labels == k + 1] = spec.texture_amp[min(k + 1, len(spec.texture_amp) - 1)]
     for frac, radius, level in zip(spec.decoy_centers_frac, spec.decoy_radii_mm,
                                    spec.decoy_levels):
-        center = np.array([frac[a] * extent[a] for a in range(3)])
-        center = center + rng.uniform(-spec.center_jitter_mm, spec.center_jitter_mm, 3)
-        dist2 = (px - center[0]) ** 2 + (py - center[1]) ** 2 + (pz - center[2]) ** 2
-        inside = (dist2 <= radius * radius) & (labels == 0)
-        base[inside] = level
+        base[_ball(spec, frac, radius, rng, False) & (labels == 0)] = level
     tex = gaussian_smooth(rng.standard_normal(spec.dims), spec.texture_sigma_vox, "reflect")
     tex /= max(tex.std(), 1e-12)
     vol = Volume((base + amp * tex).astype(np.float32), spec.spacing_mm)

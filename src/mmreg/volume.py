@@ -315,12 +315,6 @@ def _spline_cells(grid, coords, axis):
     return cell, t - cell
 
 
-def _spline_coords(grid, coords, axis):
-    """Cell index and basis weights along one axis for physical coordinates."""
-    cell, u = _spline_cells(grid, coords, axis)
-    return cell, _bspline_weights(u)
-
-
 # voxels or points per chunk of ffd_evaluate, compose_ffd and the trilinear
 # samplers, whose working memory is then a few arrays of this length, whatever the volume
 _CHUNK = 1 << 15
@@ -459,9 +453,9 @@ def interpolate_dense(grid, sparse, like):
     cells = []
     weights = []
     for a, coords in enumerate(like.voxel_centers_mm()):
-        cell, w = _spline_coords(grid, coords, a)
+        cell, u = _spline_cells(grid, coords, a)
         cells.append(cell)
-        weights.append(w)
+        weights.append(_bspline_weights(u))
 
     # separable tensor-product evaluation: contract one lattice axis at a time
     idx_x = cells[0][:, None] - 1 + np.arange(4)[None, :]          # (nx, 4)

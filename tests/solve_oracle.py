@@ -10,9 +10,10 @@ return the same labeling bit for bit, and the same move mask for every cut
 the library does make.
 
 `half_split` and `region` are the skip certificate's dense first stage over
-every (label, edge) and (label, node) entry, which the library replaced by
-sums over the labeling's boundary edges and regions read from neighbour
-lists; both must agree bit for bit.
+every (label, edge) and (label, node) entry. The library replaced the
+margins by sums over the labeling's boundary edges and the region nodes by
+reads of neighbour lists; it reads region edges from the edge list as
+`region` does. Both must agree bit for bit.
 """
 
 import numpy as np

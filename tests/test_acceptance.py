@@ -60,15 +60,15 @@ class TestCriterion2EnergyLinearity:
             s = learn.TrainingSample(tables, 1, None, None, np.zeros((6, 3)))
             w = np.concatenate([rng.uniform(-1, 2, me.N_METRICS), [rng.uniform(0.0, 1.0)]])
             lab = rng.integers(0, 3, 6)
-            e = learn.loss_augmented_instance(s, w, 1.0, 0.0).energy(lab)
+            e = learn.loss_augmented_instance(s, w, 0.0).energy(lab)
             psi = learn.joint_feature(s, lab)
             rel = abs(e - float(w @ psi)) / max(1.0, abs(e))
             worst = max(worst, rel)
 
             wpos = np.abs(w) + 0.05
-            inst1 = learn.loss_augmented_instance(s, wpos, 1.0, 0.0)
+            inst1 = learn.loss_augmented_instance(s, wpos, 0.0)
             k = float(rng.uniform(0.5, 4.0))
-            inst2 = learn.loss_augmented_instance(s, k * wpos, 1.0, 0.0)
+            inst2 = learn.loss_augmented_instance(s, k * wpos, 0.0)
             lab1 = solve_bruteforce(inst1)
             e1 = inst1.energy(lab1)
             # only check argmin stability when the optimum is unique
@@ -229,7 +229,7 @@ class TestCriterion8LossAugmentedOracle:
                 ok = False
                 detail.append(f"impute seed {seed}")
 
-            inst = learn.loss_augmented_instance(s, w, -1.0, 1.0)
+            inst = learn.loss_augmented_instance(s, w, -1.0)
             lab = gr.solve(inst)
             got = _augmented_value(s, w, lab, -1, 1.0)
             best, _ = _enumerate(s, w, -1, 1.0)

@@ -689,6 +689,47 @@ class TestTrainEvaluateCommands:
         assert cli.main(argv) == 2
         assert not os.path.exists(tmp_path / "out")
 
+    @pytest.mark.parametrize("command, out, names", [
+        ("evaluate", "MODEL", ("--model", "--out-report")),
+        ("evaluate", "DATASET", ("--dataset", "--out-report")),
+        ("evaluate", "CONFIG", ("--config", "--out-report")),
+        ("evaluate", "r", ("--model", "--out-report (its .summary.csv)")),
+        ("evaluate", "out/sub/../../c.log", ("--config", "--out-report")),
+        ("train", "DATASET", ("--dataset", "--out-model")),
+        ("train", "CONFIG", ("--config", "--out-model")),
+        ("train", "c", ("--config", "--out-model (its .log)")),
+    ])
+    def test_shared_path_exits_3_and_writes_nothing(self, workspace, monkeypatch, capsys,
+                                                    command, out, names):
+        """A file train or evaluate writes (the model and its log, the
+        report and its summary) on one of its inputs would silently destroy
+        that input: rejected before any input is read."""
+        tmp, _, data = workspace
+        model = str(tmp / "r.summary.csv")
+        me.write_weights(model, me.WeightMatrix(np.ones((4, 1)), np.array([0.3]), (0,)))
+        inputs = {"DATASET": os.path.join(data, "manifest.csv"), "MODEL": model,
+                  "CONFIG": write_text(tmp / "c.log", FAST_CONFIG)}
+        (tmp / "out").mkdir()
+        before = {p: Path(p).read_bytes() for p in inputs.values()}
+        listing = sorted(os.listdir(tmp)) + sorted(os.listdir(data))
+
+        def no_read(*args):
+            raise AssertionError(f"{args} read before the output paths were checked")
+
+        for name in ("load_config", "read_manifest", "read_volume"):
+            monkeypatch.setattr(cli, name, no_read)
+        monkeypatch.setattr(me, "read_weights", no_read)
+        target = inputs.get(out, str(tmp / out))
+        argv = {"train": ["train", "--dataset", inputs["DATASET"], "--config", inputs["CONFIG"],
+                          "--out-model", target],
+                "evaluate": ["evaluate", "--dataset", inputs["DATASET"], "--model", model,
+                             "--config", inputs["CONFIG"], "--out-report", target]}[command]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert all(name in err for name in names), err
+        assert sorted(os.listdir(tmp)) + sorted(os.listdir(data)) == listing
+        assert {p: Path(p).read_bytes() for p in before} == before
+
     def test_train_then_evaluate(self, workspace):
         tmp, cfg, data = workspace
         model = str(tmp / "model.txt")

@@ -316,9 +316,9 @@ class TestWeighedMetricsOnly:
         calls = []
         bin_rows = me._bin_rows
 
-        def counted(x, bins):
+        def counted(x):
             calls.append(len(x))
-            return bin_rows(x, bins)
+            return bin_rows(x)
 
         monkeypatch.setattr(me, "_bin_rows", counted)
         cfg = gr.PyramidConfig(levels=2, steps_per_level=2, labels_per_level=27,
@@ -738,6 +738,46 @@ class TestFlowCertificate:
             assert labelings[0] == labelings[1]
         assert split > 5
 
+    def test_regions_built_once_per_call(self, monkeypatch):
+        """One certify call builds the regions of all its open labels with
+        one `_inside` call, whatever the batch budget; its batches read
+        their rows of that mask."""
+        calls, flows = [], []
+        real_inside = gr._ExpansionNetwork._inside
+        real_max_flow = gr.maximum_flow
+
+        def counting(self, m):
+            calls.append(len(m))
+            return real_inside(self, m)
+
+        def recording(graph, s, t):
+            flows.append(graph.shape[0])
+            return real_max_flow(graph, s, t)
+
+        monkeypatch.setattr(gr._ExpansionNetwork, "_inside", counting)
+        monkeypatch.setattr(gr, "maximum_flow", recording)
+        default = gr._FLOW_BATCH_NODES
+        edges = lattice_edges_3d(4, 3, 2)
+        split = 0
+        for seed in range(6):
+            rng = np.random.default_rng(950 + seed)
+            inst = registration_like_instance(seed, n_nodes=24, n_labels=27, edges=edges,
+                                              wp_range=(0.02, 0.5))
+            net = gr._ExpansionNetwork(inst)
+            alphas = np.arange(inst.n_labels)
+            for x in (np.zeros(inst.n_nodes, dtype=np.int64),
+                      rng.integers(0, inst.n_labels, inst.n_nodes)):
+                net.relabel(x)
+                n_open = np.count_nonzero(~self.half_split_holds(net, alphas))
+                for budget in (default, 1, 64):
+                    monkeypatch.setattr(gr, "_FLOW_BATCH_NODES", budget)
+                    calls.clear()
+                    flows.clear()
+                    net.certify(alphas)
+                    assert calls == ([n_open] if n_open else [])
+                    split += len(flows) > 1
+        assert split > 5
+
     def test_capacities_stay_in_int32_over_wide_margins(self, monkeypatch):
         """125 labels whose margins span 1e-9 to 1e9: no capacity, node total
         or flow through the network reaches 2^31 - 1, and every certified
@@ -818,8 +858,9 @@ class TestFlowCertificate:
 class TestBoundaryShares:
     """The certificate sums each margin over the labeling's boundary edges
     alone (every edge unless the table is L1-like), and computes slacks on
-    the region edges alone, with regions read from neighbour lists. Both
-    equal the dense half split bit for bit."""
+    the region edges alone, with region nodes read from neighbour lists and
+    region edges from the edge list. Both equal the dense half split bit
+    for bit."""
 
     @staticmethod
     def labelings(inst, rng):
@@ -842,9 +883,10 @@ class TestBoundaryShares:
             short = m.min(axis=1) < 0                # left to the flow
             if not short.any():
                 continue
-            inside, ec, ee, up_i, up_j = net._region(m[short], alphas[short])
+            inside = net._inside(m[short])
+            ec, ee, up_i, up_j = net._region(alphas[short], inside)
             mask, (rc, re) = solve_oracle.region(net, m_ref[short])
-            assert inside.tolist() == mask.ravel().tolist()
+            assert inside.tolist() == mask.tolist()
             assert ec.tolist() == rc.tolist() and ee.tolist() == re.tolist()
             assert up_i.tobytes() == up_i_ref[short][rc, re].tobytes()
             assert up_j.tobytes() == up_j_ref[short][rc, re].tobytes()

@@ -105,7 +105,7 @@ class TestLossIncrements:
         # a zero loss scale leaves the plain registration unaries
         s = toy_sample(rng)
         w = np.array([0.5, 1.0, 2.0, 0.1, 0.3])
-        inst = learn.loss_augmented_instance(s, w, +1.0, 0.0)
+        inst = learn.loss_augmented_instance(s, w, 0.0)
         assert np.array_equal(inst.unaries, s.tables.features @ w[:4])
 
     def test_surrogate_equals_exact_at_zero_labeling(self, small_grid, rng):
@@ -307,7 +307,7 @@ class TestLossAugmentedInference:
         for trial in range(5):
             s = toy_sample(rng)
             w = np.concatenate([rng.uniform(0, 2, me.N_METRICS), [rng.uniform(0, 0.5)]])
-            inst = learn.loss_augmented_instance(s, w, -1.0, 1.0)
+            inst = learn.loss_augmented_instance(s, w, -1.0)
             lab = gr.solve(inst)
             got = float(w @ learn.joint_feature(s, lab)) - float(
                 s.loss_terms[np.arange(6), lab].sum()
@@ -317,7 +317,7 @@ class TestLossAugmentedInference:
 
     def test_w_zero_maximizes_loss(self, rng):
         s = toy_sample(rng)
-        inst = learn.loss_augmented_instance(s, np.zeros(5), -1.0, 1.0)
+        inst = learn.loss_augmented_instance(s, np.zeros(5), -1.0)
         lab = gr.solve(inst)
         got = float(s.loss_terms[np.arange(6), lab].sum())
         _, best_lab = enumerate_loss_augmented(s, np.zeros(5), -1, 1.0)
@@ -327,8 +327,8 @@ class TestLossAugmentedInference:
     def test_instances_differ_only_in_unaries(self, rng):
         s = toy_sample(rng)
         w = np.array([1.0, 1.0, 1.0, 1.0, 0.3])
-        a = learn.loss_augmented_instance(s, w, +1.0, 50.0)
-        b = learn.loss_augmented_instance(s, w, -1.0, 1.0)
+        a = learn.loss_augmented_instance(s, w, 50.0)
+        b = learn.loss_augmented_instance(s, w, -1.0)
         assert np.array_equal(a.edges, b.edges)
         assert np.array_equal(a.pairwise_table, b.pairwise_table)
         assert np.array_equal(a.edge_weights, b.edge_weights)
@@ -340,14 +340,14 @@ class TestLossAugmentedInference:
         s = toy_sample(rng)
         w, _, _ = learn.solve_qp([[]], [None], np.array([0.1, 10, 10, 10, -1.0]), 10.0, 0.5)
         assert w[-1] == 0.0
-        learn.loss_augmented_instance(s, w, -1.0, 1.0)
+        learn.loss_augmented_instance(s, w, -1.0)
         with pytest.raises(ValueError, match="edge_weights must be finite and >= 0"):
-            learn.loss_augmented_instance(s, np.array([1.0, 1.0, 1.0, 1.0, -0.3]), +1.0, 0.0)
+            learn.loss_augmented_instance(s, np.array([1.0, 1.0, 1.0, 1.0, -0.3]), 0.0)
 
     def test_zero_scale_reduces_to_plain_inference(self, rng):
         s = toy_sample(rng)
         w = np.array([1.0, 0.5, 0.7, 0.2, 0.1])
-        inst = learn.loss_augmented_instance(s, w, +1.0, 0.0)
+        inst = learn.loss_augmented_instance(s, w, 0.0)
         assert np.allclose(inst.unaries, s.tables.features @ w[:4], atol=1e-15)
 
 
@@ -357,7 +357,7 @@ class TestEnergyLinearity:
             s = toy_sample(rng)
             w = np.concatenate([rng.uniform(-1, 2, 4), [rng.uniform(0, 1)]])
             lab = rng.integers(0, 4, 6)
-            inst = learn.loss_augmented_instance(s, w, +1.0, 0.0)
+            inst = learn.loss_augmented_instance(s, w, 0.0)
             e = inst.energy(lab)
             psi = learn.joint_feature(s, lab)
             assert abs(e - float(w @ psi)) / max(1.0, abs(e)) < 1e-9
@@ -366,8 +366,8 @@ class TestEnergyLinearity:
         for trial in range(10):
             s = toy_sample(rng)
             w = np.concatenate([rng.uniform(0.1, 2, 4), [rng.uniform(0.01, 1)]])
-            inst1 = learn.loss_augmented_instance(s, w, +1.0, 0.0)
-            inst2 = learn.loss_augmented_instance(s, 3.0 * w, +1.0, 0.0)
+            inst1 = learn.loss_augmented_instance(s, w, 0.0)
+            inst2 = learn.loss_augmented_instance(s, 3.0 * w, 0.0)
             lab1 = solve_bruteforce(inst1)
             lab2 = solve_bruteforce(inst2)
             assert np.array_equal(lab1, lab2)

@@ -300,8 +300,8 @@ class TestFeatureTableOracle:
         rng = np.random.default_rng(5)
         a = np.vstack([np.full(27, 0.1), np.full(27, 1e-3 / 3), rng.random((3, 27))])
         b = rng.random(27)
-        full = me._metric_rows(a, b, None, None, me.MI_BINS, (True,) * 4)
-        ncc = me._metric_rows(a, b, None, None, me.MI_BINS, (False, False, True, False))
+        full = me._metric_rows(a, b, None, None, (True,) * 4)
+        ncc = me._metric_rows(a, b, None, None, (False, False, True, False))
         assert np.all(full[:2, 2] == 1.0)
         assert ncc[:, 2].tobytes() == full[:, 2].tobytes()
 
@@ -314,9 +314,9 @@ class TestFeatureTableOracle:
         calls = []
         metric_rows = me._metric_rows
 
-        def recorded(a, b, ha, hb, bins, used):
+        def recorded(a, b, ha, hb, used):
             calls.append((a is None, ha is None))
-            return metric_rows(a, b, ha, hb, bins, used)
+            return metric_rows(a, b, ha, hb, used)
 
         monkeypatch.setattr(me, "_metric_rows", recorded)
         me.feature_table(src, tgt, grid, ls, None, (False, False, False, True))

@@ -28,7 +28,7 @@ from mmreg.volume import (
     write_volume,
 )
 from mmreg import volume as vo
-from mmreg.volume import _spline_coords
+from mmreg.volume import _bspline_weights, _spline_cells
 
 from count_oracle import tile_edges
 from helpers import traced_peak
@@ -234,9 +234,8 @@ def _ffd_gather_oracle(grid, sparse_disp, points_mm):
     chunk = 1 << 16
     for s in range(0, pts.shape[0], chunk):
         p = pts[s:s + chunk]
-        cx, wx = _spline_coords(grid, p[:, 0], 0)
-        cy, wy = _spline_coords(grid, p[:, 1], 1)
-        cz, wz = _spline_coords(grid, p[:, 2], 2)
+        (cx, ux), (cy, uy), (cz, uz) = (_spline_cells(grid, p[:, a], a) for a in range(3))
+        wx, wy, wz = (_bspline_weights(u) for u in (ux, uy, uz))
         acc = np.zeros((p.shape[0], 3), dtype=np.float64)
         for a in range(4):
             ix = cx - 1 + a
