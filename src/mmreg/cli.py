@@ -94,14 +94,20 @@ def load_config(path=None, overrides=()):
     return cfg
 
 
-def dump_config(cfg, out_dir):
+def _dump_path(out_file):
+    """The file --dump-config writes: config.resolved.txt in the directory
+    of `out_file`, the command's field, model or report."""
+    return os.path.join(os.path.dirname(os.path.abspath(out_file)), "config.resolved.txt")
+
+
+def dump_config(cfg, path):
     lines = []
     for k in sorted(CONFIG_KEYS):
         v = cfg[k]
         if isinstance(v, tuple):
             v = ",".join(repr(x) for x in v)
         lines.append(f"{k}={v}")
-    with open(os.path.join(out_dir, "config.resolved.txt"), "w") as f:
+    with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
 
@@ -166,10 +172,8 @@ def _load_pairs(manifest_rows):
 # ---------------------------------------------------------------------------
 
 def _output_dir(path):
-    """Create the directory of the output file `path` and return it."""
-    out_dir = os.path.dirname(os.path.abspath(path))
-    os.makedirs(out_dir, exist_ok=True)
-    return out_dir
+    """Create the directory of the output file `path`."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
 
 
 def _check_paths(args):
@@ -182,18 +186,19 @@ def _check_paths(args):
     seen = {os.path.realpath(given(opt)): opt for opt in (
         "--source", "--target", "--source-mask", "--weights", "--model", "--dataset",
         "--config") if given(opt) is not None}
-    for opt, suffix, note in (
-            ("--out-field", "", ""), ("--out-field", ".raw", " (its .raw payload)"),
-            ("--out-field", ".log", " (its .log)"), ("--out-warped", "", ""),
-            ("--out-warped", ".raw", " (its .raw payload)"), ("--out-model", "", ""),
-            ("--out-model", ".log", " (its .log)"), ("--out-report", "", ""),
-            ("--out-report", ".summary.csv", " (its .summary.csv)")):
-        if given(opt) is None:
-            continue
-        real = os.path.realpath(given(opt) + suffix)
+    writes = [(opt + note, given(opt) + suffix) for opt, suffix, note in (
+        ("--out-field", "", ""), ("--out-field", ".raw", " (its .raw payload)"),
+        ("--out-field", ".log", " (its .log)"), ("--out-warped", "", ""),
+        ("--out-warped", ".raw", " (its .raw payload)"), ("--out-model", "", ""),
+        ("--out-model", ".log", " (its .log)"), ("--out-report", "", ""),
+        ("--out-report", ".summary.csv", " (its .summary.csv)")) if given(opt) is not None]
+    if getattr(args, "dump_config", False):     # writes[0] is the field, model or report
+        writes.append(("--dump-config", _dump_path(writes[0][1])))
+    for name, path in writes:
+        real = os.path.realpath(path)
         if real in seen:
-            raise ConfigError(f"{seen[real]} and {opt}{note} name the same file {real}")
-        seen[real] = opt + note
+            raise ConfigError(f"{seen[real]} and {name} name the same file {real}")
+        seen[real] = name
 
 
 def cmd_register(args):
@@ -212,14 +217,14 @@ def cmd_register(args):
     fld, diag = register(src, tgt, smask, wmat, cfg.pyramid)
     warped = warp(src, fld)
 
-    out_dir = _output_dir(args.out_field)
+    _output_dir(args.out_field)
     _output_dir(args.out_warped)
     write_field(args.out_field, fld)
     write_volume(args.out_warped, warped)
     with open(args.out_field + ".log", "w") as f:
         f.write(diag.to_text())
     if args.dump_config:
-        dump_config(cfg, out_dir)
+        dump_config(cfg, _dump_path(args.out_field))
     return 0
 
 
@@ -257,11 +262,11 @@ def cmd_train(args):
         results.append(res)
 
     wmat = learn.assemble_model(results, tcfg, scales)
-    out_dir = _output_dir(args.out_model)
+    _output_dir(args.out_model)
     learn.write_model(args.out_model, wmat, tcfg, cfg.pyramid)
     learn.write_training_manifest(args.out_model + ".log", results)
     if args.dump_config:
-        dump_config(cfg, out_dir)
+        dump_config(cfg, _dump_path(args.out_model))
     return exit_code
 
 
@@ -274,11 +279,11 @@ def cmd_evaluate(args):
         pairs, wmat, cfg.pyramid,
         wp_scale=cfg.run.baseline_wp_scale, threads=cfg.run.threads,
     )
-    out_dir = _output_dir(args.out_report)
+    _output_dir(args.out_report)
     ev.write_report_csv(args.out_report, report, timings=cfg.run.timings)
     ev.write_summary_csv(args.out_report + ".summary.csv", report)
     if args.dump_config:
-        dump_config(cfg, out_dir)
+        dump_config(cfg, _dump_path(args.out_report))
     return 0
 
 

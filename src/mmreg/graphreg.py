@@ -7,11 +7,11 @@ exactly as a min-cut; the L1 pairwise term is a metric, so every expansion
 move is submodular.
 
 Most expansion moves change nothing, so a move is skipped without a cut
-when its outcome is already known: when the labeling has not changed since
-the label's last move (the same inputs give the same rejected cut), or when
-a dual lower bound certifies that no move to the label can lower the energy
-(each edge's energy change is split between its endpoints, and every node's
-share plus its unary change is non-negative). The split starts from halving
+when its outcome is known: each label has one status per labeling, safe
+once its cut is rejected (the same inputs give the same cut) or once a dual
+lower bound certifies that no move to it can lower the energy (each edge's
+energy change is split between its endpoints, and every node's share plus
+its unary change is non-negative). The split starts from halving
 each edge's change. Under a table with a zero diagonal and no negative
 entry (the L1 table), an edge whose ends carry the same label adds nothing,
 so shares come only from the labeling's boundary edges. For the labels
@@ -513,18 +513,17 @@ def solve(instance):
     zero-labeling energy and is locally optimal under single-node changes;
     with zero pairwise weight it equals the per-node argmin exactly.
 
-    A move is skipped without a cut when its outcome is known. Three checks
-    run in order: a label already tried at this labeling version is skipped
-    (the same cut would be rejected again); a label the dual bound certifies
-    (`_ExpansionNetwork.certify`) is skipped; any other label gets the full
-    cut. The first label of a labeling version whose status is unknown
-    certifies itself and every later label of the sweep not yet tried at
-    that version in one batch: the half split of the boundary edges per
-    label, then regional max-flows, in batches, for those it leaves open.
-    An accepted move starts a new version, so the statuses of the later
-    labels are computed again when the sweep reaches them. Every skip is of a move
-    that would be rejected, so the result is the labeling a cut for every
-    label would give.
+    A move is skipped without a cut when its outcome is known. Each label
+    has at most one status per labeling, and two checks read it: a label
+    without a status certifies itself and every later label without one
+    in one batch (`_ExpansionNetwork.certify`: the half split of the
+    boundary edges per label, then regional max-flows, in batches, for
+    those it leaves open); a safe label is skipped. Any other label gets
+    the full cut and is then safe, since the same cut would be rejected
+    again. An accepted move clears every status, and the sweeps stop once
+    every label has one, which is a sweep that accepted no move. Every
+    skip is of a move that would be rejected, so the result is the
+    labeling a cut for every label would give.
     """
     V = instance.n_nodes
     L = instance.n_labels
@@ -535,22 +534,17 @@ def solve(instance):
     net = _ExpansionNetwork(instance)
     net.relabel(labeling)
     energy = instance.energy(labeling)
-    version = 0                           # bumped on every accepted move
-    tried = np.full(L, -1)                # labeling version at alpha's last move
-    known = np.full(L, -1)                # labeling version of alpha's certificate
-    safe = np.zeros(L, dtype=bool)        # certified at version known[alpha]
+    known = np.zeros(L, dtype=bool)       # alpha has a status at this labeling
+    safe = np.zeros(L, dtype=bool)        # no move to alpha can lower the energy
     for _ in range(20):
-        improved = False
         for alpha in range(L):
-            if tried[alpha] == version:
-                continue
-            if known[alpha] != version:
-                batch = alpha + np.flatnonzero(tried[alpha:] != version)
+            if not known[alpha]:
+                batch = alpha + np.flatnonzero(~known[alpha:])
                 safe[batch] = net.certify(batch)
-                known[batch] = version
-            tried[alpha] = version
+                known[batch] = True
             if safe[alpha]:
                 continue
+            safe[alpha] = True
             move = net.cut(alpha)
             if not move.any():
                 continue
@@ -559,10 +553,9 @@ def solve(instance):
             if cand_energy < energy:
                 labeling = candidate
                 energy = cand_energy
-                improved = True
-                version += 1
+                known[:] = False
                 net.relabel(labeling)
-        if not improved:
+        if known.all():
             break
 
     for _ in range(50):

@@ -548,18 +548,17 @@ def _inside(coords, dims):
             & (cz >= 0) & (cz <= dims[2] - 1))
 
 
-def warp(vol, fld, fill_value=0.0):
+def warp(vol, fld):
     """Warp a volume: output(x) = vol(x + d(x)) via trilinear interpolation.
 
-    Sample points falling outside the voxel-center box take `fill_value`.
+    Sample points falling outside the voxel-center box take 0.
     Voxels are warped in chunks of at most _CHUNK.
     """
     out = np.empty(math.prod(vol.dims), dtype=np.float32)
     for c, coords in _sample_chunks(vol, fld):
         # a float32 voxel times a float64 weight is the product of its
         # exact float64 value, so the data is never copied to float64
-        out[c] = np.where(_inside(coords, vol.dims), _trilinear(vol.data, coords),
-                          float(fill_value))
+        out[c] = np.where(_inside(coords, vol.dims), _trilinear(vol.data, coords), 0.0)
     return Volume(out.reshape(vol.dims), vol.spacing, vol.origin)
 
 

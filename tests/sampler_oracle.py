@@ -52,7 +52,7 @@ def sample_field_oracle(fld, points_mm):
     return out
 
 
-def warp_oracle(vol, fld, fill_value=0.0):
+def warp_oracle(vol, fld):
     cx, cy, cz = _sample_coords(vol, fld)
     dims = vol.dims
     inside = (
@@ -78,7 +78,7 @@ def warp_oracle(vol, fld, fill_value=0.0):
                 wz = (1.0 - fz) if dz == 0 else fz
                 iz = np.minimum(z0 + dz, dims[2] - 1)
                 out += wx * wy * wz * data[ix, iy, iz]
-    out = np.where(inside, out, float(fill_value))
+    out = np.where(inside, out, 0.0)
     return Volume(out.astype(np.float32), vol.spacing, vol.origin)
 
 

@@ -128,7 +128,7 @@ class TestConfig:
                 assert getattr(got, f.name) == getattr(want, f.name), f.name
 
     def test_keys_and_defaults_unchanged(self, tmp_path):
-        cli.dump_config(cli.load_config(None, []), str(tmp_path))
+        cli.dump_config(cli.load_config(None, []), str(tmp_path / "config.resolved.txt"))
         assert (tmp_path / "config.resolved.txt").read_text() == RESOLVED_DEFAULTS
         assert sorted(OUT_OF_RANGE) == sorted(cli.CONFIG_KEYS)
 
@@ -374,13 +374,18 @@ class TestRegisterCommand:
         ("WEIGHTS", "out/w.vol", ("--weights", "--out-field")),
         ("out/f.fld", "CONFIG", ("--config", "--out-warped")),
         ("out/f.fld", "w", ("--weights", "--out-warped (its .raw payload)")),
+        ("out/config.resolved.txt", "out/w.vol", ("--out-field", "--dump-config")),
+        ("out/sub/../f.fld", "out/config.resolved.txt", ("--out-warped", "--dump-config")),
+        ("f.fld", "out/w.vol", ("--config", "--dump-config")),
     ])
     def test_shared_output_path_exits_3_and_writes_nothing(self, workspace, monkeypatch,
                                                            capsys, field, warped, names):
         """Two files register writes (field, its payload and log, warped
-        volume, its payload) on one path, or one of them on an input, would
-        silently destroy a file: rejected before any volume is read."""
-        tmp, cfg, data = workspace
+        volume, its payload, the config dump beside the field) on one path,
+        or one of them on an input, would silently destroy a file: rejected
+        before any volume is read."""
+        tmp, _, data = workspace
+        cfg = write_text(tmp / "config.resolved.txt", FAST_CONFIG)
         wpath = str(tmp / "w.raw")
         me.write_weights(wpath, me.WeightMatrix(
             np.array([[0.1], [10.0], [10.0], [10.0]]), np.array([0.3]), (0,)
@@ -403,7 +408,7 @@ class TestRegisterCommand:
         rc = cli.main([
             "register", "--source", inputs["SOURCE"], "--target", inputs["TARGET"],
             "--source-mask", inputs["MASK"], "--weights", wpath, "--config", cfg,
-            "--out-field", path(field), "--out-warped", path(warped),
+            "--out-field", path(field), "--out-warped", path(warped), "--dump-config",
         ])
         assert rc == 3
         err = capsys.readouterr().err
@@ -698,12 +703,15 @@ class TestTrainEvaluateCommands:
         ("train", "DATASET", ("--dataset", "--out-model")),
         ("train", "CONFIG", ("--config", "--out-model")),
         ("train", "c", ("--config", "--out-model (its .log)")),
+        ("train", "out/config.resolved.txt", ("--out-model", "--dump-config")),
+        ("evaluate", "out/config.resolved.txt", ("--out-report", "--dump-config")),
     ])
     def test_shared_path_exits_3_and_writes_nothing(self, workspace, monkeypatch, capsys,
                                                     command, out, names):
         """A file train or evaluate writes (the model and its log, the
-        report and its summary) on one of its inputs would silently destroy
-        that input: rejected before any input is read."""
+        report and its summary, the config dump beside the model or report)
+        on another or on one of its inputs would silently destroy that
+        file: rejected before any input is read."""
         tmp, _, data = workspace
         model = str(tmp / "r.summary.csv")
         me.write_weights(model, me.WeightMatrix(np.ones((4, 1)), np.array([0.3]), (0,)))
@@ -721,9 +729,10 @@ class TestTrainEvaluateCommands:
         monkeypatch.setattr(me, "read_weights", no_read)
         target = inputs.get(out, str(tmp / out))
         argv = {"train": ["train", "--dataset", inputs["DATASET"], "--config", inputs["CONFIG"],
-                          "--out-model", target],
+                          "--out-model", target, "--dump-config"],
                 "evaluate": ["evaluate", "--dataset", inputs["DATASET"], "--model", model,
-                             "--config", inputs["CONFIG"], "--out-report", target]}[command]
+                             "--config", inputs["CONFIG"], "--out-report", target,
+                             "--dump-config"]}[command]
         assert cli.main(argv) == 3
         err = capsys.readouterr().err
         assert all(name in err for name in names), err
@@ -840,3 +849,34 @@ class TestTrainEvaluateCommands:
                            "--config", cfg, "--out-model", m])
             assert rc in (0, 4)
         assert Path(m1).read_bytes() == Path(m2).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["register", "train", "evaluate"])
+def test_path_guard_covers_every_written_file(workspace, command):
+    """Every file a command creates is one `_check_paths` knows: the same
+    call with that file as its --config is rejected."""
+    tmp, cfg, data = workspace
+    weights = str(tmp / "w.txt")
+    me.write_weights(weights, me.WeightMatrix(
+        np.array([[0.1], [10.0], [10.0], [10.0]]), np.array([0.3]), (0,)
+    ))
+    manifest = os.path.join(data, "manifest.csv")
+    out = tmp / "out"
+    argv = {"register": ["register", "--source", os.path.join(data, "pair000_src.vol"),
+                         "--target", os.path.join(data, "pair000_tgt.vol"),
+                         "--weights", weights, "--out-field", str(out / "f.fld"),
+                         "--out-warped", str(out / "w.vol")],
+            "train": ["train", "--dataset", manifest, "--out-model", str(out / "m.txt")],
+            "evaluate": ["evaluate", "--dataset", manifest, "--model", weights,
+                         "--out-report", str(out / "r.csv")]}[command] + ["--dump-config"]
+
+    def files():
+        return {os.path.join(d, f) for d, _, names in os.walk(tmp) for f in names}
+
+    before = files()
+    assert cli.main(argv + ["--config", cfg]) in (0, 4)
+    created = files() - before
+    assert os.path.join(out, "config.resolved.txt") in created and len(created) >= 3
+    for path in sorted(created):
+        with pytest.raises(cli.ConfigError):
+            cli._check_paths(cli.build_parser().parse_args(argv + ["--config", path]))

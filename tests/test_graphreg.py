@@ -1074,3 +1074,77 @@ class TestSolverOracle:
             assert n == n_ref and np.array_equal(x, ref), f"seed {seed}"
             changes += n
         assert changes > 20
+
+
+class TestSkipWork:
+    """Between two relabels the solver certifies each label at most once and
+    cuts each at most once, and only a label it certified open; after the
+    last relabel every label has been certified or cut."""
+
+    @pytest.fixture
+    def log(self, monkeypatch):
+        """The network's certify, cut and relabel calls, in order."""
+        net = gr._ExpansionNetwork
+        certify, cut, relabel = net.certify, net.cut, net.relabel
+        log = []
+
+        def logged_certify(self, alphas):
+            safe = certify(self, alphas)
+            log.append(("certify", [int(a) for a in alphas], safe.copy()))
+            return safe
+
+        def logged_cut(self, alpha):
+            log.append(("cut", int(alpha)))
+            return cut(self, alpha)
+
+        def logged_relabel(self, labeling):
+            log.append(("relabel",))
+            return relabel(self, labeling)
+
+        monkeypatch.setattr(net, "certify", logged_certify)
+        monkeypatch.setattr(net, "cut", logged_cut)
+        monkeypatch.setattr(net, "relabel", logged_relabel)
+        return log
+
+    @staticmethod
+    def check(inst, log):
+        """Returns the numbers of accepted moves and cuts."""
+        log.clear()
+        gr.solve(inst)
+        assert log[0] == ("relabel",)
+        relabels = cuts = 0
+        for entry in log:
+            if entry[0] == "relabel":
+                relabels += 1
+                certified, opened, cut = set(), set(), set()
+            elif entry[0] == "certify":
+                _, alphas, safe = entry
+                assert certified.isdisjoint(alphas) and len(set(alphas)) == len(alphas)
+                certified.update(alphas)
+                opened.update(a for a, s in zip(alphas, safe) if not s)
+            else:
+                alpha = entry[1]
+                assert alpha not in cut and alpha in opened
+                cut.add(alpha)
+                cuts += 1
+        assert certified | cut == set(range(inst.n_labels))
+        return relabels - 1, cuts
+
+    def test_registration_like_instances(self, log):
+        moves = cuts = 0
+        for seed in range(60):
+            m, c = self.check(registration_like_instance(seed, wp_range=(0.0, 2.0)), log)
+            moves += m
+            cuts += c
+        assert moves > 30 and cuts > 30
+
+    def test_lattice_27_labels(self, log):
+        edges = lattice_edges_3d(4, 4, 3)
+        moves = cuts = 0
+        for seed in range(12):
+            inst = registration_like_instance(seed, n_nodes=48, n_labels=27, edges=edges,
+                                              wp_range=(0.02, 0.3))
+            m, c = self.check(inst, log)
+            moves += m
+            cuts += c
+        assert moves > 60 and cuts > 60

@@ -441,11 +441,6 @@ class TestWarp:
         assert np.allclose(out.data[:-1], vol.data[1:], atol=1e-6)
         assert np.all(out.data[-1] == 0.0)
 
-    def test_fill_value(self, vol):
-        fld = constant_field(vol, (2.0, 0.0, 0.0))
-        out = warp(vol, fld, fill_value=-7.0)
-        assert np.all(out.data[-1] == -7.0)
-
     def test_half_voxel_against_oracle(self, vol):
         fld = constant_field(vol, (1.0, 0.0, 0.0))   # half a voxel
         out = warp(vol, fld)
@@ -524,9 +519,7 @@ class TestTrilinearBitExact:
         if zero_x:
             dense[..., 0] = 0.0             # samples on the voxel grid along x
         fld = DeformationField(dense=dense, spacing=spacing, origin=origin)
-        fill = float(rng.uniform(-2.0, 2.0))
-        assert np.array_equal(warp(vol, fld, fill).data,
-                              sampler_oracle.warp_oracle(vol, fld, fill).data)
+        assert np.array_equal(warp(vol, fld).data, sampler_oracle.warp_oracle(vol, fld).data)
         assert np.array_equal(warp_mask(mask, fld).labels,
                               sampler_oracle.warp_mask_oracle(mask, fld).labels)
         pts = rng.uniform(np.asarray(origin) - 3.0, np.asarray(origin) + extent + 3.0,
