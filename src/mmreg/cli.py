@@ -37,7 +37,6 @@ class ConfigError(Exception):
 @dataclass(frozen=True)
 class RunConfig:
     """Settings read by the commands themselves rather than the library."""
-    normalize_metrics: bool = True      # train: calibrate metric scales first
     baseline_wp_scale: float = ev.BASELINE_WP_SCALE
     threads: int = 1                    # evaluate: processes, the caller included
     timings: bool = False               # evaluate: report runtimes
@@ -234,9 +233,8 @@ def cmd_train(args):
     pairs = _load_pairs(rows)
 
     tcfg = cfg.train
-    scales = (me.calibrate_scales([(src, tgt) for (_, src, tgt, _, _) in pairs],
-                                  cfg.pyramid.finest_spacing_mm)
-              if cfg.run.normalize_metrics else None)
+    scales = me.calibrate_scales([(src, tgt) for (_, src, tgt, _, _) in pairs],
+                                 cfg.pyramid.finest_spacing_mm)
 
     class_ids = sorted({c for (_, _, _, sm, tm) in pairs
                         for c in set(sm.class_ids()) & set(tm.class_ids())})
@@ -287,24 +285,33 @@ def cmd_evaluate(args):
     return 0
 
 
+def _synth_files(out_dir, n_pairs):
+    """The files synth writes into `out_dir`: per pair, its source, target,
+    source mask and target mask in manifest column order (each also writes
+    `<file>.raw` beside it), and the manifest."""
+    rows = [[os.path.join(out_dir, f"pair{i:03d}_{name}")
+             for name in ("src.vol", "tgt.vol", "srcmask.msk", "tgtmask.msk")]
+            for i in range(n_pairs)]
+    return rows, os.path.join(out_dir, "manifest.csv")
+
+
 def cmd_synth(args):
-    pairs = synth_dataset(read_synth_spec(args.spec), args.seed)
+    spec = read_synth_spec(args.spec)
+    rows, manifest = _synth_files(args.out_dir, spec.n_pairs)
+    written = [manifest] + [path + raw for row in rows for path in row for raw in ("", ".raw")]
+    real = os.path.realpath(args.spec)
+    if real in map(os.path.realpath, written):
+        raise ConfigError(f"--spec and --out-dir name the same file {real}")
+    pairs = synth_dataset(spec, args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
-    manifest = [MANIFEST_HEADER]
-    for p in pairs:
-        names = {
-            "source": f"{p.pair_id}_src.vol",
-            "target": f"{p.pair_id}_tgt.vol",
-            "source_mask": f"{p.pair_id}_srcmask.msk",
-            "target_mask": f"{p.pair_id}_tgtmask.msk",
-        }
-        write_volume(os.path.join(args.out_dir, names["source"]), p.source)
-        write_volume(os.path.join(args.out_dir, names["target"]), p.target)
-        write_mask(os.path.join(args.out_dir, names["source_mask"]), p.source_mask)
-        write_mask(os.path.join(args.out_dir, names["target_mask"]), p.target_mask)
-        manifest.append([names[k] for k in MANIFEST_HEADER])
-    with open(os.path.join(args.out_dir, "manifest.csv"), "w", newline="") as f:
-        csv.writer(f).writerows(manifest)
+    for p, (src, tgt, src_mask, tgt_mask) in zip(pairs, rows):
+        write_volume(src, p.source)
+        write_volume(tgt, p.target)
+        write_mask(src_mask, p.source_mask)
+        write_mask(tgt_mask, p.target_mask)
+    with open(manifest, "w", newline="") as f:
+        csv.writer(f).writerows([MANIFEST_HEADER] + [list(map(os.path.basename, row))
+                                                     for row in rows])
     return 0
 
 

@@ -11,15 +11,15 @@ when its outcome is known: each label has one status per labeling, safe
 once its cut is rejected (the same inputs give the same cut) or once a dual
 lower bound certifies that no move to it can lower the energy (each edge's
 energy change is split between its endpoints, and every node's share plus
-its unary change is non-negative). The split starts from halving
-each edge's change. Under a table with a zero diagonal and no negative
-entry (the L1 table), an edge whose ends carry the same label adds nothing,
-so shares come only from the labeling's boundary edges. For the labels
-where that leaves some node short, max-flows over batches of labels look
-for a better split, on a small network per label: the short nodes and their
-neighbours, read from the neighbour lists, and the edges between them, read
-from the edge list. Each cut that remains builds its flow network from the
-instance's arc lists, with that move's capacities.
+its unary change is non-negative). The split starts from halving each
+edge's change. `MrfInstance` admits only tables with a zero diagonal and no
+negative entry, like the L1 table, so an edge whose ends carry the same label
+adds nothing: shares come only from the labeling's boundary edges. For the
+labels where that leaves some node short, max-flows over batches of labels
+look for a better split, on a small network per label: the short nodes and
+their neighbours, read from the neighbour lists, and the edges between
+them, read from the edge list. Each cut that remains builds its flow
+network from the instance's arc lists, with that move's capacities.
 """
 
 import math
@@ -75,11 +75,11 @@ class PyramidConfig:
 class MrfInstance:
     """Pairwise MRF over the control grid.
 
-    unaries: (|V|, |L|) node costs.
+    unaries: finite (|V|, |L|) node costs.
     edge_weights: pairwise weight w_p >= 0, one value for every edge or one
         per edge (w_p varies by dominant class); stored as an (|E|,) array.
     pairwise_table: finite (|L|, |L|) L1 distances (mm) between displacement
-        labels.
+        labels, with a zero diagonal and no negative entry.
     """
     unaries: np.ndarray
     edge_weights: np.ndarray
@@ -94,15 +94,19 @@ class MrfInstance:
         w = np.full(len(e), w) if w.ndim == 0 else np.ascontiguousarray(w)
         if u.ndim != 2:
             raise ValueError(f"unaries must be a (|V|, |L|) array, got shape {u.shape}")
+        if not np.isfinite(u).all():
+            raise ValueError("unaries must be finite: the weights scale the data costs, and "
+                             "a weight too large overflows them")
         if w.shape != (len(e),):
             raise ValueError(f"edge_weights must be one value or one per edge, got shape "
                              f"{w.shape} for {len(e)} edges")
         # a negative weight would make expansion moves non-submodular
         if not (np.isfinite(w).all() and (w >= 0).all()):
             raise ValueError("edge_weights must be finite and >= 0")
-        if t.shape != (u.shape[1],) * 2 or not np.isfinite(t).all():
-            raise ValueError(f"pairwise_table must be a finite ({u.shape[1]}, {u.shape[1]}) "
-                             f"array, got shape {t.shape}")
+        if (t.shape != (u.shape[1],) * 2 or not np.isfinite(t).all()
+                or np.diag(t).any() or (t < 0).any()):
+            raise ValueError(f"pairwise_table must be a finite ({u.shape[1]}, {u.shape[1]}) array "
+                             f"with a zero diagonal and no negative entry, got shape {t.shape}")
         object.__setattr__(self, "unaries", u)
         object.__setattr__(self, "edge_weights", w)
         object.__setattr__(self, "pairwise_table", t)
@@ -255,10 +259,6 @@ class _ExpansionNetwork:
         self.j = instance.edges[:, 1]
         self.w = instance.edge_weights
         self.neighbors = _neighbor_table(instance)
-        # with w >= 0, a zero diagonal and no negative entry, every share of
-        # an edge whose ends carry the same label is +-0.0, which leaves any
-        # sum of shares as it is
-        self.same_label_adds_nothing = not np.diag(self.table).any() and (self.table >= 0).all()
         nodes = np.arange(V)
         self.tails = np.concatenate([self.i, np.full(V, V), nodes])
         self.heads = np.concatenate([self.j, nodes, np.full(V, V + 1)])
@@ -269,9 +269,8 @@ class _ExpansionNetwork:
         self.lj = labeling[self.j]
         self.t0 = self.table[self.li, self.lj]
         self.u0 = self.unaries[np.arange(len(labeling)), labeling]
-        # the edges whose shares can be nonzero
-        self.boundary = (np.flatnonzero(self.li != self.lj) if self.same_label_adds_nothing
-                         else np.arange(len(self.i)))
+        # the edges whose shares can be nonzero (see the module docstring)
+        self.boundary = np.flatnonzero(self.li != self.lj)
 
     def cut(self, alpha):
         """Optimal alpha-expansion move via min-cut; returns the move mask."""
@@ -321,12 +320,12 @@ class _ExpansionNetwork:
         every move set S, the change is at least the sum over S of the node
         margins m_i (unary change plus edge shares); when all m_i >= 0 no
         move improves. `_margins` gives each label its margins from the
-        half split of the boundary edges alone (every edge unless the table
-        is L1-like), so at the all-zero labeling a margin is the unary
-        change. One `_inside` call builds the regions of all labels with a
-        negative margin; they share `_certify_flow` calls, in order and in
-        batches of about _FLOW_BATCH_NODES region nodes, and a label's
-        answer does not depend on its batch.
+        half split of the boundary edges alone, the only edges with nonzero
+        shares, so at the all-zero labeling a margin is the unary change.
+        One `_inside` call builds the regions of all labels with a negative
+        margin; they share `_certify_flow` calls, in order and in batches of
+        about _FLOW_BATCH_NODES region nodes, and a label's answer does not
+        depend on its batch.
         """
         alphas = np.asarray(alphas, dtype=np.int64)
         m = self._margins(alphas)
@@ -420,7 +419,7 @@ class _ExpansionNetwork:
         caps = np.concatenate([up_i, up_j, m[sc, sv], -m[dc, dv]])
         caps = np.minimum(np.maximum(caps, 0.0), 2.0 * total[copy])
         # t-arcs round up, by less than one unit each
-        room = _FLOW_SUM_MAX // max(self.unaries.shape[1], n) - np.bincount(dc, minlength=n)
+        room = _FLOW_SUM_MAX // self.unaries.shape[1] - np.bincount(dc, minlength=n)
         scale = room / np.maximum(np.bincount(copy, caps, n), 1e-300 * room)
         caps *= scale[copy]
         n_up = len(caps) - len(dc)
@@ -528,7 +527,7 @@ def solve(instance):
     V = instance.n_nodes
     L = instance.n_labels
     labeling = np.zeros(V, dtype=np.int64)
-    if len(instance.edges) == 0 or np.all(instance.edge_weights == 0.0):
+    if np.all(instance.edge_weights == 0.0):
         return np.argmin(instance.unaries, axis=1).astype(np.int64)
 
     net = _ExpansionNetwork(instance)

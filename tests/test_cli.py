@@ -51,7 +51,6 @@ finest_spacing_mm=25.0
 labels_per_level=125
 levels=2
 max_cccp=20
-normalize_metrics=True
 refine_factor=0.7
 slack_tol=0.0001
 steps_per_level=5
@@ -71,7 +70,7 @@ FLOAT_KEYS = ["finest_spacing_mm", "bound_factor", "refine_factor", "train_C", "
 OUT_OF_RANGE = {
     "levels": "0", "steps_per_level": "0", "labels_per_level": "0",
     "finest_spacing_mm": "0", "bound_factor": "0.5", "refine_factor": "1.0",
-    "normalize_metrics": "maybe", "train_C": "0", "train_alpha": "-0.1",
+    "train_C": "0", "train_alpha": "-0.1",
     "eta": "0", "epsilon": "0", "slack_tol": "-1e-4", "max_cccp": "0", "w0": "1,2,3",
     "wp0": "-1", "baseline_wp_scale": "-0.02", "threads": "0", "timings": "2",
 }
@@ -138,12 +137,14 @@ class TestConfig:
         assert sorted((part, f.name) for part, f in cli.CONFIG_KEYS.values()) == sorted(consumers)
         assert cli.CONFIG_KEYS["bound_factor"][0] == "pyramid"
 
-    @pytest.mark.parametrize("item", ["train_spacing_mm=25", "train_labels=125", "seed=0"])
+    @pytest.mark.parametrize("item", ["train_spacing_mm=25", "train_labels=125", "seed=0",
+                                      "normalize_metrics=True"])
     @pytest.mark.parametrize("where", ["config", "--set"])
     def test_former_training_grid_keys_exit_3(self, tmp_path, capsys, item, where):
         # training uses the pyramid's finest level: finest_spacing_mm and
         # labels_per_level set its grid and labels; it draws no random
-        # number, so it has no seed either
+        # number, so it has no seed either; and it always calibrates the
+        # metric scales
         argv = ["train", "--dataset", str(tmp_path / "absent.csv"),
                 "--out-model", str(tmp_path / "out" / "model.txt")]
         argv += (["--config", write_text(tmp_path / "c.txt", item + "\n")] if where == "config"
@@ -154,10 +155,10 @@ class TestConfig:
 
     def test_file_and_override_reach_every_consumer(self, tmp_path):
         path = write_text(tmp_path / "c.txt", "# comment\n\ntrain_C = 2.5\nbound_factor=0.3\n")
-        cfg = cli.load_config(path, ["threads=2", "normalize_metrics=off"])
+        cfg = cli.load_config(path, ["threads=2", "timings=on"])
         assert cfg.train.C == 2.5 and cfg["train_C"] == 2.5
         assert cfg.pyramid.bound_factor == 0.3
-        assert cfg.run.threads == 2 and cfg.run.normalize_metrics is False
+        assert cfg.run.threads == 2 and cfg.run.timings is True
 
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     @pytest.mark.parametrize("bad", ["inf", "nan", "-inf"])
@@ -302,6 +303,24 @@ class TestSynthCommand:
         spec = write_text(tmp_path / "s.txt", "volume=huge\n")
         rc = cli.main(["synth", "--spec", spec, "--seed", "0", "--out-dir", str(tmp_path / "o")])
         assert rc == 3
+
+    @pytest.mark.parametrize("name, link", [("manifest.csv", False), ("pair000_src.vol", False),
+                                            ("pair001_tgtmask.msk.raw", True)])
+    def test_spec_among_outputs_exits_3_and_writes_nothing(self, tmp_path, capsys, name, link):
+        """A spec that is a file synth writes (a volume or mask, its payload
+        or the manifest), directly or through a symlink, would be replaced
+        by the dataset it describes."""
+        out = tmp_path / "out"
+        out.mkdir()
+        spec = write_text(out / name, SYNTH_SPEC)
+        if link:
+            os.symlink(spec, tmp_path / "spec.txt")
+        rc = cli.main(["synth", "--spec", str(tmp_path / "spec.txt") if link else spec,
+                       "--seed", "3", "--out-dir", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"--spec and --out-dir name the same file {os.path.realpath(spec)}" in err
+        assert os.listdir(out) == [name] and Path(spec).read_text() == SYNTH_SPEC
 
     def test_missing_spec_file(self, tmp_path):
         rc = cli.main(["synth", "--spec", str(tmp_path / "absent.txt"),
@@ -762,8 +781,7 @@ class TestTrainEvaluateCommands:
         assert len(lines) == 1 + 2 * 1 * 5      # pairs x organs x methods
         assert os.path.exists(report + ".summary.csv")
 
-    @pytest.mark.parametrize("normalize", [True, False])
-    def test_train_shares_pair_tables_across_classes(self, tmp_path, monkeypatch, normalize):
+    def test_train_shares_pair_tables_across_classes(self, tmp_path, monkeypatch):
         spec = write_text(tmp_path / "synth.txt", SYNTH_SPEC.replace(
             "organ_radii_mm=6.0\norgan_centers_frac=0.5,0.5,0.5\n",
             "organ_radii_mm=6.0,5.0\norgan_centers_frac=0.35,0.5,0.5;0.65,0.5,0.5\n"))
@@ -785,7 +803,7 @@ class TestTrainEvaluateCommands:
         model = str(tmp_path / "model.txt")
         rc = cli.main(["train", "--dataset", os.path.join(data, "manifest.csv"),
                        "--config", write_text(tmp_path / "c.txt", FAST_CONFIG),
-                       "--set", f"normalize_metrics={normalize}", "--out-model", model])
+                       "--out-model", model])
         assert rc in (0, 4)
         # one set of tables per pair, held by the sample of every class
         assert sorted(trained) == [1, 2] and len(built) == 2
@@ -793,8 +811,7 @@ class TestTrainEvaluateCommands:
             assert trained[1][i].tables is trained[2][i].tables is tables
         pairs = [(read_volume(r[0]), read_volume(r[1]))
                  for r in cli.read_manifest(os.path.join(data, "manifest.csv"))]
-        want = me.calibrate_scales(pairs, 12.0) if normalize else None
-        assert me.read_weights(model)[0].scales == want
+        assert me.read_weights(model)[0].scales == me.calibrate_scales(pairs, 12.0)
 
     def test_cccp_cap_exits_4_and_writes_outputs(self, workspace, capsys):
         tmp, cfg, data = workspace
@@ -880,3 +897,24 @@ def test_path_guard_covers_every_written_file(workspace, command):
     for path in sorted(created):
         with pytest.raises(cli.ConfigError):
             cli._check_paths(cli.build_parser().parse_args(argv + ["--config", path]))
+
+
+@pytest.mark.parametrize("command, threads", [("register", 1), ("evaluate", 1), ("evaluate", 2)])
+def test_overflowing_weights_exit_3_and_write_nothing(workspace, capsys, command, threads):
+    """A weight so large that the data costs overflow to inf is rejected
+    with the MRF it would build: exit 3 and no output, where numpy warns
+    of the overflow."""
+    tmp, cfg, data = workspace
+    weights = write_text(tmp / "w.txt", "metrics=SAD,MI,NCC,DWT classes=0\n"
+                                        "1e308 0.0 0.0 0.0 0.1\n")
+    out = tmp / "out"
+    argv = {"register": ["register", "--source", os.path.join(data, "pair000_src.vol"),
+                         "--target", os.path.join(data, "pair000_tgt.vol"), "--weights", weights,
+                         "--out-field", str(out / "f.fld"), "--out-warped", str(out / "w.vol")],
+            "evaluate": ["evaluate", "--dataset", os.path.join(data, "manifest.csv"),
+                         "--model", weights, "--out-report", str(out / "r.csv")]}[command]
+    with pytest.warns(RuntimeWarning, match="overflow encountered in matmul"):
+        rc = cli.main(argv + ["--config", cfg, "--set", f"threads={threads}"])
+    assert rc == 3
+    assert "unaries must be finite: the weights scale the data costs" in capsys.readouterr().err
+    assert not out.exists()

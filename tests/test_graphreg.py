@@ -556,18 +556,17 @@ class TestSkipCertificate:
         assert skipped > 100
 
     def test_non_l1_table(self):
-        # asymmetric, non-metric, nonzero diagonal: t[a, a] != 0 must be used
-        hand = gr.MrfInstance(np.array([[0.0, -0.8], [0.0, -0.8]]), 1.0,
-                              np.array([[0.0, 5.0], [5.0, 1.0]]), np.array([[0, 1]]))
-        net = gr._ExpansionNetwork(hand)
-        net.relabel(np.zeros(2, dtype=np.int64))
-        # moving both nodes costs 1 - 1.6 < 0 though each alone costs 4.2
-        assert not net.certify([1])[0]
+        # a nonzero diagonal, which the certificate would have to read on
+        # every edge, is rejected by the instance
+        with pytest.raises(ValueError, match="zero diagonal"):
+            gr.MrfInstance(np.array([[0.0, -0.8], [0.0, -0.8]]), 1.0,
+                           np.array([[0.0, 5.0], [5.0, 1.0]]), np.array([[0, 1]]))
         skipped = 0
         for seed in range(30):
             rng = np.random.default_rng(200 + seed)
             L = 4
             table = rng.uniform(0.0, 4.0, (L, L))
+            table[np.diag_indices(L)] = 0.0          # asymmetric, non-metric
             edges = np.array([[0, 1], [1, 2], [2, 3], [3, 4], [4, 0], [1, 5], [5, 6], [6, 2]])
             unaries = rng.uniform(0.0, 6.0, (7, L))
             inst = gr.MrfInstance(unaries, rng.uniform(0.2, 2.0), table, edges)
@@ -857,10 +856,10 @@ class TestFlowCertificate:
 
 class TestBoundaryShares:
     """The certificate sums each margin over the labeling's boundary edges
-    alone (every edge unless the table is L1-like), and computes slacks on
-    the region edges alone, with region nodes read from neighbour lists and
-    region edges from the edge list. Both equal the dense half split bit
-    for bit."""
+    alone (the instance admits only tables with a zero diagonal and no
+    negative entry), and computes slacks on the region edges alone, with
+    region nodes read from neighbour lists and region edges from the edge
+    list. Both equal the dense half split bit for bit."""
 
     @staticmethod
     def labelings(inst, rng):
@@ -917,15 +916,15 @@ class TestBoundaryShares:
         assert checked > 150
 
     def test_non_l1_tables(self):
-        hand = gr.MrfInstance(np.array([[0.0, -0.8], [0.0, -0.8]]), 1.0,
-                              np.array([[0.0, 5.0], [5.0, 1.0]]), np.array([[0, 1]]))
-        checked = self._check(hand, np.random.default_rng(1000))
+        with pytest.raises(ValueError, match="zero diagonal"):
+            gr.MrfInstance(np.array([[0.0, -0.8], [0.0, -0.8]]), 1.0,
+                           np.array([[0.0, 5.0], [5.0, 1.0]]), np.array([[0, 1]]))
+        checked = 0
         for seed in range(30):
             rng = np.random.default_rng(200 + seed)
             L = 4
             table = rng.uniform(0.0, 4.0, (L, L))
-            if seed % 3 == 0:
-                table[np.diag_indices(L)] = 0.0          # asymmetric, zero diagonal
+            table[np.diag_indices(L)] = 0.0              # asymmetric, non-metric
             edges = np.array([[0, 1], [1, 2], [2, 3], [3, 4], [4, 0], [1, 5], [5, 6], [6, 2]])
             unaries = rng.uniform(0.0, 6.0, (7, L))
             inst = gr.MrfInstance(unaries, rng.uniform(0.2, 2.0), table, edges)
@@ -934,8 +933,7 @@ class TestBoundaryShares:
 
     def test_margins_read_boundary_edges_only(self, monkeypatch):
         """n labels' margins read n*b edge shares at a labeling with b
-        boundary edges, none at the all-zero labeling of an L1 instance,
-        and n*|E| when the table has a nonzero diagonal."""
+        boundary edges, so none at the all-zero labeling."""
         reads = []
         real_shares = gr._ExpansionNetwork._shares
 
@@ -965,12 +963,6 @@ class TestBoundaryShares:
                 reads.clear()
                 assert net.certify(alphas[safe]).all() and sum(reads) == 0
         assert partial >= 2
-        table = inst.pairwise_table + np.eye(inst.n_labels)
-        net = gr._ExpansionNetwork(gr.MrfInstance(inst.unaries, inst.edge_weights, table, edges))
-        net.relabel(np.zeros(inst.n_nodes, dtype=np.int64))
-        reads.clear()
-        net._margins(alphas)
-        assert sum(reads) == len(alphas) * len(edges)
 
 
 class TestMrfInstanceChecks:
@@ -985,11 +977,22 @@ class TestMrfInstanceChecks:
         with pytest.raises(ValueError, match="edge_weights must be finite and >= 0"):
             gr.MrfInstance(self.U, w, self.T, self.E)
 
+    # the last three: a nonzero diagonal or a negative entry, which would
+    # give the certificate nonzero shares on edges whose ends share a label
     @pytest.mark.parametrize("t", [np.zeros((3, 3)), np.zeros((2, 3)), np.zeros(2),
-                                   [[0.0, np.inf], [1.0, 0.0]], [[0.0, 1.0], [np.nan, 0.0]]])
+                                   [[0.0, np.inf], [1.0, 0.0]], [[0.0, 1.0], [np.nan, 0.0]],
+                                   [[0.0, 1.0], [1.0, 1e-300]], [[-0.0, 1.0], [-1e-300, 0.0]],
+                                   [[0.0, -1.0], [1.0, 0.0]]])
     def test_bad_pairwise_table_rejected(self, t):
         with pytest.raises(ValueError, match=r"pairwise_table must be a finite \(2, 2\)"):
             gr.MrfInstance(self.U, 1.0, t, self.E)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_unaries_rejected(self, bad):
+        u = self.U.copy()
+        u[1, 1] = bad
+        with pytest.raises(ValueError, match="unaries must be finite: the weights scale"):
+            gr.MrfInstance(u, 1.0, self.T, self.E)
 
     def test_zero_weights_of_either_sign_accepted(self):
         inst = gr.MrfInstance(self.U, [0.0, -0.0], self.T, self.E)
